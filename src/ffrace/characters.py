@@ -13,7 +13,20 @@ from math import gcd, lcm
 
 from .cyclo import CycloNum
 from .errors import UsageError
-from .polyring import Poly, poly_gcd
+from .polyring import Poly, factorize, format_poly, poly_gcd
+
+# Largest supported unit-group order Phi(m): the generator search is
+# quadratic in the order (order 1023 takes about 20 s).
+MAX_GROUP_ORDER = 1024
+
+
+def group_order(m):
+    """Phi(m) = prod over P^e || m of q^(deg P (e-1)) (q^deg P - 1)."""
+    q = m.field.q
+    out = 1
+    for p, e in factorize(m).factors:
+        out *= q ** (p.degree * (e - 1)) * (q ** p.degree - 1)
+    return out
 
 
 class UnitGroup:
@@ -22,6 +35,11 @@ class UnitGroup:
     def __init__(self, modulus):
         if modulus.degree < 1:
             raise UsageError("modulus must have degree >= 1")
+        order = group_order(modulus)
+        if order > MAX_GROUP_ORDER:
+            raise UsageError(
+                "unit group mod %s has order %d; the supported limit is %d"
+                % (format_poly(modulus), order, MAX_GROUP_ORDER))
         self.modulus = modulus
         self.field = modulus.field
         self.deg = modulus.degree
@@ -31,6 +49,7 @@ class UnitGroup:
         units.sort(key=lambda u: u.sort_key())
         self.units = tuple(units)
         self.order = len(units)
+        assert self.order == order, "unit count differs from Phi(m)"
         self._index = {u: i for i, u in enumerate(units)}
         self._build_generators()
 

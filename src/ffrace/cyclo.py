@@ -118,14 +118,14 @@ class CycloNum:
         length E (the natural carrier for character-sum tallies)."""
         assert len(weights) == E
         den = 1
-        for w in weights:
-            if isinstance(w, Fraction):
-                den = lcm(den, w.denominator)
+        if any(type(w) is Fraction for w in weights):
+            den = lcm(*(w.denominator for w in weights
+                        if type(w) is Fraction))
+            weights = [int(w * den) for w in weights]
         phi = euler_phi(E)
         rows = _powrows(E)
         nums = [0] * phi
-        for i, w in enumerate(weights):
-            wi = int(w * den) if den > 1 or isinstance(w, Fraction) else w
+        for i, wi in enumerate(weights):
             if wi:
                 row = rows[i]
                 for j in range(phi):

@@ -1,15 +1,30 @@
-"""Exact per-class counts with no enumeration: the character-matrix Mobius
-inversion.
+"""Exact per-class counts with no enumeration: the explicit formula, assembled
+on the character side and shared across Galois orbits of characters.
 
-For each divisor d of N the inverse matrix entry is
+For a character chi mod m let A_chi(N) = sum chi(P) over the monic
+irreducible P of degree N prime to m.  Mobius inversion of
+c_n(chi) = sum_{d|n} d A_{chi^(n/d)}(d) gives
+    N A_chi(N) = sum_{k|N} mu(k) psi(chi^k, N/k),
+with psi(chi, n) = c_n(chi) = -sum_j alpha_j^n for nontrivial chi and
+psi(chi0, n) = q^n - s_{m,n}; orthogonality then gives
+    pi(N; m, a) = (1/M') sum_chi chi(a)^-1 A_chi(N),    M' = Phi(m).
+For l a unit mod E, L(u, chi^l) = sigma_l L(u, chi), so the orbit of chi
+contributes one trace:
+    sum_{chi' ~ chi} chi'(a)^-1 A_chi'(N)
+        = (phi(ord chi)/phi(E)) Tr_{Q(zeta_E)/Q}(zeta_E^(-e_chi(a)) A_chi(N)),
+and Tr(zeta_E^t x) is an integer dot product of the power-basis coordinates
+of x with the Ramanujan sums Tr(zeta_E^t).  L-polynomials are built, and
+power sums extended, for one representative per orbit only; the other
+characters' L-polynomials are its Galois images.  Every count must reduce to
+a nonnegative rational integer and the counts must sum to the number of
+degree-N primes prime to m; a failure is raised, never rounded away.
+
+The class x character matrix Mobius inversion stays as the --breakdown audit
+and as the oracle the tests compare with: for each divisor d of N
     Ztilde(d)_{a,chi} = (mu(d)/M') * sum_{b^d = a} chi(b)^-1
 and
     pi(N; m, a) = (1/N) sum_{d|N} ( Ztilde(d)_{a,chi0} (q^{N/d} - s_{m,N/d})
-                                    + sum_{chi != chi0} Ztilde(d)_{a,chi} c_{N/d}(chi) ),
-where +c_{N/d}(chi) realizes the -sum_j alpha_j^{N/d} term (they are equal by
-definition of c_n).  Assembly is exact in Q(zeta_E); every count must reduce
-to a nonnegative rational integer, and a failure of that reduction is raised,
-never rounded away.
+                                    + sum_{chi != chi0} Ztilde(d)_{a,chi} c_{N/d}(chi) ).
 """
 
 from dataclasses import dataclass
@@ -19,8 +34,9 @@ from math import gcd
 from .characters import all_characters, unit_group
 from .cyclo import CycloNum
 from .errors import IntegrityError, UsageError
-from .lfunc import l_polynomial
-from .numth import divisors, mobius
+from .lfunc import LPolynomial, l_polynomial
+from .numth import (divisors, euler_phi, gauss_irreducible_count, mobius,
+                    ramanujan_sum)
 from .polyring import Poly, factorize, format_poly
 
 
@@ -98,8 +114,10 @@ class ExplicitCount:
 
 
 class ExplicitCounter:
-    """Caches the per-modulus character data (unit group, L-polynomials,
-    power sums, Ztilde raw sums) across degrees."""
+    """Caches the per-modulus character data across degrees: unit group,
+    Galois orbits of characters, L-polynomials (built on orbit
+    representatives, transported to the rest), power sums, and the Ztilde
+    raw sums of the --breakdown audit."""
 
     def __init__(self, m):
         if m.degree < 1:
@@ -107,75 +125,141 @@ class ExplicitCounter:
         self.modulus = m
         self.field = m.field
         self.group = unit_group(m)
-        self.E = self.group.exponent
+        E = self.E = self.group.exponent
         self.factorization = factorize(m)
         self.chars = all_characters(self.group)
-        self.lpolys = [None] + [l_polynomial(m, chi) for chi in self.chars[1:]]
+        self._index = {chi.exps: ci for ci, chi in enumerate(self.chars)}
+        # orbit[ci] = (r, l): chars[ci] = chars[r]^l with l a unit mod E and
+        # r the first index of the orbit (so r <= ci)
+        self.orbit = [None] * len(self.chars)
+        galois_units = [l for l in range(1, E + 1) if gcd(l, E) == 1]
+        for ci, chi in enumerate(self.chars):
+            if self.orbit[ci] is None:
+                for l in galois_units:
+                    cj = self._index[(chi ** l).exps]
+                    if self.orbit[cj] is None:
+                        self.orbit[cj] = (ci, l)
+        self.lpolys = [None] * len(self.chars)
+        for ci, (r, l) in enumerate(self.orbit):
+            if ci == 0:
+                continue
+            if r == ci:
+                self.lpolys[ci] = l_polynomial(m, self.chars[ci])
+            else:
+                self.lpolys[ci] = LPolynomial(
+                    self.chars[ci], [c.galois(l) for c in self.lpolys[r].coeffs])
+        # nontrivial representatives: (index, phi(order), e_chi(a) per class)
+        self._reps = [(ci, euler_phi(self.chars[ci].order),
+                       [self.chars[ci].value_exponent(a)
+                        for a in self.group.units])
+                      for ci, (r, _l) in enumerate(self.orbit)
+                      if r == ci and ci != 0]
+        self._ramanujan = [ramanujan_sum(E, t) for t in range(E)]
         self._raw = {}
 
     def s(self, n):
         return s_value(self.factorization, n)
 
     def raw_zsum(self, d):
-        if d not in self._raw:
-            self._raw[d] = _raw_power_sums(self.group, d)
-        return self._raw[d]
+        raw = self._raw.get(d)
+        if raw is None:
+            raw = self._raw.setdefault(d, _raw_power_sums(self.group, d))
+        return raw
+
+    def _psi(self, ci, n):
+        """psi(chars[ci], n): q^n - s_{m,n} (an int) for the trivial
+        character, else c_n(chi) = sigma_l c_n(rep) on the orbit
+        representative."""
+        if ci == 0:
+            return self.field.q ** n - self.s(n)
+        r, l = self.orbit[ci]
+        c = self.lpolys[r].c(n)
+        return c if l == 1 else c.galois(l)
 
     def count(self, degree, breakdown=False):
         if degree < 1:
             raise UsageError("degree must be >= 1")
         G = self.group
-        q = self.field.q
-        order = G.order
-        zero = CycloNum.from_rational(0, self.E)
-        acc = [zero] * order
-        audit = {} if breakdown else None
-        for d in divisors(degree):
-            mu = mobius(d)
-            if mu == 0:
-                continue
-            raw = self.raw_zsum(d)
-            nu = degree // d
-            triv = q ** nu - self.s(nu)
-            cvals = [None] + [self.lpolys[ci].c(nu)
-                              for ci in range(1, order)]
-            for ai in range(order):
-                row = raw[ai]
-                term = row[0] * triv
-                for ci in range(1, order):
-                    if not row[ci].is_zero and not cvals[ci].is_zero:
-                        term = term + row[ci] * cvals[ci]
-                acc[ai] = acc[ai] + term * mu
-                if breakdown:
-                    scale = Fraction(mu, order)
-                    audit[(ai, d)] = {
-                        self.chars[ci].label():
-                            ((row[ci] * scale) *
-                             (triv if ci == 0 else cvals[ci])).to_json()
-                        for ci in range(order)}
-        counts = {}
-        scale = Fraction(1, degree * order)
-        for ai, u in enumerate(G.units):
-            v = acc[ai] * scale
-            if not v.is_rational:
+        E = self.E
+        R = self._ramanujan
+        moebius = [(k, mobius(k)) for k in divisors(degree) if mobius(k)]
+        # phi(E) * N * M' * pi(N; a), accumulated orbit by orbit
+        trivial = sum(mu * self._psi(0, degree // k) for k, mu in moebius)
+        totals = [euler_phi(E) * trivial] * G.order
+        for ci, weight, exps in self._reps:
+            chi = self.chars[ci]
+            rational = 0
+            acc = CycloNum.from_rational(0, E)
+            for k, mu in moebius:
+                term = self._psi(self._index[(chi ** k).exps], degree // k)
+                if isinstance(term, int):
+                    rational += mu * term
+                else:
+                    acc = acc + term if mu > 0 else acc - term
+            if acc.den != 1:
                 raise IntegrityError(
-                    "explicit count pi(%d; %s, %s) is not rational: %r"
-                    % (degree, self.modulus, u, v))
-            val = v.rational_value
+                    "power sums of %r mod %s are not algebraic integers"
+                    % (chi, self.modulus))
+            # N A_chi(N) = sum_j nums[j] zeta_E^j; chi(a) = zeta_E^e with
+            # e a multiple of E / ord(chi)
+            nums = list(acc.nums)
+            nums[0] += rational
+            trace = {}
+            for e in range(0, E, E // chi.order):
+                trace[e] = weight * sum(x * R[(j - e) % E]
+                                        for j, x in enumerate(nums) if x)
+            for ai, e in enumerate(exps):
+                totals[ai] += trace[e]
+        scale = euler_phi(E) * degree * G.order
+        counts = {}
+        for u, total in zip(G.units, totals):
+            val = Fraction(total, scale)
             if val.denominator != 1 or val < 0:
                 raise IntegrityError(
                     "explicit count pi(%d; %s, %s) = %s is not a nonnegative "
                     "integer" % (degree, self.modulus, u, val))
             counts[u] = int(val)
-        out_audit = None
-        if breakdown:
-            out_audit = {(format_poly(G.units[ai]), d): per_chi
-                         for (ai, d), per_chi in audit.items()}
+        primes = gauss_irreducible_count(self.field.q, degree) - sum(
+            1 for p, _e in self.factorization.factors if p.degree == degree)
+        total = sum(counts.values())
+        if total != primes:
+            raise IntegrityError(
+                "explicit counts of degree %d mod %s sum to %d, not to the %d "
+                "primes prime to the modulus"
+                % (degree, self.modulus, total, primes))
+        out_audit = self._audit(degree, counts) if breakdown else None
         return ExplicitCount(modulus=self.modulus, degree=degree,
                              counts=counts, breakdown=out_audit)
 
-    def max_horizon(self):
-        return max((len(L._psums) for L in self.lpolys[1:]), default=0)
+    def _audit(self, degree, counts):
+        """(class literal, d) -> {chi label: Ztilde(d)_{a,chi} psi(chi, N/d)}
+        over the divisors d with mu(d) != 0; the terms of each class must
+        re-sum to N pi(N; m, a)."""
+        G = self.group
+        order = G.order
+        audit = {}
+        sums = [CycloNum.from_rational(0, self.E)] * order
+        for d in divisors(degree):
+            mu = mobius(d)
+            if mu == 0:
+                continue
+            raw = self.raw_zsum(d)
+            scale = Fraction(mu, order)
+            vals = [self._psi(ci, degree // d) for ci in range(order)]
+            for ai, u in enumerate(G.units):
+                terms = [(raw[ai][ci] * scale) * vals[ci]
+                         for ci in range(order)]
+                for t in terms:
+                    sums[ai] = sums[ai] + t
+                audit[(format_poly(u), d)] = {
+                    chi.label(): t.to_json()
+                    for chi, t in zip(self.chars, terms)}
+        for u, total in zip(G.units, sums):
+            if total != degree * counts[u]:
+                raise IntegrityError(
+                    "breakdown of pi(%d; %s, %s) sums to %r, not to N*pi"
+                    % (degree, self.modulus, u, total))
+        return audit
 
 
 _counters = {}
@@ -183,9 +267,10 @@ _counters = {}
 
 def explicit_counter(m):
     key = (m.field, m.coeffs)
-    if key not in _counters:
-        _counters[key] = ExplicitCounter(m)
-    return _counters[key]
+    counter = _counters.get(key)
+    if counter is None:
+        counter = _counters.setdefault(key, ExplicitCounter(m))
+    return counter
 
 
 def explicit_count(m, degree, breakdown=False):
@@ -239,7 +324,7 @@ def pi_g_decomposition(m, degree, cls):
             for j in range(1, Mp // g):
                 ci = (g * j) % Mp
                 zz = CycloNum.zeta(E, (-k * j * dg_inv) % E)
-                inner = inner + zz * counter.lpolys[_char_index(counter, ci)].c(nu)
+                inner = inner + zz * counter._psi(_char_index(counter, ci), nu)
             acc = acc + inner * mu
         if not acc.is_rational:
             raise IntegrityError("pi_%d part is not rational for %s mod %s"

@@ -5,6 +5,7 @@ Everything stays in Q(zeta_E); complex embeddings appear only in the Weil
 |alpha| diagnostic.
 """
 
+import threading
 from dataclasses import dataclass
 from math import gcd
 
@@ -29,6 +30,7 @@ class LPolynomial:
             cs.pop()
         self.coeffs = tuple(cs)
         self._psums = []  # p_n = sum_j alpha_j^n, cached from n=1
+        self._lock = threading.Lock()  # extends _psums; reads need none
 
     @property
     def degree(self):
@@ -36,17 +38,24 @@ class LPolynomial:
 
     def power_sum(self, n):
         """p_n via the Newton recurrence p_n = -(n a_n + sum a_i p_(n-i))."""
+        if n < 1:
+            raise UsageError("power sums start at n = 1")
+        if n > len(self._psums):
+            self._extend(n)
+        return self._psums[n - 1]
+
+    def _extend(self, n):
         E = self.coeffs[0].E
         d = self.degree
-        while len(self._psums) < n:
-            k = len(self._psums) + 1
-            acc = (self.coeffs[k] * k) if k <= d \
-                else CycloNum.from_rational(0, E)
-            for i in range(1, min(k - 1, d) + 1):
-                if not self.coeffs[i].is_zero:
-                    acc = acc + self.coeffs[i] * self._psums[k - 1 - i]
-            self._psums.append(-acc)
-        return self._psums[n - 1]
+        with self._lock:
+            while len(self._psums) < n:
+                k = len(self._psums) + 1
+                acc = (self.coeffs[k] * k) if k <= d \
+                    else CycloNum.from_rational(0, E)
+                for i in range(1, min(k - 1, d) + 1):
+                    if not self.coeffs[i].is_zero:
+                        acc = acc + self.coeffs[i] * self._psums[k - 1 - i]
+                self._psums.append(-acc)
 
     def c(self, n):
         """c_n(chi) = -p_n."""

@@ -1,6 +1,7 @@
 """Small integer number-theory helpers shared by the counting modules."""
 
 from functools import lru_cache
+from math import gcd
 
 
 def is_prime(n: int) -> bool:
@@ -66,6 +67,12 @@ def euler_phi(n: int) -> int:
     for p in prime_factors(n):
         out = out // p * (p - 1)
     return out
+
+
+def ramanujan_sum(E: int, t: int) -> int:
+    """Tr_{Q(zeta_E)/Q}(zeta_E^t) = mu(E/g) phi(E) / phi(E/g), g = gcd(t, E)."""
+    r = E // gcd(t, E)
+    return mobius(r) * (euler_phi(E) // euler_phi(r))
 
 
 def gauss_irreducible_count(q: int, n: int) -> int:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -160,6 +161,15 @@ def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 1
+
+
+def test_oversized_unit_group_fails_fast(capsys):
+    # order 4095: refused before the unit group is enumerated
+    start = time.perf_counter()
+    code, _, err = run(capsys, "count", "--field", "F2",
+                       "--modulus", "T^12+T^3+1", "--degree", "30")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and "4095" in err and "limit is 1024" in err
 
 
 def test_integrity_errors_exit_2(capsys, monkeypatch):

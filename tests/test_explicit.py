@@ -1,4 +1,7 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -10,6 +13,7 @@ from ffrace.explicit import (ExplicitCounter, bias_report, explicit_count,
                              pi_g_decomposition, s_value, zmatrix,
                              zmatrix_inverse)
 from ffrace.field import field_make
+from ffrace.lfunc import l_polynomial
 from ffrace.numth import divisors, mobius
 from ffrace.polyring import factorize, parse_poly
 from ffrace.sieve import sieve_count
@@ -300,3 +304,32 @@ def test_trivial_unit_group_modulus():
         c = explicit_count(m, N).counts
         want = gauss_irreducible_count(2, N) - (1 if N == 1 else 0)
         assert c[P(F2, "1")] == want
+
+
+def test_concurrent_cold_counter_matches_serial():
+    # power sums are extended lazily on first use; threads racing on a cold
+    # counter must not corrupt them
+    m = P(F3, "T^3+2T+2")
+    degrees = range(13, 61)
+    serial = [ExplicitCounter(m).count(n).counts for n in degrees]
+    cold = ExplicitCounter(m)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(lambda n: cold.count(n).counts, degrees))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+
+
+def test_lpolys_transported_from_orbit_representatives():
+    for field, mstr in ((F2, "T^6+T^2+1"), (F3, "T^2"), (F2, "T^3+T+1")):
+        m = P(field, mstr)
+        counter = ExplicitCounter(m)
+        for ci, (r, l) in enumerate(counter.orbit):
+            assert counter.chars[r] ** l == counter.chars[ci]
+            assert r <= ci and gcd(l, counter.E) == 1
+            if ci:
+                assert counter.lpolys[ci].coeffs == \
+                    l_polynomial(m, counter.chars[ci]).coeffs

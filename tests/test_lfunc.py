@@ -117,6 +117,8 @@ def test_power_sums_horizon_consistency_and_integrality():
     assert long[:6] == short
     for c in long:
         assert all(f.denominator == 1 for f in c.coeffs)  # algebraic integers
+    with pytest.raises(UsageError):
+        L2.power_sum(0)     # not p_15 from the end of the cache
 
 
 def test_newton_vs_sieve_eq9():

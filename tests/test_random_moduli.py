@@ -1,0 +1,75 @@
+"""Differential checks of the explicit formula on random moduli.
+
+Monic moduli of degree <= 4 are drawn over F2, F3, F4, F5, F8 and F9 (cyclic
+and non-cyclic unit groups, squarefree and not), restricted to q^deg <= 81 so
+that the class x character oracle stays within a few seconds.  For each:
+
+- ExplicitCounter.count equals the matrix Mobius inversion assembled from
+  zmatrix_inverse and directly built L-polynomials;
+- it equals the sieve at a degree N <= min(sieve cutoff, 10);
+- every Galois-transported L-polynomial equals l_polynomial(m, chi).
+"""
+
+from hypothesis import HealthCheck, example, given, seed, settings
+from hypothesis import strategies as st
+
+from ffrace.cyclo import CycloNum
+from ffrace.explicit import ExplicitCounter, zmatrix_inverse
+from ffrace.field import field_make
+from ffrace.lfunc import l_polynomial
+from ffrace.numth import divisors
+from ffrace.polyring import Poly
+from ffrace.sieve import default_cutoff, sieve_count
+
+FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 8: (2, 3), 9: (3, 2)}
+MAX_RESIDUES = 81
+
+
+@st.composite
+def moduli(draw):
+    q = draw(st.sampled_from(sorted(FIELDS)))
+    top = max(d for d in range(1, 5) if q ** d <= MAX_RESIDUES)
+    deg = draw(st.integers(1, top))
+    lower = draw(st.integers(0, q ** deg - 1))
+    return Poly.from_index(field_make(*FIELDS[q]), q ** deg + lower)
+
+
+def oracle_counts(counter, degree):
+    """pi(N; m, a) by the class x character matrix inversion, with every
+    L-polynomial built directly."""
+    G = counter.group
+    E = counter.E
+    q = counter.field.q
+    lpolys = [None] + [l_polynomial(counter.modulus, chi)
+                       for chi in counter.chars[1:]]
+    acc = [CycloNum.from_rational(0, E)] * G.order
+    for d in divisors(degree):
+        Z = zmatrix_inverse(G, d).entries
+        nu = degree // d
+        vals = [q ** nu - counter.s(nu)] + [L.c(nu) for L in lpolys[1:]]
+        for ai in range(G.order):
+            for ci, v in enumerate(vals):
+                if not Z[ai][ci].is_zero:
+                    acc[ai] = acc[ai] + Z[ai][ci] * v
+    out = {}
+    for u, v in zip(G.units, acc):
+        val = v.rational_value / degree
+        assert val.denominator == 1 and val >= 0
+        out[u] = int(val)
+    return out
+
+
+@seed(20261018)
+@settings(max_examples=40, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(m=moduli(), n_sieve=st.integers(1, 10), n_oracle=st.integers(1, 16))
+# (T^2+T+1)^2 over F2 and T^3 over F3: non-squarefree, groups [2, 6], [3, 6]
+@example(m=Poly(field_make(2), (1, 0, 1, 0, 1)), n_sieve=10, n_oracle=12)
+@example(m=Poly(field_make(3), (0, 0, 0, 1)), n_sieve=10, n_oracle=12)
+def test_explicit_matches_oracle_sieve_and_direct_lpolys(m, n_sieve, n_oracle):
+    counter = ExplicitCounter(m)
+    for chi, L in zip(counter.chars[1:], counter.lpolys[1:]):
+        assert L.coeffs == l_polynomial(m, chi).coeffs, chi
+    n_sieve = min(n_sieve, default_cutoff(m.field.q))
+    assert counter.count(n_sieve).counts == sieve_count(m, n_sieve).counts
+    assert counter.count(n_oracle).counts == oracle_counts(counter, n_oracle)
