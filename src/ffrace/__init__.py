@@ -13,11 +13,10 @@ from .polyring import (Poly, Factorization, enumerate_monic, factorize,
 from .cyclo import CycloNum, cyclotomic_poly
 from .characters import Character, UnitGroup, all_characters, char_value, \
     unit_group
-from .sieve import (CountTable, cumulative_count, sieve_count,
-                    sieve_count_nonmonic, weighted_count)
+from .sieve import CountTable, cumulative_count, sieve_count, weighted_count
 from .lfunc import (LPolynomial, find_conjugate_relations, l_polynomial,
-                    power_sums, verify_power_sums_vs_sieve)
-from .explicit import (ExplicitCounter, bias_report, explicit_count,
+                    power_sums)
+from .explicit import (ExplicitCounter, bias_report, counts, explicit_count,
                        mobius_helpers, pi_g_decomposition, s_value,
                        zmatrix_inverse)
 from .gl2 import (Mat2, TieCertificate, certify_ties, slash_action,

@@ -8,19 +8,19 @@ import argparse
 import json
 import random
 import sys
+from functools import partial
 
-from .characters import all_characters, parse_character, unit_group
+from .characters import parse_character, unit_group
 from .errors import IntegrityError, UsageError
-from .explicit import bias_report, explicit_counter
+from .explicit import bias_report, counts, explicit_counter
 from .field import parse_field
 from .gl2 import certify_ties, stabilizer_search, verify_certificate_empirically
 from .lfunc import find_conjugate_relations, l_polynomial, power_sums, \
     weil_bound_violations
 from .polyring import Poly, format_poly, parse_poly
 from .report import TABLES, check_cumulative_ties, detect_tie_patterns, \
-    emit_table, hybrid_provider, render_table
-from .sieve import cumulative_count, default_cutoff, sieve_count, \
-    sieve_count_nonmonic
+    emit_table, render_table
+from .sieve import cumulative_count, default_cutoff
 
 
 class _Parser(argparse.ArgumentParser):
@@ -37,7 +37,8 @@ def _common(sub):
                      dest="fmt", help="output format")
     sub.add_argument("--out", help="write output to this file")
     sub.add_argument("--threads", type=int, default=1,
-                     help="worker threads for multi-degree commands")
+                     help="accepted and ignored: every command counts in "
+                          "one thread")
     sub.add_argument("--seed", type=int, default=0,
                      help="seed for sampled self-checks (counting itself is "
                           "deterministic)")
@@ -65,37 +66,32 @@ def _class_columns(m):
     return list(unit_group(m).units)
 
 
+def _cumulative_table(m, n, provider, fmt, name):
+    table = cumulative_count(m, n, provider=provider)
+    cols = _class_columns(m)
+    header = ["N", "source"] + [format_poly(c) for c in cols]
+    rows = [[k, table.sources[k]] + [table.per_class[c][k - 1] for c in cols]
+            for k in range(1, n + 1)]
+    return render_table(header, rows, fmt, name=name)
+
+
 def _cmd_count(args):
     _field, m = _need_modulus(args)
     n = args.degree
     if n < 1:
         raise UsageError("--degree must be >= 1")
-    cutoff = default_cutoff(m.field.q)
+    # sieve-first: the sieve over its whole supported range
+    per_degree = partial(counts, m, monic=not args.nonmonic,
+                         sieve_limit=default_cutoff(m.field.q))
+    suffix = "-nonmonic" if args.nonmonic else ""
     if args.cumulative:
-        table = cumulative_count(m, n, provider=hybrid_provider(m, cutoff))
-        cols = _class_columns(m)
-        header = ["N", "source"] + [format_poly(c) for c in cols]
-        rows = [[k, table.sources[k]] + [table.per_class[c][k - 1]
-                                         for c in cols]
-                for k in range(1, n + 1)]
-        return render_table(header, rows, args.fmt, name="cumulative")
-    if n <= cutoff:
-        counts = (sieve_count_nonmonic(m, n) if args.nonmonic
-                  else sieve_count(m, n).counts)
-        source = "sieve"
-    else:
-        counter = explicit_counter(m)
-        counts = counter.count(n).counts
-        if args.nonmonic:
-            field = m.field
-            counts = {c: sum(counts[c.scale(field.inv(lam)) % m]
-                             for lam in field.units()) for c in counts}
-        source = "explicit"
+        return _cumulative_table(m, n, per_degree, args.fmt,
+                                 "cumulative" + suffix)
+    found, source = per_degree(n)
     cols = _class_columns(m)
     header = ["N", "source"] + [format_poly(c) for c in cols]
-    rows = [[n, source] + [counts[c] for c in cols]]
-    return render_table(header, rows, args.fmt,
-                        name="count-nonmonic" if args.nonmonic else "count")
+    rows = [[n, source] + [found[c] for c in cols]]
+    return render_table(header, rows, args.fmt, name="count" + suffix)
 
 
 def _cmd_count_explicit(args):
@@ -198,7 +194,7 @@ def _cmd_ties_gl2(args):
 def _cmd_ties_empirical(args):
     _field, m = _need_modulus(args)
     report = detect_tie_patterns(m, args.min_degree, args.max_degree,
-                                 period=args.period, threads=args.threads)
+                                 period=args.period)
     if args.fmt == "json":
         return json.dumps(report.to_json(), indent=2) + "\n"
     header = ["residue", "consistent", "observed", "groups"]
@@ -212,8 +208,7 @@ def _cmd_ties_empirical(args):
 
 
 def _cmd_table(args):
-    return emit_table(args.table, fmt=args.fmt, lo=args.lo, hi=args.hi,
-                      threads=args.threads)
+    return emit_table(args.table, fmt=args.fmt, lo=args.lo, hi=args.hi)
 
 
 def _cmd_cumulative(args):
@@ -221,9 +216,8 @@ def _cmd_cumulative(args):
     n = args.max_degree
     if n < 1:
         raise UsageError("--max-degree must be >= 1")
-    provider = hybrid_provider(m)
     if args.ties:
-        ties = check_cumulative_ties(m, n, provider=provider)
+        ties = check_cumulative_ties(m, n)
         if args.fmt == "json":
             obj = [{"N": t[0], "classes": [format_poly(t[1][0]),
                                            format_poly(t[1][1])]}
@@ -233,12 +227,7 @@ def _cmd_cumulative(args):
         rows = [[t[0], format_poly(t[1][0]), format_poly(t[1][1])]
                 for t in ties]
         return render_table(header, rows, args.fmt, name="cumulative-ties")
-    table = cumulative_count(m, n, provider=provider)
-    cols = _class_columns(m)
-    header = ["N", "source"] + [format_poly(c) for c in cols]
-    rows = [[k, table.sources[k]] + [table.per_class[c][k - 1] for c in cols]
-            for k in range(1, n + 1)]
-    return render_table(header, rows, args.fmt, name="cumulative")
+    return _cumulative_table(m, n, partial(counts, m), args.fmt, "cumulative")
 
 
 def _parse_degrees(spec):

@@ -360,30 +360,3 @@ class CycloNum:
     def __repr__(self):
         return "CycloNum(E=%d, [%s])" % (
             self.E, ", ".join(str(c) for c in self.coeffs))
-
-
-def cyclo_arith(x, y, kind):
-    """Dispatch by name; kind in {add, sub, mul, scalar_mul_rational}."""
-    try:
-        fn = {"add": lambda: x + y, "sub": lambda: x - y,
-              "mul": lambda: x * y,
-              "scalar_mul_rational": lambda: x * Fraction(y)}[kind]
-    except KeyError:
-        raise UsageError("unknown cyclo op %r" % (kind,))
-    return fn()
-
-
-def galois_apply(l, x):
-    return x.galois(l)
-
-
-def trace_and_rational_test(x):
-    """(trace, is_rational, rational value or None)."""
-    tr = x.trace()
-    if x.is_rational:
-        return tr, True, x.rational_value
-    return tr, False, None
-
-
-def complex_embed(x):
-    return x.embed()

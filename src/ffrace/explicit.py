@@ -38,6 +38,7 @@ from .lfunc import LPolynomial, l_polynomial
 from .numth import (divisors, euler_phi, gauss_irreducible_count, mobius,
                     ramanujan_sum)
 from .polyring import Poly, factorize, format_poly
+from .sieve import default_cutoff, sieve_count
 
 
 def s_value(factorization, n):
@@ -276,6 +277,30 @@ def explicit_counter(m):
 def explicit_count(m, degree, breakdown=False):
     """pi(N; m, c) for every unit class c, assembled exactly (no enumeration)."""
     return explicit_counter(m).count(degree, breakdown=breakdown)
+
+
+def counts(m, degree, *, monic=True, sieve_limit=None):
+    """(counts, source): the count of degree-N irreducibles in every unit
+    class c mod m, and the engine that produced it, "sieve" or "explicit".
+
+    The one place that chooses the engine: the sieve for N <= sieve_limit,
+    the explicit formula beyond.  The default limit is
+    min(default_cutoff(q), 12).
+
+    monic=False counts all irreducibles with a nonzero leading coefficient.
+    f -> lc(f)^-1 f maps the lc = lam ones bijectively onto the monic ones
+    and class c onto lam^-1 c, so pi~(N; m, c) = sum_lam pi(N; m, lam^-1 c)."""
+    if sieve_limit is None:
+        sieve_limit = min(default_cutoff(m.field.q), 12)
+    if degree <= sieve_limit:
+        out, source = sieve_count(m, degree).counts, "sieve"
+    else:
+        out, source = explicit_counter(m).count(degree).counts, "explicit"
+    if not monic:
+        field = m.field
+        out = {c: sum(out[c.scale(field.inv(lam)) % m] for lam in field.units())
+               for c in out}
+    return out, source
 
 
 def pi_g_decomposition(m, degree, cls):

@@ -27,7 +27,6 @@ def _fp_poly_mod(a, m, p):
     # m monic
     a = list(a)
     dm = len(m) - 1
-    inv_ignored = 1  # m monic by construction
     for i in range(len(a) - 1, dm - 1, -1):
         c = a[i]
         if c:
@@ -35,8 +34,6 @@ def _fp_poly_mod(a, m, p):
                 a[i - dm + j] = (a[i - dm + j] - c * m[j]) % p
     del a[dm:]
     return a
-
-_ = _fp_poly_mod  # silence linters on the unused inv_ignored pattern
 
 
 def _fp_is_irreducible(m, p):
@@ -188,16 +185,6 @@ class FieldSpec:
 
     def __repr__(self):
         return "F%d" % self.q
-
-
-def field_op(spec, a, b, kind):
-    """Dispatch by name; kind in {add, mul, sub, div}."""
-    try:
-        fn = {"add": spec.add, "mul": spec.mul,
-              "sub": spec.sub, "div": spec.div}[kind]
-    except KeyError:
-        raise UsageError("unknown field op %r" % (kind,))
-    return fn(a, b)
 
 
 @lru_cache(maxsize=None)

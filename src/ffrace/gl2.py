@@ -14,9 +14,8 @@ from math import gcd
 
 from .characters import unit_group
 from .errors import IntegrityError, UsageError
-from .explicit import explicit_counter
+from .explicit import counts
 from .polyring import Poly, format_poly
-from .sieve import default_cutoff, sieve_count, sieve_count_nonmonic
 
 
 @dataclass(frozen=True)
@@ -95,12 +94,6 @@ def slash_action(f, n, B):
         if coeff:
             out = out + (top_pows[i] * bot_pows[n - i]).scale(coeff)
     return out
-
-
-def action_law_check(f, n, B1, B2):
-    """f|_n (B1 B2) == (f|_n B1)|_n B2."""
-    return slash_action(f, n, B1 * B2) == slash_action(slash_action(f, n, B1),
-                                                       n, B2)
 
 
 def stabilizer_search(m):
@@ -219,38 +212,18 @@ def _cycles(perm):
     return tuple(out)
 
 
-def _monic_counts(m, degree, sieve_limit):
-    if degree <= sieve_limit:
-        return sieve_count(m, degree).counts
-    return explicit_counter(m).count(degree).counts
-
-
-def _nonmonic_counts(m, degree, sieve_limit):
-    if degree <= sieve_limit:
-        return sieve_count_nonmonic(m, degree)
-    field = m.field
-    counts = explicit_counter(m).count(degree).counts
-    out = {}
-    for c in counts:
-        out[c] = sum(counts[c.scale(field.inv(lam)) % m]
-                     for lam in field.units())
-    return out
-
-
 def find_certificate_violation(cert, n_max, sieve_limit=None):
-    """First (N, class, image) whose certified equality fails against the
-    counting engines, or None.  Degrees run over N >= 2 in the certificate's
-    residue class (the bijection needs deg >= 2)."""
-    m = cert.modulus
-    if sieve_limit is None:
-        sieve_limit = min(default_cutoff(m.field.q), 12)
-    counts_of = _monic_counts if cert.monic_certified else _nonmonic_counts
+    """First (N, class, image) whose certified equality fails against
+    explicit.counts (sieve_limit is passed on to it), or None.  Degrees run
+    over N >= 2 in the certificate's residue class (the bijection needs
+    deg >= 2)."""
     for N in range(2, n_max + 1):
         if (N - cert.residue) % cert.period:
             continue
-        counts = counts_of(m, N, sieve_limit)
+        found, _source = counts(cert.modulus, N, monic=cert.monic_certified,
+                                sieve_limit=sieve_limit)
         for c, img in cert.orbit_map.items():
-            if counts[c] != counts[img]:
+            if found[c] != found[img]:
                 return N, c, img
     return None
 

@@ -14,9 +14,7 @@ import numpy as np
 from .characters import all_characters, unit_group
 from .cyclo import CycloNum
 from .errors import IntegrityError, UsageError
-from .numth import divisors
 from .polyring import enumerate_monic
-from .sieve import weighted_count
 
 
 class LPolynomial:
@@ -137,27 +135,6 @@ def power_sums(lpoly, n_max):
     if n_max < 1:
         raise UsageError("horizon must be >= 1")
     return [lpoly.c(n) for n in range(1, n_max + 1)]
-
-
-def power_sum_mismatch(m, chi, n_max):
-    """First n where Newton-side c_n differs from the sieve-side divisor sum
-    sum_{d|n} d * A_{chi^(n/d)}(d); None if they agree through n_max."""
-    if chi.is_trivial:
-        raise UsageError("use the q^n - s_{m,n} identity for the trivial "
-                         "character")
-    L = l_polynomial(m, chi)
-    E = chi.group.exponent
-    for n in range(1, n_max + 1):
-        rhs = CycloNum.from_rational(0, E)
-        for d in divisors(n):
-            rhs = rhs + weighted_count(m, chi ** (n // d), d) * d
-        if L.c(n) != rhs:
-            return n
-    return None
-
-
-def verify_power_sums_vs_sieve(m, chi, n_max):
-    return power_sum_mismatch(m, chi, n_max) is None
 
 
 @dataclass(frozen=True)

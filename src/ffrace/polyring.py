@@ -8,7 +8,6 @@ choices and tie-breaking.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import UsageError
 from .numth import prime_factors
@@ -191,22 +190,6 @@ class Poly:
             return self
         return self.scale(self.field.inv(self.lc))
 
-    def __call__(self, x):
-        """Evaluate at a field element (Horner)."""
-        F = self.field
-        out = 0
-        for c in reversed(self.coeffs):
-            out = F.add(F.mul(out, x), c)
-        return out
-
-    def subst(self, g):
-        """Compose: self(g(T))."""
-        F = self.field
-        out = Poly.zero(F)
-        for c in reversed(self.coeffs):
-            out = out * g + Poly.const(F, c)
-        return out
-
     def __repr__(self):
         return "Poly(%r, %s)" % (self.field, format_poly(self))
 
@@ -216,17 +199,6 @@ def poly_gcd(f, g):
     while not g.is_zero:
         f, g = g, f % g
     return f.monic() if not f.is_zero else f
-
-
-def poly_arith(f, g, kind):
-    """Dispatch by name; kind in {add, sub, mul, divmod, gcd}."""
-    try:
-        fn = {"add": lambda: f + g, "sub": lambda: f - g,
-              "mul": lambda: f * g, "divmod": lambda: divmod(f, g),
-              "gcd": lambda: poly_gcd(f, g)}[kind]
-    except KeyError:
-        raise UsageError("unknown poly op %r" % (kind,))
-    return fn()
 
 
 def powmod(base, e, mod):

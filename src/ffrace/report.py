@@ -2,30 +2,17 @@
 tables (rendered md/csv/json, byte-stable)."""
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from math import lcm
 
 from .characters import unit_group
 from .errors import UsageError
-from .explicit import explicit_counter
+from .explicit import counts
 from .gl2 import stabilizer_search
 from .polyring import Poly, format_poly, parse_poly
 from .field import parse_field
-from .sieve import cumulative_count, default_cutoff, sieve_count
-
-
-def hybrid_provider(m, sieve_limit=None):
-    """Per-degree counts: sieve up to the cutoff, explicit formula beyond."""
-    limit = sieve_limit if sieve_limit is not None \
-        else min(default_cutoff(m.field.q), 12)
-
-    def provider(n):
-        if n <= limit:
-            return sieve_count(m, n).counts, "sieve"
-        return explicit_counter(m).count(n).counts, "explicit"
-
-    return provider
+from .sieve import cumulative_count
 
 
 def default_period(m):
@@ -73,7 +60,7 @@ class TiePatternReport:
         }
 
 
-def detect_tie_patterns(m, lo, hi, period=None, provider=None, threads=1):
+def detect_tie_patterns(m, lo, hi, period=None):
     """Group unit classes by exact count equality at every observed degree in
     each residue class of N mod period (the partition is the common
     refinement across the window)."""
@@ -83,11 +70,11 @@ def detect_tie_patterns(m, lo, hi, period=None, provider=None, threads=1):
         period = default_period(m)
     if period < 1:
         raise UsageError("period must be >= 1")
-    if provider is None:
-        provider = hybrid_provider(m)
     G = unit_group(m)
     degrees = list(range(lo, hi + 1))
-    counts, sources = _counts_for(degrees, provider, threads)
+    found, sources = {}, {}
+    for n in degrees:
+        found[n], sources[n] = counts(m, n)
     per_residue = {}
     for r in range(period):
         observed = [n for n in degrees if n % period == r]
@@ -95,7 +82,7 @@ def detect_tie_patterns(m, lo, hi, period=None, provider=None, threads=1):
             per_residue[r] = ResiduePattern(groups=(), consistent=True,
                                             observed=())
             continue
-        profile = {u: tuple(counts[n][u] for n in observed) for u in G.units}
+        profile = {u: tuple(found[n][u] for n in observed) for u in G.units}
         blocks = {}
         for u in G.units:
             blocks.setdefault(profile[u], []).append(u)
@@ -105,7 +92,7 @@ def detect_tie_patterns(m, lo, hi, period=None, provider=None, threads=1):
         for n in observed:
             one = {}
             for u in G.units:
-                one.setdefault(counts[n][u], []).append(u)
+                one.setdefault(found[n][u], []).append(u)
             per_degree.append(frozenset(tuple(v) for v in one.values()))
         consistent = all(p == per_degree[0] for p in per_degree)
         per_residue[r] = ResiduePattern(groups=groups, consistent=consistent,
@@ -114,25 +101,10 @@ def detect_tie_patterns(m, lo, hi, period=None, provider=None, threads=1):
                             per_residue=per_residue, sources=sources)
 
 
-def _counts_for(degrees, provider, threads):
-    counts, sources = {}, {}
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(provider, degrees))
-        for n, (c, s) in zip(degrees, results):
-            counts[n], sources[n] = c, s
-    else:
-        for n in degrees:
-            counts[n], sources[n] = provider(n)
-    return counts, sources
-
-
-def check_cumulative_ties(m, n_max, provider=None):
+def check_cumulative_ties(m, n_max):
     """Every (N, (a, b)) with equal cumulative counts sum_{n<=N} pi(n;m,.) of
     two distinct classes, N = 1..n_max."""
-    if provider is None:
-        provider = hybrid_provider(m)
-    table = cumulative_count(m, n_max, provider=provider)
+    table = cumulative_count(m, n_max, provider=partial(counts, m))
     classes = list(table.per_class)
     out = []
     for n in range(1, n_max + 1):
@@ -190,7 +162,7 @@ def generator_power_columns(m):
     return cols
 
 
-def emit_table(key, fmt="csv", lo=None, hi=None, threads=1):
+def emit_table(key, fmt="csv", lo=None, hi=None):
     """Render one reference table; every number comes from the sieve or the
     explicit formula (never hardcoded)."""
     try:
@@ -207,21 +179,16 @@ def emit_table(key, fmt="csv", lo=None, hi=None, threads=1):
     cols = generator_power_columns(m)
     degrees = list(range(lo, hi + 1))
     if spec.cumulative:
-        provider = hybrid_provider(m)
-        table = cumulative_count(m, hi, provider=provider)
+        table = cumulative_count(m, hi, provider=partial(counts, m))
         rows = [[n] + [table.per_class[c][n - 1] for c in cols]
                 for n in degrees]
     else:
-        if spec.engine == "sieve":
-            per_degree = _counts_for(
-                degrees, lambda n: (sieve_count(m, n).counts, "sieve"),
-                threads)[0]
-        else:
-            counter = explicit_counter(m)
-            per_degree = _counts_for(
-                degrees, lambda n: (counter.count(n).counts, "explicit"),
-                threads)[0]
-        rows = [[n] + [per_degree[n][c] for c in cols] for n in degrees]
+        # the table's engine for every row: all sieve, or all explicit
+        limit = hi if spec.engine == "sieve" else 0
+        rows = []
+        for n in degrees:
+            found, _source = counts(m, n, sieve_limit=limit)
+            rows.append([n] + [found[c] for c in cols])
     header = ["N"] + [format_poly(c) for c in cols]
     return render_table(header, rows, fmt, name=key)
 

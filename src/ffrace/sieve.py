@@ -133,10 +133,9 @@ def irreducible_indices(field, degree):
     return out
 
 
-@lru_cache(maxsize=None)
-def _residue_add_tables(field, modulus_coeffs):
-    """Per constant w < q^M, the lookup r -> r (+) w on encoded residues."""
-    return {}
+# (field, modulus coeffs) -> {w: the lookup r -> r (+) w on encoded
+# residues}, filled lazily by _residues_mod
+_residue_add_tables = {}
 
 
 def _residues_mod(m, idx, degree):
@@ -156,7 +155,7 @@ def _residues_mod(m, idx, degree):
             if w:
                 res ^= w * ((idx >> t) & 1)
         return res
-    tables = _residue_add_tables(field, m.coeffs)
+    tables = _residue_add_tables.setdefault((field, m.coeffs), {})
     base = np.arange(qM, dtype=np.int64)
     pi = 1
     for t in range((degree + 1) * k):
@@ -234,25 +233,6 @@ def sieve_count_naive(m, degree):
                       excluded=excluded, source="sieve-naive")
 
 
-def sieve_count_nonmonic(m, degree):
-    """pi~(N; m, c) over all (q-1)*q^N degree-N polynomials with nonzero
-    leading coefficient; f counts as irreducible iff lc(f)^-1 f is.
-
-    Enumerated by leading coefficient: the lc = lam stratum normalizes
-    bijectively onto monics via f -> lam^-1 f, which carries class c to
-    lam^-1 c."""
-    field = m.field
-    table = sieve_count(m, degree)
-    out = {}
-    for c in table.counts:
-        s = 0
-        for lam in field.units():
-            cc = c.scale(field.inv(lam)) % m
-            s += table.counts[cc]
-        out[c] = s
-    return out
-
-
 def sieve_count_nonmonic_naive(m, degree):
     """Reference: literally enumerate every nonzero-lc polynomial."""
     G = unit_group(m)
@@ -293,7 +273,7 @@ def cumulative_count(m, max_degree, provider=None):
 
     provider(N) -> (counts dict, source tag) supplies per-degree counts;
     default is the sieve, valid up to its cutoff (callers reaching further
-    inject a provider backed by the explicit formula)."""
+    pass partial(explicit.counts, m))."""
     if max_degree < 1:
         raise UsageError("max degree must be >= 1")
     if provider is None:

@@ -49,6 +49,17 @@ def test_count_nonmonic_and_cumulative(capsys):
     assert len(out.strip().splitlines()) == 6   # header + N=1..5
 
 
+def test_count_cumulative_nonmonic(capsys):
+    code, out, _ = run(capsys, "count", "--field", "F3", "--modulus", "T^2+1",
+                       "--degree", "2", "--cumulative", "--nonmonic",
+                       "--format", "csv")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "N,source,1,2,T,T+1,T+2,2*T,2*T+1,2*T+2"
+    assert lines[1] == "1,sieve,0,0,1,1,1,1,1,1"
+    assert lines[2] == "2,sieve,0,0,1,2,2,1,2,2"
+
+
 def test_count_explicit_breakdown(capsys):
     code, out, _ = run(capsys, "count-explicit", "--field", "F2",
                        "--modulus", "T^2+T+1", "--degree", "6",

@@ -1,0 +1,46 @@
+"""Byte-for-byte replay of CLI outputs that exercise every engine-routing
+path: sieve-first `count` (limit = the sieve cutoff), the default limit of
+the multi-degree commands, the non-monic fold on both engines, and the
+degrees 13..24 where the two limits disagree.
+
+The files under tests/golden/cli/ were captured from `ffrace` before the
+routing was collapsed into `explicit.counts`; regenerate one with
+`PYTHONPATH=src python -m ffrace.cli <argv> --format <fmt>`."""
+
+import pathlib
+
+import pytest
+
+from ffrace.cli import main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "cli"
+
+CASES = {
+    "count_F2_T3T1_d20": ["count", "--field", "F2", "--modulus", "T^3+T+1",
+                          "--degree", "20"],
+    "count_F3_T21_d16_nonmonic": ["count", "--field", "F3",
+                                  "--modulus", "T^2+1", "--degree", "16",
+                                  "--nonmonic"],
+    "count_F3_T21_d8_nonmonic": ["count", "--field", "F3",
+                                 "--modulus", "T^2+1", "--degree", "8",
+                                 "--nonmonic"],
+    "count_F2_T2T1_d14_cumulative": ["count", "--field", "F2",
+                                     "--modulus", "T^2+T+1", "--degree", "14",
+                                     "--cumulative"],
+    "cumulative_F2_T2T1_14": ["cumulative", "--field", "F2",
+                              "--modulus", "T^2+T+1", "--max-degree", "14"],
+    "ties_empirical_F3_T2_10_13": ["ties-empirical", "--field", "F3",
+                                   "--modulus", "T^2", "--min-degree", "10",
+                                   "--max-degree", "13", "--period", "2"],
+    "ties_gl2_F3_T21_verify14": ["ties-gl2", "--field", "F3",
+                                 "--modulus", "T^2+1", "--verify-to", "14"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(capsys, name, fmt):
+    code = main(CASES[name] + ["--format", fmt])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / ("%s.%s" % (name, fmt))).read_text()

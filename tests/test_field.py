@@ -1,20 +1,18 @@
 import pytest
 
 from ffrace.errors import UsageError
-from ffrace.field import field_make, field_op, parse_field
+from ffrace.field import field_make, parse_field
 
 
 def test_f2_basics():
     F = field_make(2)
     assert F.q == 2
     assert F.add(1, 1) == 0
-    assert field_op(F, 1, 1, "add") == 0
 
 
 def test_f3_basics():
     F = field_make(3)
     assert F.mul(2, 2) == 1
-    assert field_op(F, 2, 2, "mul") == 1
 
 
 def test_f4_canonical_modulus_and_unit_orders():

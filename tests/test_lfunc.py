@@ -1,12 +1,12 @@
 import pytest
 
+from newton_oracle import power_sum_mismatch, verify_power_sums_vs_sieve
 from ffrace.characters import all_characters, unit_group
 from ffrace.cyclo import CycloNum
 from ffrace.errors import UsageError
 from ffrace.field import field_make
 from ffrace.lfunc import (LPolynomial, find_conjugate_relations, l_polynomial,
-                          power_sum_mismatch, power_sums,
-                          verify_power_sums_vs_sieve, weil_bound_violations)
+                          power_sums, weil_bound_violations)
 from ffrace.numth import divisors
 from ffrace.polyring import parse_poly
 from ffrace.sieve import weighted_count

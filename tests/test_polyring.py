@@ -6,7 +6,7 @@ from ffrace.errors import UsageError
 from ffrace.field import field_make, parse_field
 from ffrace.numth import gauss_irreducible_count
 from ffrace.polyring import (Poly, enumerate_monic, factorize, format_poly,
-                             is_irreducible, parse_poly, poly_arith, poly_gcd)
+                             is_irreducible, parse_poly, poly_gcd)
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -23,7 +23,6 @@ def test_char2_square():
 
 def test_gcd_coprime():
     assert poly_gcd(P(F3, "T^2+1"), P(F3, "T^2")) == Poly.one(F3)
-    assert poly_arith(P(F3, "T^2+1"), P(F3, "T^2"), "gcd") == Poly.one(F3)
 
 
 def test_divmod_oracle_and_frozen_value():

@@ -11,8 +11,7 @@ from ffrace.gl2 import certify_ties, stabilizer_search
 from ffrace.polyring import format_poly, parse_poly
 from ffrace.report import (TABLES, check_cumulative_ties, default_period,
                            detect_tie_patterns, emit_table,
-                           generator_power_columns, hybrid_provider,
-                           render_table)
+                           generator_power_columns, render_table)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -64,11 +63,6 @@ def test_emit_table_formats():
         emit_table("nope")
     with pytest.raises(UsageError):
         emit_table("p2T2", fmt="xml")
-
-
-def test_emit_table_threads_agree():
-    assert emit_table("T2T1group", fmt="csv") == \
-        emit_table("T2T1group", fmt="csv", threads=4)
 
 
 def test_render_numbers_are_plain_decimal():
@@ -131,7 +125,7 @@ def test_patterns_refine_certificates():
 
 def test_pattern_sources_label_engines():
     m = P(F3, "T^2")
-    rep = detect_tie_patterns(m, 10, 13, period=2, provider=hybrid_provider(m))
+    rep = detect_tie_patterns(m, 10, 13, period=2)
     assert rep.sources[10] == "sieve"
     assert rep.sources[13] == "explicit"
 

@@ -5,12 +5,13 @@ import pytest
 from ffrace.characters import all_characters, unit_group
 from ffrace.cyclo import CycloNum
 from ffrace.errors import UsageError
+from ffrace.explicit import counts
 from ffrace.field import field_make, parse_field
 from ffrace.numth import gauss_irreducible_count
 from ffrace.polyring import Poly, factorize, parse_poly
 from ffrace.sieve import (cumulative_count, default_cutoff, sieve_count,
-                          sieve_count_naive, sieve_count_nonmonic,
-                          sieve_count_nonmonic_naive, weighted_count,
+                          sieve_count_naive, sieve_count_nonmonic_naive,
+                          weighted_count,
                           _residues_mod, irreducible_indices)
 
 F2 = field_make(2)
@@ -97,24 +98,30 @@ def test_vectorized_residues_vs_divmod():
             assert int(res[i]) == (f % m).encode()
 
 
+def nonmonic_by_sieve(m, N):
+    found, source = counts(m, N, monic=False, sieve_limit=N)
+    assert source == "sieve"
+    return found
+
+
 def test_nonmonic_f2_equals_monic():
     m = P(F2, "T^3+T+1")
     for N in (3, 6, 9):
-        assert sieve_count_nonmonic(m, N) == sieve_count(m, N).counts
+        assert nonmonic_by_sieve(m, N) == sieve_count(m, N).counts
 
 
 def test_nonmonic_vs_naive_enumeration():
     for field, mstr, top in ((F3, "T^2+1", 6), (F3, "T^2", 6), (F5, "T^2", 3)):
         m = P(field, mstr)
         for N in range(1, top + 1):
-            assert sieve_count_nonmonic(m, N) == \
+            assert nonmonic_by_sieve(m, N) == \
                 sieve_count_nonmonic_naive(m, N)
 
 
 def test_nonmonic_scaling_identities():
     m = P(F3, "T^2+1")
     table = sieve_count(m, 2).counts
-    nm = sieve_count_nonmonic(m, 2)
+    nm = nonmonic_by_sieve(m, 2)
     G = unit_group(m)
     for c in G.units:
         # forced by the normalization bijection
