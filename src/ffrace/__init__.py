@@ -13,12 +13,12 @@ from .polyring import (Poly, Factorization, enumerate_monic, factorize,
 from .cyclo import CycloNum, cyclotomic_poly
 from .characters import Character, UnitGroup, all_characters, char_value, \
     unit_group
-from .sieve import CountTable, cumulative_count, sieve_count, weighted_count
+from .sieve import CountTable, sieve_count, weighted_count
 from .lfunc import (LPolynomial, find_conjugate_relations, l_polynomial,
                     power_sums)
-from .explicit import (ExplicitCounter, bias_report, counts, explicit_count,
-                       mobius_helpers, pi_g_decomposition, s_value,
-                       zmatrix_inverse)
+from .explicit import (ExplicitCounter, bias_report, counts, cumulative_counts,
+                       explicit_count, mobius_helpers, pi_g_decomposition,
+                       s_value, zmatrix_inverse)
 from .gl2 import (Mat2, TieCertificate, certify_ties, slash_action,
                   stabilizer_search, verify_certificate_empirically)
 from .report import check_cumulative_ties, detect_tie_patterns, emit_table

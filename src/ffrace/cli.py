@@ -8,11 +8,11 @@ import argparse
 import json
 import random
 import sys
-from functools import partial
 
 from .characters import parse_character, unit_group
 from .errors import IntegrityError, UsageError
-from .explicit import bias_report, counts, explicit_counter
+from .explicit import bias_report, counts, cumulative_counts, \
+    explicit_counter
 from .field import parse_field
 from .gl2 import certify_ties, stabilizer_search, verify_certificate_empirically
 from .lfunc import find_conjugate_relations, l_polynomial, power_sums, \
@@ -20,7 +20,7 @@ from .lfunc import find_conjugate_relations, l_polynomial, power_sums, \
 from .polyring import Poly, format_poly, parse_poly
 from .report import TABLES, check_cumulative_ties, detect_tie_patterns, \
     emit_table, render_table
-from .sieve import cumulative_count, default_cutoff
+from .sieve import default_cutoff
 
 
 class _Parser(argparse.ArgumentParser):
@@ -29,19 +29,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
+def _output(sub):
+    sub.add_argument("--format", default="md", choices=("md", "csv", "json"),
+                     dest="fmt", help="output format")
+    sub.add_argument("--out", help="write output to this file")
+
+
 def _common(sub):
     sub.add_argument("--field", default="F2",
                      help="field spec, e.g. F2, F3, F4 (default F2)")
     sub.add_argument("--modulus", help="modulus polynomial, e.g. 'T^3+T+1'")
-    sub.add_argument("--format", default="md", choices=("md", "csv", "json"),
-                     dest="fmt", help="output format")
-    sub.add_argument("--out", help="write output to this file")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="accepted and ignored: every command counts in "
-                          "one thread")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed for sampled self-checks (counting itself is "
-                          "deterministic)")
+    _output(sub)
 
 
 def _need_modulus(args):
@@ -56,8 +54,12 @@ def _need_modulus(args):
 
 def _emit(args, text):
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError("cannot write %s: %s"
+                             % (args.out, exc.strerror or exc))
     else:
         sys.stdout.write(text)
 
@@ -66,11 +68,11 @@ def _class_columns(m):
     return list(unit_group(m).units)
 
 
-def _cumulative_table(m, n, provider, fmt, name):
-    table = cumulative_count(m, n, provider=provider)
+def _cumulative_table(m, n, fmt, name, **kw):
+    per_class, sources = cumulative_counts(m, n, **kw)
     cols = _class_columns(m)
     header = ["N", "source"] + [format_poly(c) for c in cols]
-    rows = [[k, table.sources[k]] + [table.per_class[c][k - 1] for c in cols]
+    rows = [[k, sources[k]] + [per_class[c][k - 1] for c in cols]
             for k in range(1, n + 1)]
     return render_table(header, rows, fmt, name=name)
 
@@ -81,13 +83,11 @@ def _cmd_count(args):
     if n < 1:
         raise UsageError("--degree must be >= 1")
     # sieve-first: the sieve over its whole supported range
-    per_degree = partial(counts, m, monic=not args.nonmonic,
-                         sieve_limit=default_cutoff(m.field.q))
+    kw = dict(monic=not args.nonmonic, sieve_limit=default_cutoff(m.field.q))
     suffix = "-nonmonic" if args.nonmonic else ""
     if args.cumulative:
-        return _cumulative_table(m, n, per_degree, args.fmt,
-                                 "cumulative" + suffix)
-    found, source = per_degree(n)
+        return _cumulative_table(m, n, args.fmt, "cumulative" + suffix, **kw)
+    found, source = counts(m, n, **kw)
     cols = _class_columns(m)
     header = ["N", "source"] + [format_poly(c) for c in cols]
     rows = [[n, source] + [found[c] for c in cols]]
@@ -227,7 +227,7 @@ def _cmd_cumulative(args):
         rows = [[t[0], format_poly(t[1][0]), format_poly(t[1][1])]
                 for t in ties]
         return render_table(header, rows, args.fmt, name="cumulative-ties")
-    return _cumulative_table(m, n, partial(counts, m), args.fmt, "cumulative")
+    return _cumulative_table(m, n, args.fmt, "cumulative")
 
 
 def _parse_degrees(spec):
@@ -315,6 +315,9 @@ def build_parser():
 
     p = subs.add_parser("ties-gl2", help="GL2 stabilizers and tie certificates")
     _common(p)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for the sampled periodicity check (unit groups "
+                        "of order > 64)")
     p.add_argument("--residue", type=int, default=None,
                    help="degree residue e (default: all residues mod each "
                         "period)")
@@ -331,7 +334,7 @@ def build_parser():
     p.set_defaults(fn=_cmd_ties_empirical)
 
     p = subs.add_parser("table", help="reproduce a reference table")
-    _common(p)
+    _output(p)
     p.add_argument("table", choices=sorted(TABLES),
                    help="which table to emit")
     p.add_argument("--lo", type=int, default=None)

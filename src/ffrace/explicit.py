@@ -107,7 +107,6 @@ class ExplicitCount:
     degree: int
     counts: dict            # Poly -> int, canonical class order
     breakdown: dict | None  # (class literal, d) -> {chi label: CycloNum json}
-    source: str = "explicit"
 
     @property
     def total(self):
@@ -301,6 +300,21 @@ def counts(m, degree, *, monic=True, sieve_limit=None):
         out = {c: sum(out[c.scale(field.inv(lam)) % m] for lam in field.units())
                for c in out}
     return out, source
+
+
+def cumulative_counts(m, max_degree, **kw):
+    """(per_class, sources): running sums sum_{n<=N} counts(m, n, **kw) for
+    N = 1..max_degree, per_class[c][N-1] for every unit class c, and the
+    engine of every degree, sources[N]."""
+    if max_degree < 1:
+        raise UsageError("max degree must be >= 1")
+    per_class, sources = {}, {}
+    for n in range(1, max_degree + 1):
+        found, sources[n] = counts(m, n, **kw)
+        for c, v in found.items():
+            column = per_class.setdefault(c, [])
+            column.append(v + (column[-1] if column else 0))
+    return {c: tuple(v) for c, v in per_class.items()}, sources
 
 
 def pi_g_decomposition(m, degree, cls):

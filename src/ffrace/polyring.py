@@ -251,9 +251,6 @@ class Factorization:
             out = out * p ** e
         return out
 
-    def distinct_degrees(self):
-        return sorted({p.degree for p, _ in self.factors})
-
 
 def factorize(f):
     """Factor f (degree >= 1) into monic irreducibles with multiplicities.

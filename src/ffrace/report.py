@@ -3,16 +3,14 @@ tables (rendered md/csv/json, byte-stable)."""
 
 import json
 from dataclasses import dataclass
-from functools import partial
 from math import lcm
 
 from .characters import unit_group
 from .errors import UsageError
-from .explicit import counts
+from .explicit import counts, cumulative_counts
 from .gl2 import stabilizer_search
 from .polyring import Poly, format_poly, parse_poly
 from .field import parse_field
-from .sieve import cumulative_count
 
 
 def default_period(m):
@@ -104,14 +102,12 @@ def detect_tie_patterns(m, lo, hi, period=None):
 def check_cumulative_ties(m, n_max):
     """Every (N, (a, b)) with equal cumulative counts sum_{n<=N} pi(n;m,.) of
     two distinct classes, N = 1..n_max."""
-    table = cumulative_count(m, n_max, provider=partial(counts, m))
-    classes = list(table.per_class)
+    per_class, _sources = cumulative_counts(m, n_max)
     out = []
     for n in range(1, n_max + 1):
-        vals = [(table.per_class[c][n - 1], c) for c in classes]
         by_val = {}
-        for v, c in vals:
-            by_val.setdefault(v, []).append(c)
+        for c, column in per_class.items():
+            by_val.setdefault(column[n - 1], []).append(c)
         for v, group in sorted(by_val.items()):
             if len(group) > 1:
                 for i in range(len(group)):
@@ -130,18 +126,15 @@ class TableSpec:
     lo: int
     hi: int
     cumulative: bool
-    engine: str          # "sieve" | "explicit"
 
 
 TABLES = {
-    "T3T1": TableSpec("T3T1", "F2", "T^3+T+1", 9, 22, False, "sieve"),
-    "T2T1group": TableSpec("T2T1group", "F2", "T^2+T+1", 10, 20, False,
-                           "sieve"),
-    "p3T21group": TableSpec("p3T21group", "F3", "T^2+1", 10, 20, False,
-                            "explicit"),
-    "p2T2": TableSpec("p2T2", "F2", "T^2", 10, 20, False, "sieve"),
-    "p3T2": TableSpec("p3T2", "F3", "T^2", 10, 20, False, "explicit"),
-    "T3T1cum": TableSpec("T3T1cum", "F2", "T^3+T+1", 1, 40, True, "explicit"),
+    "T3T1": TableSpec("T3T1", "F2", "T^3+T+1", 9, 22, False),
+    "T2T1group": TableSpec("T2T1group", "F2", "T^2+T+1", 10, 20, False),
+    "p3T21group": TableSpec("p3T21group", "F3", "T^2+1", 10, 20, False),
+    "p2T2": TableSpec("p2T2", "F2", "T^2", 10, 20, False),
+    "p3T2": TableSpec("p3T2", "F3", "T^2", 10, 20, False),
+    "T3T1cum": TableSpec("T3T1cum", "F2", "T^3+T+1", 1, 40, True),
 }
 
 
@@ -163,8 +156,8 @@ def generator_power_columns(m):
 
 
 def emit_table(key, fmt="csv", lo=None, hi=None):
-    """Render one reference table; every number comes from the sieve or the
-    explicit formula (never hardcoded)."""
+    """Render one reference table; every number comes from explicit.counts
+    with its default routing (never hardcoded)."""
     try:
         spec = TABLES[key]
     except KeyError:
@@ -177,17 +170,14 @@ def emit_table(key, fmt="csv", lo=None, hi=None):
     field = parse_field(spec.field)
     m = parse_poly(field, spec.modulus)
     cols = generator_power_columns(m)
-    degrees = list(range(lo, hi + 1))
     if spec.cumulative:
-        table = cumulative_count(m, hi, provider=partial(counts, m))
-        rows = [[n] + [table.per_class[c][n - 1] for c in cols]
-                for n in degrees]
+        per_class, _sources = cumulative_counts(m, hi)
+        rows = [[n] + [per_class[c][n - 1] for c in cols]
+                for n in range(lo, hi + 1)]
     else:
-        # the table's engine for every row: all sieve, or all explicit
-        limit = hi if spec.engine == "sieve" else 0
         rows = []
-        for n in degrees:
-            found, _source = counts(m, n, sieve_limit=limit)
+        for n in range(lo, hi + 1):
+            found, _source = counts(m, n)
             rows.append([n] + [found[c] for c in cols])
     header = ["N"] + [format_poly(c) for c in cols]
     return render_table(header, rows, fmt, name=key)

@@ -22,7 +22,8 @@ from .errors import IntegrityError, UsageError
 from .numth import gauss_irreducible_count
 from .polyring import Poly, factorize, is_irreducible, enumerate_monic
 
-# Above these degrees the CLI routes to the explicit formula.
+# Largest degree the sieve is routed to: `count` sieves up to the full cutoff,
+# every other caller of explicit.counts up to min(cutoff, 12).
 DEFAULT_CUTOFF = {2: 24, 3: 14, 5: 9}
 # Hard cap on enumeration size (bitmap of q^N bools).
 _MAX_ENUM = 1 << 26
@@ -181,7 +182,6 @@ class CountTable:
     degree: int
     counts: dict           # Poly (unit residue) -> int
     excluded: int          # irreducibles of this degree dividing m
-    source: str = "sieve"
 
     @property
     def total(self):
@@ -230,7 +230,7 @@ def sieve_count_naive(m, degree):
             else:
                 excluded += 1
     return CountTable(modulus=m, degree=degree, counts=counts,
-                      excluded=excluded, source="sieve-naive")
+                      excluded=excluded)
 
 
 def sieve_count_nonmonic_naive(m, degree):
@@ -258,44 +258,3 @@ def weighted_count(m, chi, n):
         if cnt:
             tally[chi.value_exponent(c)] += cnt
     return CycloNum.from_zeta_powers(E, tally)
-
-
-@dataclass
-class CumulativeTable:
-    modulus: Poly
-    max_degree: int
-    per_class: dict        # Poly -> tuple of cumulative counts, index N-1
-    sources: dict          # N -> "sieve" | "explicit"
-
-
-def cumulative_count(m, max_degree, provider=None):
-    """Running sums sum_{n<=N} pi(n; m, c) for N = 1..max_degree.
-
-    provider(N) -> (counts dict, source tag) supplies per-degree counts;
-    default is the sieve, valid up to its cutoff (callers reaching further
-    pass partial(explicit.counts, m))."""
-    if max_degree < 1:
-        raise UsageError("max degree must be >= 1")
-    if provider is None:
-        cutoff = default_cutoff(m.field.q)
-
-        def provider(n):
-            if n > cutoff:
-                raise UsageError(
-                    "degree %d exceeds the sieve cutoff %d; supply an "
-                    "explicit-formula provider" % (n, cutoff))
-            return sieve_count(m, n).counts, "sieve"
-
-    G = unit_group(m)
-    running = {u: 0 for u in G.units}
-    columns = {u: [] for u in G.units}
-    sources = {}
-    for n in range(1, max_degree + 1):
-        counts, src = provider(n)
-        sources[n] = src
-        for u in G.units:
-            running[u] += counts[u]
-            columns[u].append(running[u])
-    return CumulativeTable(modulus=m, max_degree=max_degree,
-                           per_class={u: tuple(v) for u, v in columns.items()},
-                           sources=sources)

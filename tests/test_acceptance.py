@@ -5,15 +5,15 @@ per criterion.
 """
 
 import time
-from functools import partial
 
 from newton_oracle import power_sum_mismatch
 from published_values import (TABLE_BY_KEY, TABLE_P2T2, TABLE_P3T2, TABLE_P3T21,
                           TABLE_T2T1, TABLE_T3T1, TABLE_T3T1_CUM)
 from ffrace.characters import all_characters, unit_group
 from ffrace.cyclo import CycloNum
-from ffrace.explicit import (counts, explicit_count, explicit_counter,
-                             mobius_helpers, zmatrix, zmatrix_inverse)
+from ffrace.explicit import (cumulative_counts, explicit_count,
+                             explicit_counter, mobius_helpers, zmatrix,
+                             zmatrix_inverse)
 from ffrace.field import field_make
 from ffrace.gl2 import Mat2, certify_ties, stabilizer_search, \
     verify_certificate_empirically
@@ -22,7 +22,7 @@ from ffrace.lfunc import (find_conjugate_relations, l_polynomial,
 from ffrace.numth import divisors, gauss_irreducible_count
 from ffrace.polyring import format_poly, parse_poly
 from ffrace.report import check_cumulative_ties, generator_power_columns
-from ffrace.sieve import cumulative_count, irreducible_indices, sieve_count
+from ffrace.sieve import irreducible_indices, sieve_count
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -96,12 +96,12 @@ def test_criterion_03_tables_3_and_5_explicit():
 def test_criterion_04_table6_cumulative_and_tie_scan():
     start = time.time()
     m = P(F2, "T^3+T+1")
-    table = cumulative_count(m, 40, provider=partial(counts, m))
+    per_class, _sources = cumulative_counts(m, 40)
     cols = generator_power_columns(m)
     for n in range(1, 41):
-        got = tuple(table.per_class[c][n - 1] for c in cols)
+        got = tuple(per_class[c][n - 1] for c in cols)
         assert got == TABLE_T3T1_CUM[n], n
-    assert table.per_class[P(F2, "1")][39] == 8066595506
+    assert per_class[P(F2, "1")][39] == 8066595506
     ties = check_cumulative_ties(m, 40)
     assert all(n <= 21 for n, _pair in ties)
     assert any(n == 21 for n, _pair in ties)

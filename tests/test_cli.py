@@ -4,6 +4,13 @@ import time
 import pytest
 
 from ffrace.cli import main
+from ffrace.explicit import explicit_counter
+from ffrace.field import parse_field
+from ffrace.polyring import parse_poly
+from ffrace.report import generator_power_columns
+
+SUBCOMMANDS = ("count", "count-explicit", "lpoly", "relations", "ties-gl2",
+               "ties-empirical", "table", "cumulative", "bias")
 
 
 def run(capsys, *argv):
@@ -113,7 +120,7 @@ def test_ties_empirical(capsys):
     code, out, _ = run(capsys, "ties-empirical", "--field", "F2",
                        "--modulus", "T^2+T+1", "--min-degree", "10",
                        "--max-degree", "16", "--period", "3",
-                       "--format", "json", "--threads", "2")
+                       "--format", "json")
     assert code == 0
     obj = json.loads(out)
     groups = obj["residues"]["0"]["groups"]
@@ -197,7 +204,54 @@ def test_integrity_errors_exit_2(capsys, monkeypatch):
     assert code == 2 and "consistency" in err
 
 
-def test_seed_flag_accepted(capsys):
-    code, _out, _ = run(capsys, "count", "--field", "F2", "--modulus", "T^2",
-                        "--degree", "4", "--seed", "42", "--format", "csv")
+def test_seed_only_on_ties_gl2(capsys):
+    code, out, _ = run(capsys, "ties-gl2", "--field", "F2",
+                       "--modulus", "T^3+T+1", "--residue", "1",
+                       "--seed", "42", "--format", "json")
+    assert code == 0 and len(json.loads(out)) == 3
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--field", "F2", "--modulus", "T^2", "--degree", "4",
+              "--seed", "42"])
+    assert exc.value.code == 1
+
+
+def test_options_no_command_reads_are_rejected(capsys):
+    for argv in (["count", "--field", "F2", "--modulus", "T^2",
+                  "--degree", "4", "--threads", "2"],
+                 ["table", "T3T1", "--field", "F3", "--modulus", "T^2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1, argv
+    for sub in SUBCOMMANDS:
+        with pytest.raises(SystemExit) as exc:
+            main([sub, "--help"])
+        assert exc.value.code == 0
+        usage = capsys.readouterr().out
+        assert "--threads" not in usage, sub
+        assert ("--seed" in usage) == (sub == "ties-gl2"), sub
+        assert ("--modulus" in usage) == (sub != "table"), sub
+        assert "--format" in usage and "--out" in usage, sub
+
+
+def test_out_unwritable_path_exits_1(capsys, tmp_path):
+    path = tmp_path / "missing" / "t.csv"
+    code, out, err = run(capsys, "table", "p2T2", "--format", "csv",
+                         "--out", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot write %s: " % path)
+    assert not path.exists()
+
+
+def test_table_rows_beyond_sieve_range(capsys):
+    # T3T1 is an F2 table; degrees past the sieve cutoff come from the
+    # explicit formula like any other count
+    code, out, _ = run(capsys, "table", "T3T1", "--lo", "26", "--hi", "27",
+                       "--format", "csv")
     assert code == 0
+    m = parse_poly(parse_field("F2"), "T^3+T+1")
+    cols = generator_power_columns(m)
+    rows = out.splitlines()[1:]
+    for n, row in zip((26, 27), rows):
+        found = explicit_counter(m).count(n).counts
+        assert row == ",".join(str(x) for x in [n] + [found[c] for c in cols])
+    assert len(rows) == 2

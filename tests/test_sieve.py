@@ -5,13 +5,12 @@ import pytest
 from ffrace.characters import all_characters, unit_group
 from ffrace.cyclo import CycloNum
 from ffrace.errors import UsageError
-from ffrace.explicit import counts
+from ffrace.explicit import counts, cumulative_counts
 from ffrace.field import field_make, parse_field
 from ffrace.numth import gauss_irreducible_count
 from ffrace.polyring import Poly, factorize, parse_poly
-from ffrace.sieve import (cumulative_count, default_cutoff, sieve_count,
-                          sieve_count_naive, sieve_count_nonmonic_naive,
-                          weighted_count,
+from ffrace.sieve import (sieve_count, sieve_count_naive,
+                          sieve_count_nonmonic_naive, weighted_count,
                           _residues_mod, irreducible_indices)
 
 F2 = field_make(2)
@@ -156,19 +155,28 @@ def test_weighted_count_trivial_identity():
 
 def test_cumulative_small():
     m = P(F2, "T^3+T+1")
-    tab = cumulative_count(m, 12)
-    assert tab.per_class[P(F2, "T")][4] == 3        # N=5, class T
-    assert tab.per_class[P(F2, "T^2")][11] == 108   # N=12, class T^2
+    per_class, sources = cumulative_counts(m, 12)
+    assert per_class[P(F2, "T")][4] == 3        # N=5, class T
+    assert per_class[P(F2, "T^2")][11] == 108   # N=12, class T^2
     # N=1 equals the plain sieve
-    first = {c: tab.per_class[c][0] for c in tab.per_class}
+    first = {c: column[0] for c, column in per_class.items()}
     assert first == sieve_count(m, 1).counts
-    assert all(src == "sieve" for src in tab.sources.values())
+    assert all(src == "sieve" for src in sources.values())
 
 
-def test_cumulative_needs_provider_beyond_cutoff():
+def test_cumulative_counts_switch_to_explicit_beyond_limit():
     m = P(F3, "T^2")
+    per_class, sources = cumulative_counts(m, 16)
+    assert sources == {n: "sieve" if n <= 12 else "explicit"
+                       for n in range(1, 17)}
+    running = {c: 0 for c in unit_group(m).units}
+    for n in range(1, 17):
+        found, _source = counts(m, n)
+        for c in running:
+            running[c] += found[c]
+            assert per_class[c][n - 1] == running[c], (n, c)
     with pytest.raises(UsageError):
-        cumulative_count(m, default_cutoff(3) + 1)
+        cumulative_counts(m, 0)
 
 
 def test_usage_errors():
