@@ -14,10 +14,11 @@ from .errors import IntegrityError, UsageError
 from .explicit import bias_report, counts, cumulative_counts, \
     explicit_counter
 from .field import parse_field
-from .gl2 import certify_ties, stabilizer_search, verify_certificate_empirically
+from .gl2 import certify_ties, stabilizer_period, stabilizer_search, \
+    verify_certificate_empirically
 from .lfunc import find_conjugate_relations, l_polynomial, power_sums, \
     weil_bound_violations
-from .polyring import Poly, format_poly, parse_poly
+from .polyring import format_poly, parse_poly
 from .report import TABLES, check_cumulative_ties, detect_tie_patterns, \
     emit_table, render_table
 from .sieve import default_cutoff
@@ -163,17 +164,12 @@ def _cmd_relations(args):
 
 def _cmd_ties_gl2(args):
     _field, m = _need_modulus(args)
-    stabs = stabilizer_search(m)
     rng = random.Random(args.seed)
     certs = []
-    for B, lam in stabs:
-        if args.residue is not None:
-            certs.append(certify_ties(m, B, lam, args.residue, rng=rng))
-        else:
-            G = unit_group(m)
-            period = G.order_of(Poly(m.field, (B.d, B.c)) % m)
-            for e in range(period):
-                certs.append(certify_ties(m, B, lam, e, rng=rng))
+    for B, lam in stabilizer_search(m):
+        residues = range(stabilizer_period(m, B)) if args.residue is None \
+            else [args.residue]
+        certs.extend(certify_ties(m, B, lam, e, rng=rng) for e in residues)
     if args.verify_to:
         for cert in certs:
             if not verify_certificate_empirically(cert, args.verify_to):

@@ -12,7 +12,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import UsageError
-from .numth import divisors, euler_phi
+from .numth import divisors, euler_phi, ramanujan_sum
 
 
 @lru_cache(maxsize=None)
@@ -287,6 +287,16 @@ class CycloNum:
         out = CycloNum.from_zeta_powers(self.E, weights)
         return CycloNum(self.E, out.nums, out.den * self.den)
 
+    def zeta_multiples(self):
+        """[zeta_E^j * self for j < E], by shifting the power basis and
+        reducing by the monic Phi_E (zeta_E is a unit: no renormalizing)."""
+        Phi, nums, out = cyclotomic_poly(self.E), self.nums, [self]
+        for _ in range(self.E - 1):
+            top, nums = nums[-1], (0,) + nums[:-1]
+            nums = tuple(x - top * c for x, c in zip(nums, Phi))
+            out.append(CycloNum(self.E, nums, self.den, True))
+        return out
+
     def conjugate(self):
         return self.galois(self.E - 1) if self.E > 2 else self
 
@@ -341,9 +351,9 @@ class CycloNum:
         return a.nums == b.nums and a.den == b.den
 
     def __hash__(self):
-        if self.is_rational:
-            return hash(Fraction(self.nums[0], self.den))
-        return hash((self.E, self.nums, self.den))
+        # Tr(x)/phi(E): unchanged by promotion, and r for a rational r
+        tr = sum(x * ramanujan_sum(self.E, j) for j, x in enumerate(self.nums))
+        return hash(Fraction(tr, euler_phi(self.E) * self.den))
 
     def to_json(self):
         return {"E": self.E, "coeffs": [str(c) for c in self.coeffs]}

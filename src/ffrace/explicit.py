@@ -108,10 +108,6 @@ class ExplicitCount:
     counts: dict            # Poly -> int, canonical class order
     breakdown: dict | None  # (class literal, d) -> {chi label: CycloNum json}
 
-    @property
-    def total(self):
-        return sum(self.counts.values())
-
 
 class ExplicitCounter:
     """Caches the per-modulus character data across degrees: unit group,
@@ -363,19 +359,13 @@ def pi_g_decomposition(m, degree, cls):
             for j in range(1, Mp // g):
                 ci = (g * j) % Mp
                 zz = CycloNum.zeta(E, (-k * j * dg_inv) % E)
-                inner = inner + zz * counter._psi(_char_index(counter, ci), nu)
+                inner = inner + zz * counter._psi(ci, nu)
             acc = acc + inner * mu
         if not acc.is_rational:
             raise IntegrityError("pi_%d part is not rational for %s mod %s"
                                  % (g, cls, m))
         out[g] = acc.rational_value * Fraction(g, Mp * degree)
     return out
-
-
-def _char_index(counter, power):
-    """Index of chi_1^power in the lexicographic character list (cyclic
-    groups: characters are exactly chi_1^l at index l)."""
-    return power % counter.group.order
 
 
 def mobius_helpers(N, p):

@@ -113,6 +113,15 @@ def stabilizer_search(m):
     return out
 
 
+def stabilizer_period(m, B):
+    """N0 = the order of cT+d mod m, the period in N of B's class map."""
+    G = unit_group(m)
+    bot = Poly(m.field, (B.d, B.c)) % m
+    if not G.contains(bot):
+        raise IntegrityError("cT+d is not a unit mod m for a stabilizer")
+    return G.order_of(bot)
+
+
 @dataclass
 class TieCertificate:
     """A stabilizing matrix plus the class permutation it induces at degrees
@@ -158,10 +167,7 @@ def certify_ties(m, B, lam, e, rng=None):
     if slash_action(m, M, B) != m.scale(lam):
         raise UsageError("(B, lambda) does not stabilize the modulus")
     G = unit_group(m)
-    bot = Poly(m.field, (B.d, B.c)) % m
-    if not G.contains(bot):
-        raise IntegrityError("cT+d is not a unit mod m for a stabilizer")
-    period = G.order_of(bot)
+    period = stabilizer_period(m, B)
     e_used = e
     while e_used < M - 1:
         e_used += period

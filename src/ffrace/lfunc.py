@@ -11,10 +11,12 @@ from math import gcd
 
 import numpy as np
 
-from .characters import all_characters, unit_group
+from .characters import unit_group
 from .cyclo import CycloNum
 from .errors import IntegrityError, UsageError
-from .polyring import enumerate_monic
+from .polyring import enumerate_monic, format_poly
+
+MAX_RELATIONS_EXPONENT = 128  # the scale relations supports (E = 127: ~4 s)
 
 
 class LPolynomial:
@@ -90,11 +92,6 @@ class LPolynomial:
         u_roots = np.roots(list(reversed(cs)))
         return [1.0 / u for u in u_roots]
 
-    def to_json(self):
-        return {"char": self.chi.label(),
-                "degree": self.degree,
-                "coeffs": [c.to_json() for c in self.coeffs]}
-
 
 def l_polynomial(m, chi):
     """Coefficients a_n = sum over monic degree-n f coprime to m of chi(f),
@@ -159,42 +156,48 @@ def find_conjugate_relations(m):
     of chi onto zeta_E^t times that of chi', tested exactly through the power
     sums p_1..p_d (which determine a size-d multiset).  Searched both on the
     full multisets and with unit roots stripped; empty multisets are skipped
-    (every t would match vacuously)."""
-    G = unit_group(m)
-    E = G.exponent
-    nontrivial = all_characters(G)[1:]
-    variants = {}
-    for chi in nontrivial:
-        L = l_polynomial(m, chi)
-        k, stripped = L.strip_unit_roots()
-        variants[chi.exps] = []
-        if L.degree >= 1:
-            variants[chi.exps].append(
-                (False, L.degree,
-                 [L.power_sum(n) for n in range(1, L.degree + 1)]))
-        if k and stripped.degree >= 1:
-            variants[chi.exps].append(
-                (True, stripped.degree,
-                 [stripped.power_sum(n) for n in range(1, stripped.degree + 1)]))
-    zeta = [CycloNum.zeta(E, t) for t in range(E)]
-    out = []
-    for chi in nontrivial:
-        for stripped_flag, d, psums in variants[chi.exps]:
-            for l in range(1, E + 1):
-                if gcd(l, E) != 1:
-                    continue
-                images = [p.galois(l) for p in psums]
-                for other in nontrivial:
-                    for sf2, d2, psums2 in variants[other.exps]:
-                        if sf2 != stripped_flag or d2 != d:
-                            continue
-                        for t in range(E):
-                            if all(images[n - 1] == zeta[(t * n) % E] * psums2[n - 1]
-                                   for n in range(1, d + 1)):
-                                out.append(ConjugateRelation(
-                                    chi=chi, other=other, l=l % E, t=t,
-                                    stripped=stripped_flag, size=d))
-    return out
+    (every t would match vacuously).
+
+    L-polynomials and power sums are the explicit counter's, transported from
+    orbit representatives.  As L(u, chi^l) = sigma_l L(u, chi), the sigma_l
+    image of chi's power sums is chi^l's: one lookup among the twists."""
+    from .explicit import explicit_counter  # explicit imports this module
+    E = unit_group(m).exponent
+    if E > MAX_RELATIONS_EXPONENT:
+        raise UsageError("relations mod %s: unit-group exponent %d; the "
+                         "supported limit is %d"
+                         % (format_poly(m), E, MAX_RELATIONS_EXPONENT))
+    counter = explicit_counter(m)
+    chars = counter.chars
+    variants = {}  # (ci, stripped) -> p_1..p_d of chars[ci], d >= 1
+    for ci, (r, l) in enumerate(counter.orbit[1:], 1):
+        L = counter.lpolys[r]
+        k = L.strip_unit_roots()[0]  # sigma_l fixes the inverse zero 1
+        psums = [L.power_sum(n).galois(l) for n in range(1, L.degree + 1)]
+        if psums:
+            variants[ci, False] = psums
+        if k and L.degree > k:
+            variants[ci, True] = [p - k for p in psums[:L.degree - k]]
+
+    def coords(psums):
+        return tuple((p.nums, p.den) for p in psums)
+
+    # (stripped, coords of (zeta_E^(tn) p_n(chi'))_n) -> [(chi', t)] in
+    # (chi', t) order; only twists equal to some chi's power sums are kept
+    matches = {(flag, coords(ps)): [] for (_ci, flag), ps in variants.items()}
+    for (ci, flag), psums in variants.items():
+        twists = [p.zeta_multiples() for p in psums]
+        for t in range(E):
+            twisted = coords(tw[t * n % E] for n, tw in enumerate(twists, 1))
+            found = matches.get((flag, twisted))
+            if found is not None:
+                found.append((ci, t))
+    units = [l for l in range(1, E) if gcd(l, E) == 1]
+    return [ConjugateRelation(chi=chars[ci], other=chars[cj], l=l, t=t,
+                              stripped=flag, size=len(psums))
+            for (ci, flag), psums in variants.items() for l in units
+            for cj, t in matches[flag, coords(
+                variants[counter._index[(chars[ci] ** l).exps], flag])]]
 
 
 def weil_bound_violations(lpoly, tol=1e-9):

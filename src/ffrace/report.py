@@ -8,7 +8,7 @@ from math import lcm
 from .characters import unit_group
 from .errors import UsageError
 from .explicit import counts, cumulative_counts
-from .gl2 import stabilizer_search
+from .gl2 import stabilizer_period, stabilizer_search
 from .polyring import Poly, format_poly, parse_poly
 from .field import parse_field
 
@@ -16,13 +16,8 @@ from .field import parse_field
 def default_period(m):
     """lcm of the stabilizer periods (order of cT+d mod m); falls back to the
     unit-group exponent when only the identity stabilizes."""
-    G = unit_group(m)
-    periods = []
-    for B, _lam in stabilizer_search(m):
-        bot = Poly(m.field, (B.d, B.c)) % m
-        periods.append(G.order_of(bot))
-    p = lcm(*periods) if periods else 1
-    return p if p > 1 else G.exponent
+    p = lcm(*(stabilizer_period(m, B) for B, _lam in stabilizer_search(m)))
+    return p if p > 1 else unit_group(m).exponent
 
 
 @dataclass

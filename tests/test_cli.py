@@ -190,6 +190,15 @@ def test_oversized_unit_group_fails_fast(capsys):
     assert code == 1 and "4095" in err and "limit is 1024" in err
 
 
+def test_relations_past_exponent_limit_fails_fast(capsys):
+    # exponent 255: refused before the counter builds its L-polynomials
+    start = time.perf_counter()
+    code, _, err = run(capsys, "relations", "--field", "F2",
+                       "--modulus", "T^8+T^4+T^3+T+1")
+    assert time.perf_counter() - start < 10.0
+    assert code == 1 and "exponent 255" in err and "limit is 128" in err
+
+
 def test_integrity_errors_exit_2(capsys, monkeypatch):
     # a failed exact-arithmetic self-check must exit 2, not crash
     import ffrace.cli as cli_mod

@@ -1,10 +1,14 @@
 """Byte-for-byte replay of CLI outputs that exercise every engine-routing
 path: sieve-first `count` (limit = the sieve cutoff), the default limit of
 the multi-degree commands, the non-monic fold on both engines, and the
-degrees 13..24 where the two limits disagree.
+degrees 13..24 where the two limits disagree; and the full, ordered output
+of `relations` (csv only) on a cyclic group with stripped rows, a
+non-cyclic group of order 56 and an extension field.
 
-The files under tests/golden/cli/ were captured from `ffrace` before the
-routing was collapsed into `explicit.counts`; regenerate one with
+The count, cumulative and ties files under tests/golden/cli/ were captured
+from `ffrace` before the routing was collapsed into `explicit.counts`, the
+relations files before `find_conjugate_relations` read the explicit
+counter's L-polynomials; regenerate one with
 `PYTHONPATH=src python -m ffrace.cli <argv> --format <fmt>`."""
 
 import pathlib
@@ -36,11 +40,31 @@ CASES = {
                                  "--modulus", "T^2+1", "--verify-to", "14"],
 }
 
+RELATIONS = {
+    "relations_F2_T4T1": ["relations", "--field", "F2",
+                          "--modulus", "T^4+T+1"],
+    "relations_F2_T6T21": ["relations", "--field", "F2",
+                           "--modulus", "T^6+T^2+1"],
+    "relations_F4_T2T2": ["relations", "--field", "F4",
+                          "--modulus", "T^2+T+2"],
+}
+
+
+def replay(capsys, argv, path):
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == path.read_text()
+
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(capsys, name, fmt):
-    code = main(CASES[name] + ["--format", fmt])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert out == (GOLDEN / ("%s.%s" % (name, fmt))).read_text()
+    replay(capsys, CASES[name] + ["--format", fmt],
+           GOLDEN / ("%s.%s" % (name, fmt)))
+
+
+@pytest.mark.parametrize("name", sorted(RELATIONS))
+def test_relations_output_matches_golden(capsys, name):
+    replay(capsys, RELATIONS[name] + ["--format", "csv"],
+           GOLDEN / ("%s.csv" % name))

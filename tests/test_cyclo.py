@@ -137,6 +137,13 @@ def test_promotion_and_mixed_conductors():
     assert zeta(6, 2) + zeta(3, 2) == -1
     assert zeta(4) * zeta(3) == zeta(12, 7)     # 1/4 + 1/3 = 7/12
     assert CycloNum.from_rational(Fraction(3, 2), 6) == Fraction(3, 2)
+    # equal values hash equal, whatever their conductors
+    assert zeta(6, 2) in {zeta(3)} and zeta(3) in {zeta(6, 2)}
+    assert hash(zeta(12, 4) * Fraction(2, 5)) == hash(zeta(3) * Fraction(2, 5))
+    half3 = Fraction(3, 2)
+    assert hash(CycloNum.from_rational(half3, 6)) == hash(half3)
+    assert hash(zeta(6, 2) + zeta(3, 2)) == hash(-1)
+    assert {zeta(4): "i"}[zeta(8, 2)] == "i"
 
 
 def test_scalar_and_rational_checks():
