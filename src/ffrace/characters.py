@@ -13,7 +13,7 @@ from math import gcd, lcm
 
 from .cyclo import CycloNum
 from .errors import UsageError
-from .polyring import Poly, factorize, format_poly, poly_gcd
+from .polyring import Poly, factorize, format_poly, poly_gcd, powmod
 
 # Largest supported unit-group order Phi(m): the generator search is
 # quadratic in the order (order 1023 takes about 20 s).
@@ -92,7 +92,7 @@ class UnitGroup:
                 assert e % gg == 0, "peeling invariant violated"
                 s = (-(e // gg) * pow(t // gg, -1, d // gg)) % (d // gg)
                 if s:
-                    x = self._mul(x, self._pow(g, s))
+                    x = self._mul(x, powmod(g, s, self.modulus))
             assert self._elt_order(x) == t, "adjusted generator has wrong order"
             gens.append(x)
             orders.append(t)
@@ -109,15 +109,6 @@ class UnitGroup:
         self.exponent = orders[-1] if orders else 1
         self.dlog = {u: vec[::-1] for u, vec in sub.items()}
         assert len(self.dlog) == self.order
-
-    def _pow(self, a, n):
-        out, base = Poly.one(self.field), a
-        while n:
-            if n & 1:
-                out = self._mul(out, base)
-            base = self._mul(base, base)
-            n >>= 1
-        return out
 
     def _pows(self, a, t):
         out = [Poly.one(self.field)]
@@ -139,7 +130,7 @@ class UnitGroup:
         out = Poly.one(self.field)
         for g, e in zip(self.generators, vec):
             if e:
-                out = self._mul(out, self._pow(g, e))
+                out = self._mul(out, powmod(g, e, self.modulus))
         return out
 
     def unit_pow(self, u, n):

@@ -163,6 +163,8 @@ def _cmd_relations(args):
 
 
 def _cmd_ties_gl2(args):
+    if args.verify_to < 0:
+        raise UsageError("--verify-to must be >= 0, got %d" % args.verify_to)
     _field, m = _need_modulus(args)
     rng = random.Random(args.seed)
     certs = []

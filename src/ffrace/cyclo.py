@@ -12,7 +12,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import UsageError
-from .numth import divisors, euler_phi, ramanujan_sum
+from .numth import divisors, euler_phi, ramanujan_sums
 
 
 @lru_cache(maxsize=None)
@@ -43,28 +43,38 @@ def cyclotomic_poly(E):
 
 
 @lru_cache(maxsize=None)
-def _powrows(E):
-    """Row j = integer coefficients of x^j mod Phi_E, for j up to
-    max(E, 2*phi-1) - 1 (covers products of reduced elements and raw zeta
-    powers)."""
+def _overflow_rows(E):
+    """Entry j - phi(E) = x^j mod Phi_E for phi(E) <= j < E, as sparse
+    ((i, coefficient), ...) rows."""
     phi = euler_phi(E)
     Phi = cyclotomic_poly(E)
-    top = max(E, 2 * phi - 1)
-    rows = []
-    for j in range(phi):
-        row = [0] * phi
-        row[j] = 1
-        rows.append(tuple(row))
-    for j in range(phi, top):
+    rows, row = [], [0] * (phi - 1) + [1]      # x^(phi-1)
+    for _ in range(phi, E):
         # x^j = x * x^(j-1), then reduce the overflow coefficient
-        prev = rows[j - 1]
-        row = [0] + list(prev[:-1])
-        c = prev[-1]
-        if c:
-            for i in range(phi):
-                row[i] -= c * Phi[i]
-        rows.append(tuple(row))
+        top = row[-1]
+        row = [0] + row[:-1]
+        if top:
+            row = [x - top * c for x, c in zip(row, Phi)]
+        rows.append(tuple((i, c) for i, c in enumerate(row) if c))
     return tuple(rows)
+
+
+def _reduce(E, vec):
+    """Power-basis coordinates of sum vec[i] x^i mod Phi_E for an integer
+    vector of any length: fold by x^E = 1, then replace each x^j with
+    phi(E) <= j < E by its sparse row."""
+    phi = euler_phi(E)
+    if len(vec) > E:
+        folded = list(vec[:E])
+        for i in range(E, len(vec)):
+            folded[i % E] += vec[i]
+        vec = folded
+    out = list(vec[:phi]) + [0] * (phi - len(vec))
+    for row, c in zip(_overflow_rows(E), vec[phi:]):
+        if c:
+            for i, r in row:
+                out[i] += c * r
+    return out
 
 
 def _normalized(nums, den):
@@ -109,8 +119,7 @@ class CycloNum:
     def zeta(cls, E, t=1):
         """zeta_E^t."""
         t %= E
-        rows = _powrows(E)
-        return cls(E, list(rows[t]), 1)
+        return cls(E, _reduce(E, [0] * t + [1]), 1)
 
     @classmethod
     def from_zeta_powers(cls, E, weights):
@@ -122,16 +131,7 @@ class CycloNum:
             den = lcm(*(w.denominator for w in weights
                         if type(w) is Fraction))
             weights = [int(w * den) for w in weights]
-        phi = euler_phi(E)
-        rows = _powrows(E)
-        nums = [0] * phi
-        for i, wi in enumerate(weights):
-            if wi:
-                row = rows[i]
-                for j in range(phi):
-                    if row[j]:
-                        nums[j] += wi * row[j]
-        return cls(E, nums, den)
+        return cls(E, _reduce(E, weights), den)
 
     # --- coercion ---------------------------------------------------------
     def promote(self, E2):
@@ -144,8 +144,7 @@ class CycloNum:
         weights = [0] * E2
         for i, c in enumerate(self.nums):
             weights[i * r] = c
-        out = CycloNum.from_zeta_powers(E2, weights)
-        return CycloNum(E2, out.nums, out.den * self.den)
+        return CycloNum(E2, _reduce(E2, weights), self.den)
 
     def _pair(self, other):
         if not isinstance(other, CycloNum):
@@ -195,16 +194,7 @@ class CycloNum:
                     y = bn[j]
                     if y:
                         conv[i + j] += x * y
-        rows = _powrows(a.E)
-        nums = list(conv[:phi])
-        for j in range(phi, 2 * phi - 1):
-            c = conv[j]
-            if c:
-                row = rows[j]
-                for i in range(phi):
-                    if row[i]:
-                        nums[i] += c * row[i]
-        return CycloNum(a.E, nums, a.den * b.den)
+        return CycloNum(a.E, _reduce(a.E, conv), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -221,57 +211,16 @@ class CycloNum:
         return out
 
     def inverse(self):
-        """Extended gcd of the coefficient polynomial with Phi_E over Q."""
+        """1/x = (product of the conjugates sigma_l x, l != 1) / N(x), where
+        the norm N(x), the product of all phi(E) conjugates, is a nonzero
+        rational."""
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        Phi = [Fraction(c) for c in cyclotomic_poly(self.E)]
-        a = [Fraction(n, self.den) for n in self.nums]
-
-        def pdeg(p):
-            d = len(p) - 1
-            while d >= 0 and p[d] == 0:
-                d -= 1
-            return d
-
-        def pdivmod(u, v):
-            dv = pdeg(v)
-            u = list(u)
-            q = [Fraction(0)] * max(1, len(u) - dv)
-            for i in range(pdeg(u), dv - 1, -1):
-                c = u[i] / v[dv]
-                if c:
-                    q[i - dv] = c
-                    for j in range(dv + 1):
-                        u[i - dv + j] -= c * v[j]
-            return q, u[:dv] if dv > 0 else [Fraction(0)]
-
-        # xgcd(a, Phi): s*a + t*Phi = g (g constant since Phi_E is irreducible)
-        r0, r1 = Phi, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while pdeg(r1) > 0:
-            q, r = pdivmod(r0, r1)
-            # s_next = s0 - q*s1
-            prod = [Fraction(0)] * (len(q) + len(s1))
-            for i, x in enumerate(q):
-                if x:
-                    for j, y in enumerate(s1):
-                        prod[i + j] += x * y
-            s_next = [Fraction(0)] * max(len(s0), len(prod))
-            for i, x in enumerate(s0):
-                s_next[i] += x
-            for i, x in enumerate(prod):
-                s_next[i] -= x
-            r0, r1, s0, s1 = r1, r, s1, s_next
-        g = r1[0]
-        if g == 0:
-            raise ZeroDivisionError("not invertible mod Phi_E")
-        inv = [x / g for x in s1]
-        phi = euler_phi(self.E)
-        inv = (inv + [Fraction(0)] * phi)[:phi]
-        den = 1
-        for x in inv:
-            den = lcm(den, x.denominator)
-        return CycloNum(self.E, [int(x * den) for x in inv], den)
+        others = CycloNum.from_rational(1, self.E)
+        for l in range(2, self.E):
+            if gcd(l, self.E) == 1:
+                others = others * self.galois(l)
+        return others * (1 / (self * others).rational_value)
 
     # --- Galois / invariants ------------------------------------------------
     def galois(self, l):
@@ -282,10 +231,8 @@ class CycloNum:
                              % (l, self.E))
         weights = [0] * self.E
         for i, c in enumerate(self.nums):
-            if c:
-                weights[(i * l) % self.E] += c
-        out = CycloNum.from_zeta_powers(self.E, weights)
-        return CycloNum(self.E, out.nums, out.den * self.den)
+            weights[(i * l) % self.E] = c
+        return CycloNum(self.E, _reduce(self.E, weights), self.den)
 
     def zeta_multiples(self):
         """[zeta_E^j * self for j < E], by shifting the power basis and
@@ -301,13 +248,12 @@ class CycloNum:
         return self.galois(self.E - 1) if self.E > 2 else self
 
     def trace(self):
-        """Tr_{Q(zeta_E)/Q}: sum of all Galois images; a rational."""
-        total = CycloNum.from_rational(0, self.E)
-        for l in range(1, self.E + 1):
-            if gcd(l, self.E) == 1:
-                total = total + self.galois(l)
-        assert total.is_rational
-        return total.rational_value
+        """Tr_{Q(zeta_E)/Q}, the sum of all phi(E) Galois images; a rational.
+        Computed as the dot product of the coordinates with the Ramanujan
+        sums Tr(zeta_E^j)."""
+        R = ramanujan_sums(self.E)
+        return Fraction(sum(x * R[j] for j, x in enumerate(self.nums)),
+                        self.den)
 
     @property
     def is_zero(self):
@@ -352,8 +298,7 @@ class CycloNum:
 
     def __hash__(self):
         # Tr(x)/phi(E): unchanged by promotion, and r for a rational r
-        tr = sum(x * ramanujan_sum(self.E, j) for j, x in enumerate(self.nums))
-        return hash(Fraction(tr, euler_phi(self.E) * self.den))
+        return hash(self.trace() / euler_phi(self.E))
 
     def to_json(self):
         return {"E": self.E, "coeffs": [str(c) for c in self.coeffs]}

@@ -36,7 +36,7 @@ from .cyclo import CycloNum
 from .errors import IntegrityError, UsageError
 from .lfunc import LPolynomial, l_polynomial
 from .numth import (divisors, euler_phi, gauss_irreducible_count, mobius,
-                    ramanujan_sum)
+                    ramanujan_sums)
 from .polyring import Poly, factorize, format_poly
 from .sieve import default_cutoff, sieve_count
 
@@ -150,7 +150,6 @@ class ExplicitCounter:
                         for a in self.group.units])
                       for ci, (r, _l) in enumerate(self.orbit)
                       if r == ci and ci != 0]
-        self._ramanujan = [ramanujan_sum(E, t) for t in range(E)]
         self._raw = {}
 
     def s(self, n):
@@ -177,7 +176,7 @@ class ExplicitCounter:
             raise UsageError("degree must be >= 1")
         G = self.group
         E = self.E
-        R = self._ramanujan
+        R = ramanujan_sums(E)
         moebius = [(k, mobius(k)) for k in divisors(degree) if mobius(k)]
         # phi(E) * N * M' * pi(N; a), accumulated orbit by orbit
         trivial = sum(mu * self._psi(0, degree // k) for k, mu in moebius)

@@ -69,10 +69,12 @@ def euler_phi(n: int) -> int:
     return out
 
 
-def ramanujan_sum(E: int, t: int) -> int:
-    """Tr_{Q(zeta_E)/Q}(zeta_E^t) = mu(E/g) phi(E) / phi(E/g), g = gcd(t, E)."""
-    r = E // gcd(t, E)
-    return mobius(r) * (euler_phi(E) // euler_phi(r))
+@lru_cache(maxsize=None)
+def ramanujan_sums(E: int) -> tuple:
+    """Entry t = Tr_{Q(zeta_E)/Q}(zeta_E^t) = mu(r) phi(E) / phi(r) with
+    r = E / gcd(t, E), for 0 <= t < E."""
+    orders = [E // gcd(t, E) for t in range(E)]
+    return tuple(mobius(r) * (euler_phi(E) // euler_phi(r)) for r in orders)
 
 
 def gauss_irreducible_count(q: int, n: int) -> int:

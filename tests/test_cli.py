@@ -116,6 +116,14 @@ def test_ties_gl2_json_schema(capsys):
     assert ["1", "T", "T+1"] in main_cert["orbits"]
 
 
+def test_ties_gl2_negative_verify_to_is_usage_error(capsys):
+    code, out, err = run(capsys, "ties-gl2", "--field", "F2",
+                         "--modulus", "T^3+T+1", "--verify-to", "-4")
+    assert code == 1
+    assert out == ""
+    assert "--verify-to" in err and "-4" in err
+
+
 def test_ties_empirical(capsys):
     code, out, _ = run(capsys, "ties-empirical", "--field", "F2",
                        "--modulus", "T^2+T+1", "--min-degree", "10",

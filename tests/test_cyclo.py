@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -81,7 +82,7 @@ def test_galois_examples():
 def test_galois_is_ring_hom_and_composes():
     rng = random.Random(2)
     for E in (7, 8, 12):
-        ls = [l for l in range(1, E) if __import__("math").gcd(l, E) == 1]
+        ls = [l for l in range(1, E) if gcd(l, E) == 1]
         for _ in range(25):
             x = CycloNum(E, [rng.randrange(-5, 6)
                              for _ in range(euler_phi(E))], rng.randrange(1, 4))
@@ -92,6 +93,16 @@ def test_galois_is_ring_hom_and_composes():
             assert (x + y).galois(l) == x.galois(l) + y.galois(l)
             assert (x * y).galois(l) == x.galois(l) * y.galois(l)
             assert x.galois(k).galois(l) == x.galois((l * k) % E)
+
+
+def galois_sum(x):
+    """Tr x by its definition: the sum of all Galois images."""
+    total = CycloNum.from_rational(0, x.E)
+    for l in range(1, x.E + 1):
+        if gcd(l, x.E) == 1:
+            total = total + x.galois(l)
+    assert total.is_rational
+    return total.rational_value
 
 
 def test_traces():
@@ -108,13 +119,19 @@ def test_traces():
         y = CycloNum(12, [rng.randrange(-4, 5) for _ in range(4)], 3)
         assert (x + y).trace() == x.trace() + y.trace()
         assert x.galois(5).trace() == x.trace()
+    # the Ramanujan-sum trace equals the sum of the Galois images
+    for E in (12, 15, 63):
+        for _ in range(5):
+            x = CycloNum(E, [rng.randrange(-9, 10)
+                             for _ in range(euler_phi(E))], rng.randrange(1, 6))
+            assert x.trace() == galois_sum(x)
 
 
 def test_exactness_vs_inverse():
     rng = random.Random(9)
-    for E in (5, 7, 8, 12):
+    for E in (5, 7, 8, 12, 15, 21, 63):
         phi = euler_phi(E)
-        for _ in range(15):
+        for _ in range(15 if E < 63 else 3):
             x = CycloNum(E, [rng.randrange(-6, 7) for _ in range(phi)],
                          rng.randrange(1, 5))
             y = CycloNum(E, [rng.randrange(-6, 7) for _ in range(phi)], 1)
@@ -122,6 +139,59 @@ def test_exactness_vs_inverse():
             if not y.is_zero:
                 assert (x * y) * y.inverse() == x
                 assert y * y.inverse() == 1
+        with pytest.raises(ZeroDivisionError):
+            CycloNum.from_rational(0, E).inverse()
+
+
+ORACLE_CONDUCTORS = tuple(range(1, 41)) + (63, 124, 127, 242, 255)
+
+
+def reduce_by_division(E, vec):
+    """sum vec[i] x^i mod Phi_E by long division (the reduction oracle)."""
+    Phi = cyclotomic_poly(E)
+    phi = len(Phi) - 1
+    rem = list(vec)
+    for i in range(len(rem) - 1, phi - 1, -1):
+        c = rem[i]
+        if c:
+            for j in range(phi + 1):
+                rem[i - phi + j] -= c * Phi[j]
+    return tuple((rem + [0] * phi)[:phi])
+
+
+def oracle(E, vec, den=1):
+    return CycloNum(E, reduce_by_division(E, vec), den)
+
+
+def test_reduction_matches_long_division():
+    rng = random.Random(11)
+    for E in ORACLE_CONDUCTORS:
+        phi = euler_phi(E)
+        units = [l for l in range(1, E + 1) if gcd(l, E) == 1]
+        for t in range(E):
+            assert zeta(E, t) == oracle(E, [0] * t + [1])
+        for _ in range(3):
+            w = [rng.randrange(-9, 10) for _ in range(E)]
+            assert CycloNum.from_zeta_powers(E, w) == oracle(E, w)
+            x = CycloNum(E, [rng.randrange(-9, 10) for _ in range(phi)],
+                         rng.randrange(1, 4))
+            for l in rng.sample(units, min(4, len(units))):
+                image = [0] * E                 # zeta^i -> zeta^(il mod E)
+                for i, c in enumerate(x.nums):
+                    image[(i * l) % E] = c
+                assert x.galois(l) == oracle(E, image, x.den)
+            y = CycloNum(E, [rng.randrange(-9, 10) for _ in range(phi)])
+            conv = [0] * (2 * phi - 1)
+            for i, a in enumerate(x.nums):
+                for j, b in enumerate(y.nums):
+                    conv[i + j] += a * b
+            assert x * y == oracle(E, conv, x.den)
+            for E2 in (2 * E, 3 * E):
+                if E2 <= 255:
+                    spread = [0] * E2           # zeta_E = zeta_E2^(E2/E)
+                    for i, c in enumerate(x.nums):
+                        spread[i * (E2 // E)] = c
+                    assert x.promote(E2) == oracle(E2, spread, x.den)
 
 
 def test_embeddings():
