@@ -139,9 +139,6 @@ class UnitGroup:
         return self.from_dlog(tuple((e * n) % d
                                     for e, d in zip(vec, self.gen_orders)))
 
-    def unit_inverse(self, u):
-        return self.unit_pow(u, -1)
-
     def order_of(self, u):
         vec = self.dlog[u]
         return lcm(1, *(d // gcd(e, d) for e, d in zip(vec, self.gen_orders)))
@@ -222,13 +219,6 @@ class Character:
 
     def __repr__(self):
         return "chi[%s]" % self.label()
-
-
-def char_value(chi, a):
-    """chi(a) as an exact root of unity in Q(zeta_E); a must be a unit."""
-    if not chi.group.contains(a % chi.group.modulus):
-        raise UsageError("%s is not coprime to the modulus" % (a,))
-    return chi.value(a % chi.group.modulus)
 
 
 def all_characters(G):

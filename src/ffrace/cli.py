@@ -233,10 +233,10 @@ def _parse_degrees(spec):
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) == 2:
-            lo, hi, step = int(parts[0]), int(parts[1]), 1
-        elif len(parts) == 3:
-            lo, hi, step = (int(p) for p in parts)
-        else:
+            parts.append("1")
+        try:
+            lo, hi, step = (int(p) for p in parts)  # also rejects 4+ parts
+        except ValueError:
             raise UsageError("bad degree range %r" % (spec,))
         if step < 1 or lo < 1 or hi < lo:
             raise UsageError("bad degree range %r" % (spec,))

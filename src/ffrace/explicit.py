@@ -268,11 +268,6 @@ def explicit_counter(m):
     return counter
 
 
-def explicit_count(m, degree, breakdown=False):
-    """pi(N; m, c) for every unit class c, assembled exactly (no enumeration)."""
-    return explicit_counter(m).count(degree, breakdown=breakdown)
-
-
 def counts(m, degree, *, monic=True, sieve_limit=None):
     """(counts, source): the count of degree-N irreducibles in every unit
     class c mod m, and the engine that produced it, "sieve" or "explicit".

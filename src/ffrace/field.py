@@ -9,66 +9,17 @@ downstream.
 from functools import lru_cache
 
 from .errors import UsageError
-from .numth import is_prime
+from .numth import prime_factors
+from .polyring import Poly, enumerate_monic, is_irreducible
 
 MAX_Q = 256
-
-
-def _fp_poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return out
-
-
-def _fp_poly_mod(a, m, p):
-    # m monic
-    a = list(a)
-    dm = len(m) - 1
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i]
-        if c:
-            for j in range(dm + 1):
-                a[i - dm + j] = (a[i - dm + j] - c * m[j]) % p
-    del a[dm:]
-    return a
-
-
-def _fp_is_irreducible(m, p):
-    """Trial division; m monic over F_p, deg m = len(m)-1 small (<= 8)."""
-    deg = len(m) - 1
-    if deg == 1:
-        return True
-    for d in range(1, deg // 2 + 1):
-        for t in range(p ** d):
-            g = []
-            tt = t
-            for _ in range(d):
-                g.append(tt % p)
-                tt //= p
-            g.append(1)
-            # does g divide m?
-            r = _fp_poly_mod(m, g, p)
-            if not any(r):
-                return False
-    return True
 
 
 @lru_cache(maxsize=None)
 def _canonical_modulus(p, k):
     """Smallest (by integer encoding) monic irreducible of degree k over F_p."""
-    for t in range(p ** k):
-        coeffs = []
-        tt = t
-        for _ in range(k):
-            coeffs.append(tt % p)
-            tt //= p
-        coeffs.append(1)
-        if _fp_is_irreducible(coeffs, p):
-            return tuple(coeffs)
-    raise AssertionError("no irreducible of degree %d over F_%d" % (k, p))
+    return next(f for f in enumerate_monic(field_make(p), k)
+                if is_irreducible(f)).coeffs
 
 
 class FieldSpec:
@@ -78,13 +29,13 @@ class FieldSpec:
                  "_hash")
 
     def __init__(self, p, k=1):
-        if not is_prime(p):
-            raise UsageError("p = %r is not prime" % (p,))
         if k < 1:
             raise UsageError("extension degree must be >= 1")
         q = p ** k
         if q > MAX_Q:
             raise UsageError("q = %d exceeds supported bound %d" % (q, MAX_Q))
+        if prime_factors(p) != (p,):
+            raise UsageError("p = %r is not prime" % (p,))
         self.p = p
         self.k = k
         self.q = q
@@ -99,19 +50,17 @@ class FieldSpec:
             self._mul = [[(a * b) % p for b in range(p)] for a in range(p)]
             self._neg = [(-a) % p for a in range(p)]
         else:
-            digits = [[(e // p ** i) % p for i in range(k)] for e in range(q)]
-            enc = lambda cs: sum(c * p ** i for i, c in enumerate(cs[:k]))
-            m = list(self.modulus_poly)
-            self._add = [[enc([(x + y) % p for x, y in zip(digits[a], digits[b])])
-                          for b in range(q)] for a in range(q)]
-            self._neg = [enc([(-x) % p for x in digits[a]]) for a in range(q)]
-            self._mul = []
-            for a in range(q):
-                row = []
-                for b in range(q):
-                    prod = _fp_poly_mul(digits[a], digits[b], p)
-                    row.append(enc(_fp_poly_mod(prod, m, p) + [0] * k))
-                self._mul.append(row)
+            # element e <-> the polynomial over F_p whose coefficients are
+            # the base-p digits of e, reduced mod the canonical modulus
+            Fp = field_make(p)
+            m = Poly(Fp, self.modulus_poly)
+            els = [Poly.from_index(Fp, e) for e in range(q)]
+            self._add = [[(x + y).encode() for y in els] for x in els]
+            self._neg = [(-x).encode() for x in els]
+            self._mul = [[0] * q for _ in range(q)]
+            for a, x in enumerate(els):  # commutative: each product once
+                for b, y in enumerate(els[a:], a):
+                    self._mul[a][b] = self._mul[b][a] = (x * y % m).encode()
         self._inv = [0] * q
         for a in range(1, q):
             for b in range(1, q):
@@ -201,16 +150,12 @@ def parse_field(text):
     q = int(s[1:])
     if q < 2:
         raise UsageError("bad field size %d" % q)
-    p = 2
-    while p <= q:
-        if q % p == 0:
-            k = 0
-            qq = q
-            while qq % p == 0:
-                qq //= p
-                k += 1
-            if qq != 1:
-                raise UsageError("%d is not a prime power" % q)
-            return field_make(p, k)
-        p += 1
-    raise UsageError("%d is not a prime power" % q)
+    if q > MAX_Q:
+        raise UsageError("q = %d exceeds supported bound %d" % (q, MAX_Q))
+    primes = prime_factors(q)
+    if len(primes) != 1:
+        raise UsageError("%d is not a prime power" % q)
+    p, k = primes[0], 1
+    while p ** k < q:
+        k += 1
+    return field_make(p, k)

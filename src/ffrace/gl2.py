@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from math import gcd
 
-from .characters import unit_group
+from .characters import MAX_GROUP_ORDER, unit_group
 from .errors import IntegrityError, UsageError
 from .explicit import counts
 from .polyring import Poly, format_poly
@@ -163,6 +163,11 @@ def certify_ties(m, B, lam, e, rng=None):
     representative)."""
     if e < 0:
         raise UsageError("residue must be >= 0")
+    if e >= MAX_GROUP_ORDER:
+        # the period divides the unit-group exponent, which is at most
+        # MAX_GROUP_ORDER, so every residue class has a smaller representative
+        raise UsageError("residue %d: the supported limit is %d"
+                         % (e, MAX_GROUP_ORDER - 1))
     M = m.degree
     if slash_action(m, M, B) != m.scale(lam):
         raise UsageError("(B, lambda) does not stabilize the modulus")

@@ -16,7 +16,7 @@ from .cyclo import CycloNum
 from .errors import IntegrityError, UsageError
 from .polyring import enumerate_monic, format_poly
 
-MAX_RELATIONS_EXPONENT = 128  # the scale relations supports (E = 127: ~4 s)
+MAX_RELATIONS_EXPONENT = 128  # the scale relations supports (E = 127: 3-4 s)
 
 
 class LPolynomial:

@@ -4,17 +4,6 @@ from functools import lru_cache
 from math import gcd
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 @lru_cache(maxsize=None)
 def prime_factors(n: int) -> tuple:
     """Distinct prime divisors of n, ascending."""
@@ -47,18 +36,10 @@ def divisors(n: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def mobius(n: int) -> int:
-    m = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            m = -m
-        d += 1
-    if n > 1:
-        m = -m
-    return m
+    primes = prime_factors(n)
+    if any(n % (p * p) == 0 for p in primes):
+        return 0
+    return (-1) ** len(primes)
 
 
 @lru_cache(maxsize=None)

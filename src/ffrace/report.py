@@ -5,7 +5,7 @@ import json
 from dataclasses import dataclass
 from math import lcm
 
-from .characters import unit_group
+from .characters import MAX_GROUP_ORDER, unit_group
 from .errors import UsageError
 from .explicit import counts, cumulative_counts
 from .gl2 import stabilizer_period, stabilizer_search
@@ -63,6 +63,10 @@ def detect_tie_patterns(m, lo, hi, period=None):
         period = default_period(m)
     if period < 1:
         raise UsageError("period must be >= 1")
+    if period > MAX_GROUP_ORDER:
+        # every period the program derives divides the unit-group exponent
+        raise UsageError("period %d: the supported limit is %d"
+                         % (period, MAX_GROUP_ORDER))
     G = unit_group(m)
     degrees = list(range(lo, hi + 1))
     found, sources = {}, {}

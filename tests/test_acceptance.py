@@ -11,9 +11,8 @@ from published_values import (TABLE_BY_KEY, TABLE_P2T2, TABLE_P3T2, TABLE_P3T21,
                           TABLE_T2T1, TABLE_T3T1, TABLE_T3T1_CUM)
 from ffrace.characters import all_characters, unit_group
 from ffrace.cyclo import CycloNum
-from ffrace.explicit import (cumulative_counts, explicit_count,
-                             explicit_counter, mobius_helpers, zmatrix,
-                             zmatrix_inverse)
+from ffrace.explicit import (cumulative_counts, explicit_counter,
+                             mobius_helpers, zmatrix, zmatrix_inverse)
 from ffrace.field import field_make
 from ffrace.gl2 import Mat2, certify_ties, stabilizer_search, \
     verify_certificate_empirically
@@ -62,7 +61,7 @@ def test_criterion_02_oracle_equivalence():
         for mstr in moduli:
             m = P(field, mstr)
             for n in range(1, top + 1):
-                assert explicit_count(m, n).counts == \
+                assert explicit_counter(m).count(n).counts == \
                     sieve_count(m, n).counts, (mstr, n)
                 cases += 1
     elapsed = time.time() - start
@@ -76,16 +75,17 @@ def test_criterion_03_tables_3_and_5_explicit():
     for mstr, table in (("T^2+1", TABLE_P3T21), ("T^2", TABLE_P3T2)):
         m = P(F3, mstr)
         for n in range(10, 21):
-            got = _row(m, explicit_count(m, n).counts)
+            got = _row(m, explicit_counter(m).count(n).counts)
             assert got == table[n], (mstr, n)
         # spot-verify against the sieve where enumeration is feasible
         for n in (10, 11, 12):
-            assert sieve_count(m, n).counts == explicit_count(m, n).counts
+            assert sieve_count(m, n).counts == \
+                explicit_counter(m).count(n).counts
     g1 = unit_group(P(F3, "T^2+1"))
-    assert explicit_count(P(F3, "T^2+1"), 20).counts[
+    assert explicit_counter(P(F3, "T^2+1")).count(20).counts[
         g1.unit_pow(g1.generators[0], 4)] == 21793092
     g2 = unit_group(P(F3, "T^2"))
-    assert explicit_count(P(F3, "T^2"), 20).counts[
+    assert explicit_counter(P(F3, "T^2")).count(20).counts[
         g2.unit_pow(g2.generators[0], 3)] == 29057520
     elapsed = time.time() - start
     assert elapsed < 30, "criterion 3 over time budget: %.1fs" % elapsed
@@ -116,7 +116,7 @@ def test_criterion_05_tables_2_and_4():
         m = P(F2, mstr)
         for n in range(10, 21):
             assert _row(m, sieve_count(m, n).counts) == table[n], (mstr, n)
-            assert _row(m, explicit_count(m, n).counts) == table[n]
+            assert _row(m, explicit_counter(m).count(n).counts) == table[n]
     print("PASS criterion 5: Tables 2 and 4 (N=10..20) exact from both "
           "engines")
 
@@ -184,14 +184,14 @@ def test_criterion_08_bias_inequalities():
     m = P(F2, "T^2+T+1")
     one, t = P(F2, "1"), P(F2, "T")
     for n in range(9, 61, 3):
-        counts = explicit_count(m, n).counts
+        counts = explicit_counter(m).count(n).counts
         assert counts[one] < counts[t], n
-    counts6 = explicit_count(m, 6).counts
+    counts6 = explicit_counter(m).count(6).counts
     assert counts6[one] == counts6[t]
     m = P(F2, "T^2")
     one, t1 = P(F2, "1"), P(F2, "T+1")
     for n in range(4, 41, 2):
-        counts = explicit_count(m, n).counts
+        counts = explicit_counter(m).count(n).counts
         assert counts[one] < counts[t1], n
     print("PASS criterion 8: bias inequalities exact (T^2+T+1: N=9,12,...,60 "
           "with equality at N=6; T^2: even N=4..40)")
@@ -199,7 +199,7 @@ def test_criterion_08_bias_inequalities():
 
 def test_criterion_09_artin_schreier():
     m = P(F3, "T^3+2T+2")
-    counts = explicit_count(m, 24).counts
+    counts = explicit_counter(m).count(24).counts
     classes = [P(F3, "T^2"), P(F3, "T^2+2T+1"), P(F3, "T^2+T+1")]
     for c in classes:
         assert counts[c] == 452605575, format_poly(c)

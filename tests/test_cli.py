@@ -1,8 +1,13 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 
+import ffrace
 from ffrace.cli import main
 from ffrace.explicit import explicit_counter
 from ffrace.field import parse_field
@@ -17,6 +22,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_subprocess(*argv, timeout=10):
+    """The CLI in a child process; TimeoutExpired after `timeout` s."""
+    src = str(pathlib.Path(ffrace.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "ffrace.cli", *argv],
+                          capture_output=True, text=True, timeout=timeout,
+                          env=dict(os.environ, PYTHONPATH=src))
+    return done.returncode, done.stdout, done.stderr
 
 
 def test_count_md(capsys):
@@ -272,3 +286,26 @@ def test_table_rows_beyond_sieve_range(capsys):
         found = explicit_counter(m).count(n).counts
         assert row == ",".join(str(x) for x in [n] + [found[c] for c in cols])
     assert len(rows) == 2
+
+
+def test_degree_range_with_non_integer_part_is_usage_error(capsys):
+    for spec in ("a:5", "3:b", "1:5:c", "1:2:3:4"):
+        code, _, err = run(capsys, "bias", "--field", "F2",
+                           "--modulus", "T^2+T+1", "--class-a", "T",
+                           "--class-b", "1", "--degrees", spec)
+        assert code == 1 and "bad degree range %r" % spec in err, spec
+
+
+def test_oversized_field_fails_before_factoring_q():
+    # q is compared with MAX_Q before it is factored
+    code, _, err = run_subprocess("count", "--field", "F1000000007",
+                                  "--modulus", "T", "--degree", "2")
+    assert code == 1
+    assert "q = 1000000007 exceeds supported bound 256" in err
+
+
+def test_ties_gl2_residue_past_limit_fails_fast():
+    code, _, err = run_subprocess("ties-gl2", "--field", "F2",
+                                  "--modulus", "T^3+T+1",
+                                  "--residue", "100000")
+    assert code == 1 and "residue 100000" in err and "limit" in err

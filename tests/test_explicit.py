@@ -8,8 +8,8 @@ import pytest
 from ffrace.characters import all_characters, unit_group
 from ffrace.cyclo import CycloNum
 from ffrace.errors import UsageError
-from ffrace.explicit import (ExplicitCounter, bias_report, explicit_count,
-                             explicit_counter, mobius_helpers,
+from ffrace.explicit import (ExplicitCounter, bias_report, explicit_counter,
+                             mobius_helpers,
                              pi_g_decomposition, s_value, zmatrix,
                              zmatrix_inverse)
 from ffrace.field import field_make
@@ -140,23 +140,23 @@ def test_explicit_equals_sieve_cross_product():
         for mstr in moduli:
             m = P(field, mstr)
             for N in range(1, top + 1):
-                assert explicit_count(m, N).counts == \
+                assert explicit_counter(m).count(N).counts == \
                     sieve_count(m, N).counts, (mstr, N)
 
 
 def test_table_values_spot():
     m = P(F2, "T^3+T+1")
-    counts = explicit_count(m, 14).counts
+    counts = explicit_counter(m).count(14).counts
     cols = ["1", "T", "T^2", "T+1", "T^2+T", "T^2+T+1", "T^2+1"]
     assert [counts[P(F2, c)] for c in cols] == [168, 162, 162, 169, 162, 169,
                                                 169]
     m = P(F3, "T^2+1")
     G = unit_group(m)
-    counts = explicit_count(m, 20).counts
+    counts = explicit_counter(m).count(20).counts
     assert counts[G.unit_pow(G.generators[0], 4)] == 21793092
     m = P(F3, "T^2")
     G = unit_group(m)
-    counts = explicit_count(m, 20).counts
+    counts = explicit_counter(m).count(20).counts
     want = (29054568, 29056044, 29056044, 29057520, 29056044, 29056044)
     got = tuple(counts[G.unit_pow(G.generators[0], k)] for k in range(6))
     assert got == want
@@ -171,7 +171,8 @@ def test_roundtrip_eq13():
     chars = counter.chars
     E = counter.E
     for n in range(1, 9):
-        per_degree = {d: explicit_count(m, d).counts for d in divisors(n)}
+        per_degree = {d: explicit_counter(m).count(d).counts
+                      for d in divisors(n)}
         for ci, chi in enumerate(chars):
             acc = CycloNum.from_rational(0, E)
             for d in divisors(n):
@@ -188,7 +189,7 @@ def test_roundtrip_eq13():
 
 def test_breakdown_audit():
     m = P(F2, "T^2+T+1")
-    res = explicit_count(m, 6, breakdown=True)
+    res = explicit_counter(m).count(6, breakdown=True)
     assert res.breakdown            # has per-divisor, per-character terms
     keys = {d for (_cls, d) in res.breakdown}
     assert keys == {1, 2, 3, 6}
@@ -210,7 +211,7 @@ def test_pi_g_coprime_degree_collapses_to_pi1():
             parts = pi_g_decomposition(m, N, a)
             assert set(parts) == {1, 7}
             assert parts[7] == 0
-            assert parts[1] == explicit_count(m, N).counts[a]
+            assert parts[1] == explicit_counter(m).count(N).counts[a]
 
 
 def test_pi_g_vanishing_cases():
@@ -234,7 +235,7 @@ def test_pi_g_sums_to_total():
         m = P(field, mstr)
         G = unit_group(m)
         for N in range(1, top + 1):
-            counts = explicit_count(m, N).counts
+            counts = explicit_counter(m).count(N).counts
             for a in G.units:
                 parts = pi_g_decomposition(m, N, a)
                 assert sum(parts.values()) == counts[a], (mstr, N, a)
@@ -293,7 +294,7 @@ def test_counts_cached_counter_reused():
 def test_degenerate_degree_one():
     for field, mstr in ((F2, "T^3+T+1"), (F3, "T^2")):
         m = P(field, mstr)
-        assert explicit_count(m, 1).counts == sieve_count(m, 1).counts
+        assert explicit_counter(m).count(1).counts == sieve_count(m, 1).counts
 
 
 def test_trivial_unit_group_modulus():
@@ -301,7 +302,7 @@ def test_trivial_unit_group_modulus():
     m = P(F2, "T")
     from ffrace.numth import gauss_irreducible_count
     for N in range(1, 9):
-        c = explicit_count(m, N).counts
+        c = explicit_counter(m).count(N).counts
         want = gauss_irreducible_count(2, N) - (1 if N == 1 else 0)
         assert c[P(F2, "1")] == want
 

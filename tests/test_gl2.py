@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ffrace.characters import unit_group
+from ffrace.characters import MAX_GROUP_ORDER, unit_group
 from ffrace.errors import UsageError
 from ffrace.field import field_make
 from ffrace.gl2 import (Mat2, all_invertible, certify_ties,
@@ -271,3 +271,12 @@ def test_violation_reporting():
     viol = find_certificate_violation(bad, 12)
     assert viol is not None
     assert find_certificate_violation(cert, 12) is None
+
+
+def test_residue_at_group_order_limit_is_usage_error():
+    # the period divides the unit-group exponent, at most MAX_GROUP_ORDER, so
+    # a residue at the limit is refused before any slash action is built
+    m = P(F2, "T^3+T+1")
+    limit = "limit is %d" % (MAX_GROUP_ORDER - 1)
+    with pytest.raises(UsageError, match=limit):
+        certify_ties(m, Mat2(F2, 1, 1, 1, 0), 1, MAX_GROUP_ORDER)

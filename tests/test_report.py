@@ -4,7 +4,7 @@ import pathlib
 import pytest
 
 from published_values import TABLE_BY_KEY
-from ffrace.characters import unit_group
+from ffrace.characters import MAX_GROUP_ORDER, unit_group
 from ffrace.errors import UsageError
 from ffrace.field import field_make, parse_field
 from ffrace.gl2 import certify_ties, stabilizer_search
@@ -193,3 +193,11 @@ def test_render_table_roundtrip():
     assert text == "a,b\n1,2\n3,4\n"
     md = render_table(["a"], [[5]], "md")
     assert md == "| a |\n|---|\n| 5 |\n"
+
+
+def test_detect_patterns_period_past_group_order_limit_is_usage_error():
+    m = P(F2, "T^3+T+1")
+    with pytest.raises(UsageError, match="limit is %d" % MAX_GROUP_ORDER):
+        detect_tie_patterns(m, 3, 10, period=MAX_GROUP_ORDER + 1)
+    with pytest.raises(UsageError):
+        detect_tie_patterns(m, 3, 10, period=0)
