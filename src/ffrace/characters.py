@@ -1,22 +1,31 @@
 """The unit group (F_q[T]/m)^x and its Dirichlet characters.
 
-Generators are found by brute-force order computation and subgroup peeling:
-repeatedly take the canonically-smallest residue of maximal order in the
-current quotient, correct it by an element of the subgroup built so far until
-its order equals its quotient order, and extend.  This yields invariant
-factors d_1 | d_2 | ... | d_r with d_r = exponent(group).
+Generators are found by subgroup peeling: repeatedly take the
+canonically-smallest residue of maximal order in the current quotient, correct
+it by an element of the subgroup built so far until its order equals its
+quotient order, and extend.  This yields invariant factors d_1 | d_2 | ... |
+d_r with d_r = exponent(group).  No element is stepped through its powers:
+the exponent is read off the factorization of m, an element's order is found
+by peeling the primes of the exponent (a^(t/p) = 1?) and its quotient order,
+which divides that order, by peeling the primes again (a^(t/p) in the
+subgroup?), each test one modular power.
 """
 
 from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
 
+import numpy as np
+
 from .cyclo import CycloNum
 from .errors import UsageError
-from .polyring import Poly, factorize, format_poly, poly_gcd, powmod
+from .numth import prime_factors
+from .polyring import (Poly, enumerate_monic, factorize, format_poly, poly_gcd,
+                       powmod)
 
-# Largest supported unit-group order Phi(m): the generator search is
-# quadratic in the order (order 1023 takes about 20 s).
+# Largest supported unit-group order Phi(m).  The group itself builds in
+# near-linear time (order 1023 in well under a second); the explicit formula's
+# set-up and its cyclotomic products are what bound it.
 MAX_GROUP_ORDER = 1024
 
 
@@ -26,6 +35,20 @@ def group_order(m):
     out = 1
     for p, e in factorize(m).factors:
         out *= q ** (p.degree * (e - 1)) * (q ** p.degree - 1)
+    return out
+
+
+def group_exponent(m):
+    """lcm over P^e || m of (q^deg P - 1) p^ceil(log_p e).  The units mod P^e
+    are (F_q[T]/P)^x times the p-group 1 + P, and (1 + y)^(p^k) = 1 + y^(p^k)
+    makes the exponent of the latter the least power of p that is >= e."""
+    field = m.field
+    out = 1
+    for P, e in factorize(m).factors:
+        wild = 1
+        while wild < e:
+            wild *= field.p
+        out = lcm(out, (field.q ** P.degree - 1) * wild)
     return out
 
 
@@ -52,36 +75,62 @@ class UnitGroup:
         assert self.order == order, "unit count differs from Phi(m)"
         self._index = {u: i for i, u in enumerate(units)}
         self._build_generators()
+        self._build_monic_classes()
 
     # --- construction -------------------------------------------------------
     def _mul(self, a, b):
         return (a * b) % self.modulus
 
-    def _elt_order(self, a):
+    def _peel(self, a, t, holds):
+        """Least s with holds(a^s), given holds(a^t), where the s with
+        holds(a^s) are the multiples of one number (a^s = 1, or a^s in a
+        subgroup), so that number divides t: divide t by each prime p while
+        holds(a^(t/p))."""
+        for p in prime_factors(t):
+            while t % p == 0 and holds(powmod(a, t // p, self.modulus)):
+                t //= p
+        return t
+
+    def _has_order(self, x, t):
+        """x^t = 1 and x^(t/p) != 1 for every prime p | t."""
         one = Poly.one(self.field)
-        n, x = 1, a
-        while x != one:
-            x = self._mul(x, a)
-            n += 1
-        return n
+        return (powmod(x, t, self.modulus) == one
+                and all(powmod(x, t // p, self.modulus) != one
+                        for p in prime_factors(t)))
 
     def _build_generators(self):
         one = Poly.one(self.field)
+        exponent = group_exponent(self.modulus)
+        elt_orders = {}  # unit -> its order, found once across rounds
         gens, orders = [], []
         # subgroup generated so far: element -> exponent vector over gens
         sub = {one: ()}
+        # every quotient order divides the quotient's exponent: the group's
+        # in round one; after that it divides both the previous generator's
+        # order (the invariant factors divide each other) and the quotient's
+        # order
+        bound = exponent
         while len(sub) < self.order:
-            # canonically-smallest residue of maximal order in the quotient
-            best_t, best_a, best_pow = 0, None, None
+            # canonically-smallest residue of maximal order in the quotient;
+            # one whose quotient order cannot beat best_t is skipped, and one
+            # that reaches the bound has the maximal order
+            best_t, best_a = 0, None
             for a in self.units:
-                t, x = 1, a
-                while x not in sub:
-                    x = self._mul(x, a)
-                    t += 1
+                n = elt_orders.get(a)
+                if n is None:
+                    n = elt_orders[a] = self._peel(a, exponent, one.__eq__)
+                n = gcd(n, bound)
+                if n <= best_t:
+                    continue
+                # quotient order; in round one it is the order itself
+                t = self._peel(a, n, sub.__contains__) if gens else n
                 if t > best_t:
-                    best_t, best_a, best_pow = t, a, x
+                    best_t, best_a = t, a
+                    if t == bound:
+                        break
             t, a = best_t, best_a
-            inside = sub[best_pow]  # a^t = prod gens[i]^inside[i]
+            # a^t = prod gens[i]^inside[i]
+            inside = sub[powmod(a, t, self.modulus)]
             # correct a by a subgroup element so that its order becomes t:
             # need s_i with t*s_i = -e_i (mod d_i); solvable since
             # e_i = u_i * t (mod d_i) for some u_i.
@@ -93,12 +142,13 @@ class UnitGroup:
                 s = (-(e // gg) * pow(t // gg, -1, d // gg)) % (d // gg)
                 if s:
                     x = self._mul(x, powmod(g, s, self.modulus))
-            assert self._elt_order(x) == t, "adjusted generator has wrong order"
+            assert self._has_order(x, t), "adjusted generator has wrong order"
             gens.append(x)
             orders.append(t)
             sub = {self._mul(h, xp): vec + (j,)
                    for h, vec in sub.items()
                    for j, xp in enumerate(self._pows(x, t))}
+            bound = gcd(t, self.order // len(sub))
         # ascending invariant factors d_1 | ... | d_r = exponent
         gens.reverse()
         orders.reverse()
@@ -107,8 +157,29 @@ class UnitGroup:
         self.generators = tuple(gens)
         self.gen_orders = tuple(orders)
         self.exponent = orders[-1] if orders else 1
+        assert self.exponent == exponent, "top invariant factor != exponent"
         self.dlog = {u: vec[::-1] for u, vec in sub.items()}
         assert len(self.dlog) == self.order
+        # the same logs as an array, row i for units[i]; read-only, as
+        # unit_group hands one group to every caller
+        self.dlog_array = np.array(
+            [self.dlog[u] for u in self.units],
+            dtype=np.int64).reshape(self.order, len(gens))
+        self.dlog_array.setflags(write=False)
+
+    def _build_monic_classes(self):
+        """monic_classes[n] = the unit indices of f mod m over the monic f of
+        degree n prime to m, in encoding order, n = 0..deg m: the residues an
+        L-polynomial tallies."""
+        q, M = self.field.q, self.deg
+        index = np.full(q ** M, -1, dtype=np.int64)  # encoding -> unit index
+        index[[u.encode() for u in self.units]] = np.arange(self.order)
+        top = [(f % self.modulus).encode()
+               for f in enumerate_monic(self.field, M)]
+        found = [index[q ** n:2 * q ** n] for n in range(M)] + [index[top]]
+        self.monic_classes = tuple(ix[ix >= 0] for ix in found)
+        for ix in self.monic_classes:
+            ix.setflags(write=False)
 
     def _pows(self, a, t):
         out = [Poly.one(self.field)]
@@ -193,6 +264,17 @@ class Character:
         vec = G.dlog[a]
         return sum(k * e * (E // d)
                    for k, e, d in zip(self.exps, vec, G.gen_orders)) % E
+
+    def value_exponents(self):
+        """value_exponent(a) for every unit a, in canonical class order, as
+        one product with the group's dlog array: sum_i k_i (E/d_i) dlog_i(a)
+        mod E."""
+        G = self.group
+        E = G.exponent
+        weights = np.array([k * (E // d)
+                            for k, d in zip(self.exps, G.gen_orders)],
+                           dtype=np.int64)
+        return G.dlog_array @ weights % E
 
     def value(self, a):
         return CycloNum.zeta(self.group.exponent, self.value_exponent(a))

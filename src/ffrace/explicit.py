@@ -146,8 +146,7 @@ class ExplicitCounter:
                     self.chars[ci], [c.galois(l) for c in self.lpolys[r].coeffs])
         # nontrivial representatives: (index, phi(order), e_chi(a) per class)
         self._reps = [(ci, euler_phi(self.chars[ci].order),
-                       [self.chars[ci].value_exponent(a)
-                        for a in self.group.units])
+                       self.chars[ci].value_exponents().tolist())
                       for ci, (r, _l) in enumerate(self.orbit)
                       if r == ci and ci != 0]
         self._raw = {}

@@ -14,7 +14,7 @@ import numpy as np
 from .characters import unit_group
 from .cyclo import CycloNum
 from .errors import IntegrityError, UsageError
-from .polyring import enumerate_monic, format_poly
+from .polyring import format_poly
 
 MAX_RELATIONS_EXPONENT = 128  # the scale relations supports (E = 127: 3-4 s)
 
@@ -104,26 +104,19 @@ def l_polynomial(m, chi):
     if G.modulus != m:
         raise UsageError("character modulus mismatch")
     E = G.exponent
-    field = m.field
-    M = m.degree
-    coeffs = []
-    for n in range(M):
-        tally = [0] * E
-        for f in enumerate_monic(field, n):
-            if G.contains(f):
-                tally[chi.value_exponent(f)] += 1
-        coeffs.append(CycloNum.from_zeta_powers(E, tally))
+    # sums[n] = sum of chi(f) over monic f of degree n, n = 0..deg(m), as
+    # tallies of chi(f) = zeta_E^v over v
+    values = chi.value_exponents()
+    sums = [CycloNum.from_zeta_powers(
+                E, np.bincount(values[ix], minlength=E).tolist())
+            for ix in G.monic_classes]
+    coeffs = sums[:-1]
     if coeffs[0] != 1:
         raise IntegrityError("a_0 != 1 for %r" % (chi,))
     # completeness: the full degree-M character sum must vanish
-    tally = [0] * E
-    for f in enumerate_monic(field, M):
-        r = f % m
-        if G.contains(r):
-            tally[chi.value_exponent(r)] += 1
-    if not CycloNum.from_zeta_powers(E, tally).is_zero:
+    if not sums[-1].is_zero:
         raise IntegrityError("degree-%d character sum does not vanish for %r"
-                             % (M, chi))
+                             % (m.degree, chi))
     return LPolynomial(chi, coeffs)
 
 

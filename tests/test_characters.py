@@ -1,11 +1,15 @@
+import hashlib
+from math import lcm
+
 import pytest
 
-from ffrace.characters import (all_characters, parse_character,
-                               unit_group)
+from ffrace.characters import (UnitGroup, all_characters, group_exponent,
+                               parse_character, unit_group)
 from ffrace.cyclo import CycloNum
 from ffrace.errors import UsageError
-from ffrace.field import field_make
-from ffrace.polyring import parse_poly
+from ffrace.field import field_make, parse_field
+from ffrace.numth import divisors
+from ffrace.polyring import Poly, enumerate_monic, format_poly, parse_poly
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -159,3 +163,73 @@ def test_parse_character():
         parse_character(g, "1,0")
     with pytest.raises(UsageError):
         parse_character(g, "x")
+
+
+# SHA-256 of the canonical text of every unit group in the census below, one
+# digest per field, taken from the generator search that stepped each element
+# through its powers (quadratic in the group order).  Every monic modulus of
+# degree 1..top over F_q is covered: 759 groups, orders up to 127.
+CENSUS_DIGESTS = {
+    (2, 7): "c7c121a084172804618fef9ce4d7153ef7a282eb908134a8af8baf89b73d7028",
+    (3, 4): "94dafa0f842214807f53e72349d8ed2aae7497c1399cd9e490e1bf4b54f49091",
+    (4, 3): "7f3bd4396ae2b08231a0bbaccdf66cc7c86e789217862d218f1d2476f5629d81",
+    (5, 3): "cc433c6991d9d7edb8702290295b54ed07f16eca1cf902b9fe621d0ed9629d6a",
+    (7, 2): "6422ac18cb9411c3b6cd2213ee06797c5c066e2d05b08edd8342a98cfd08b20e",
+    (9, 2): "d0e8d898d2994a8909cdd13bda40d4193483ffd6eb356efd023e552aad8fb1b7",
+}
+
+
+def canonical_text(grp):
+    """Modulus, generators, invariant factors, then one line per unit in
+    encoding order: its encoding and its dlog vector."""
+    lines = [format_poly(grp.modulus),
+             ";".join(format_poly(g) for g in grp.generators),
+             ",".join(map(str, grp.gen_orders))]
+    lines += ["%d:%s" % (u.encode(), ",".join(map(str, grp.dlog[u])))
+              for u in sorted(grp.dlog, key=lambda u: u.encode())]
+    return "\n".join(lines) + "\n"
+
+
+def exponent_by_powers(grp):
+    """lcm of element orders, each found by stepping through its powers; an
+    element already met as a power of an earlier one is skipped, as its order
+    divides that one's."""
+    one = Poly.one(grp.field)
+    seen, out = set(), 1
+    for u in grp.units:
+        if u in seen:
+            continue
+        x, n = u, 1
+        while x != one:
+            seen.add(x)
+            x = (x * u) % grp.modulus
+            n += 1
+        out = lcm(out, n)
+    return out
+
+
+def test_unit_group_census_is_pinned():
+    for (q, top), digest in CENSUS_DIGESTS.items():
+        field = parse_field("F%d" % q)
+        h = hashlib.sha256()
+        for deg in range(1, top + 1):
+            for m in enumerate_monic(field, deg):
+                grp = UnitGroup(m)
+                h.update(canonical_text(grp).encode())
+                if grp.order <= 64:
+                    assert group_exponent(m) == grp.exponent \
+                        == exponent_by_powers(grp), format_poly(m)
+        assert h.hexdigest() == digest, "F%d" % q
+
+
+def test_has_order_is_exact():
+    for grp in (G(F2, "T^4+T^2+1"), G(F2, "T^4"), G(F3, "T^2+1"),
+                G(F3, "T^2+2")):
+        one = parse_poly(grp.field, "1")
+        for u in grp.units:
+            n, x = 1, u
+            while x != one:
+                x = (x * u) % grp.modulus
+                n += 1
+            for t in divisors(grp.exponent):
+                assert grp._has_order(u, t) == (t == n), (u, t)

@@ -1,10 +1,11 @@
 import pytest
 
+from lpoly_oracle import character_sums
 from newton_oracle import power_sum_mismatch, verify_power_sums_vs_sieve
-from ffrace.characters import all_characters, unit_group
+from ffrace.characters import Character, UnitGroup, all_characters, unit_group
 from ffrace.cyclo import CycloNum
-from ffrace.errors import UsageError
-from ffrace.field import field_make
+from ffrace.errors import IntegrityError, UsageError
+from ffrace.field import field_make, parse_field
 from ffrace.lfunc import (LPolynomial, find_conjugate_relations, l_polynomial,
                           power_sums, weil_bound_violations)
 from ffrace.numth import divisors
@@ -151,6 +152,42 @@ def test_degree_M_coefficient_vanishes():
         m = parse_poly(field, mstr)
         for chi in all_characters(unit_group(m))[1:]:
             l_polynomial(m, chi)
+
+
+# prime fields, F4 and F9; cyclic and non-cyclic groups (T^4+T^2+1, T^4 and
+# T^8+T^4+1 over F2, T^2+2 over F3, T^2 over F4); repeated factors
+ORACLE_MODULI = (
+    (2, "T^2+T+1"), (2, "T^2"), (2, "T^3+T+1"), (2, "T^4+T^2+1"), (2, "T^4"),
+    (2, "T^5+T^2+1"), (2, "T^6+T^3+T"), (2, "T^8+T^4+1"),
+    (3, "T^2+1"), (3, "T^2"), (3, "T^2+2"), (3, "T^3+2T+2"), (3, "T^4+T+2"),
+    (4, "T^2+T+2"), (4, "T^2"), (4, "T^3+T+1"),
+    (5, "T^2+2"), (5, "T^3+T+1"), (7, "T^2+1"), (9, "T^2+T+3"), (9, "T^2+1"),
+)
+
+
+def test_l_polynomial_matches_per_polynomial_tally():
+    for q, mstr in ORACLE_MODULI:
+        m = parse_poly(parse_field("F%d" % q), mstr)
+        for chi in all_characters(unit_group(m))[1:]:
+            sums = character_sums(m, chi)
+            assert sums[-1].is_zero, (mstr, chi)
+            assert l_polynomial(m, chi).coeffs == \
+                LPolynomial(chi, sums[:-1]).coeffs, (q, mstr, chi)
+
+
+def test_corrupted_dlog_array_raises_integrity_error():
+    # a fresh group with a writable copy, so the cached one stays intact;
+    # row 0 is the class of 1, so corrupting it breaks a_0 = 1, and any other
+    # row the vanishing sum
+    m = P(F2, "T^3+T+1")
+    with pytest.raises(ValueError):
+        unit_group(m).dlog_array[0, 0] = 1
+    for row, message in ((0, "a_0 != 1"), (3, "does not vanish")):
+        G = UnitGroup(m)
+        G.dlog_array = G.dlog_array.copy()
+        G.dlog_array[row, 0] = (G.dlog_array[row, 0] + 1) % G.gen_orders[0]
+        with pytest.raises(IntegrityError, match=message):
+            l_polynomial(m, Character(G, (1,)))
 
 
 def test_weil_bound_all_reference_moduli():
