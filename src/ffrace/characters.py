@@ -20,8 +20,7 @@ import numpy as np
 from .cyclo import CycloNum
 from .errors import UsageError
 from .numth import prime_factors
-from .polyring import (Poly, enumerate_monic, factorize, format_poly, poly_gcd,
-                       powmod)
+from .polyring import Poly, enumerate_monic, factorize, format_poly, powmod
 
 # Largest supported unit-group order Phi(m).  The group itself builds in
 # near-linear time (order 1023 in well under a second); the explicit formula's
@@ -68,7 +67,9 @@ class UnitGroup:
         self.deg = modulus.degree
         units = [Poly.from_index(self.field, i)
                  for i in range(self.field.q ** self.deg)]
-        units = [u for u in units if poly_gcd(u, modulus).degree == 0]
+        # a unit is a residue that no prime factor of m divides
+        primes = [P for P, _e in factorize(modulus).factors]
+        units = [u for u in units if all(u % P for P in primes)]
         units.sort(key=lambda u: u.sort_key())
         self.units = tuple(units)
         self.order = len(units)

@@ -8,6 +8,7 @@ choices and tie-breaking.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import UsageError
 from .numth import prime_factors
@@ -252,12 +253,14 @@ class Factorization:
         return out
 
 
+@lru_cache(maxsize=256)
 def factorize(f):
     """Factor f (degree >= 1) into monic irreducibles with multiplicities.
 
     Degrees are extracted ascending; within a degree, candidates dividing the
     squarefree degree-d part gcd(T^(q^d) - T, rem) are scanned in encoding
     order, so the output order is deterministic.
+    Memoized; a Factorization is frozen and its Polys are immutable.
     """
     if f.degree < 1:
         raise UsageError("cannot factor a constant")

@@ -5,9 +5,10 @@ Polynomials are enumerated through their integer encodings (base-q digit
 vectors).  Composites of degree N are marked as products g*h over irreducible
 g of degree <= N/2; products are generated in index space, where adding a
 fixed polynomial is a digit-wise mod-q update (plain XOR when q = 2) that
-vectorizes.  Residues mod m of the survivors are then reduced vectorized and
-tallied per unit class.  Every call cross-checks its total against the
-closed-form count of irreducibles.
+vectorizes.  f mod m is F_p-linear in the base-p digits of f's encoding, so
+the survivors are reduced a chunk of digits at a time, by lookups in tables
+over the chunk's digit patterns, and tallied per unit class.  Every call
+cross-checks its total against the closed-form count of irreducibles.
 """
 
 import math
@@ -29,6 +30,9 @@ DEFAULT_CUTOFF = {2: 24, 3: 14, 5: 9}
 _MAX_ENUM = 1 << 26
 # Cap on the vectorized low-product span (memory/latency tradeoff).
 _SPAN_BITS = 18
+# Residue reduction: log2 of a chunk table's size; encodings per block.
+_CHUNK_BITS = 16
+_BLOCK = 1 << 16
 
 
 def default_cutoff(q):
@@ -134,44 +138,47 @@ def irreducible_indices(field, degree):
     return out
 
 
-# (field, modulus coeffs) -> {w: the lookup r -> r (+) w on encoded
-# residues}, filled lazily by _residues_mod
-_residue_add_tables = {}
+@lru_cache(maxsize=4)
+def _sum_table(p, width):
+    """table[a, b] = a (+) b, the digit-wise mod-p sum of two encodings of
+    `width` base-p digits, in the smallest integer type that holds them."""
+    size = p ** width
+    base = np.arange(size, dtype=np.int64)
+    table = np.empty((size, size), dtype=np.min_scalar_type(-size))
+    for a in range(size):
+        table[a] = _digit_add(base, a, p)
+    table.flags.writeable = False
+    return table
 
 
 def _residues_mod(m, idx, degree):
     """Encodings of f mod m for every encoded f in idx (deg f <= degree).
 
-    Works one base-p digit at a time: bit t = i*k + j of the encoding is the
-    x^j-coordinate of the T^i coefficient, contributing that multiple of
-    x^j * T^i mod m to the residue."""
+    Digit t = i*k + j of the base-p encoding is the x^j-coordinate of the T^i
+    coefficient.  A chunk's table holds the residues of all its digit
+    patterns; lookups are added through _sum_table, a block of idx at a time."""
     field = m.field
-    p, k = field.p, field.k
-    qM = field.q ** m.degree
-    res = np.zeros(len(idx), dtype=np.int64)
-    if p == 2:
-        for t in range((degree + 1) * k):
-            i, j = divmod(t, k)
-            w = (Poly.monomial(field, 1 << j, i) % m).encode()
-            if w:
-                res ^= w * ((idx >> t) & 1)
-        return res
-    tables = _residue_add_tables.setdefault((field, m.coeffs), {})
-    base = np.arange(qM, dtype=np.int64)
-    pi = 1
-    for t in range((degree + 1) * k):
-        i, j = divmod(t, k)
-        digit = (idx // pi) % p
-        pi *= p
-        for c in range(1, p):
-            w = (Poly.monomial(field, (p ** j) * c, i) % m).encode()
-            if not w:
-                continue
-            if w not in tables:
-                tables[w] = _digit_add(base, w, p)
-            sel = digit == c
-            if sel.any():
-                res[sel] = tables[w][res[sel]]
+    p = field.p
+    add = _sum_table(p, m.degree * field.k)
+    width = max(1, int(_CHUNK_BITS / math.log2(p)))
+    n_digits = (degree + 1) * field.k
+    tables = []
+    for lo in range(0, n_digits, width):
+        table = np.zeros(1, dtype=add.dtype)
+        for t in range(lo, min(lo + width, n_digits)):
+            mults = [(Poly.from_index(field, c * p ** t) % m).encode()
+                     for c in range(p)]
+            table = add[np.array(mults)[:, None], table].ravel()
+        tables.append(table)
+    chunk = p ** width
+    res = np.empty(len(idx), dtype=add.dtype)
+    for start in range(0, len(idx), _BLOCK):
+        digits = idx[start:start + _BLOCK]
+        acc = tables[0][digits % chunk]
+        for table in tables[1:]:
+            digits = digits // chunk
+            acc = add[acc, table[digits % chunk]]
+        res[start:start + _BLOCK] = acc
     return res
 
 
@@ -188,24 +195,16 @@ class CountTable:
         return sum(self.counts.values())
 
 
-def _class_counts(m, degree):
-    field = m.field
-    idx = irreducible_indices(field, degree)
-    res = _residues_mod(m, idx, degree)
-    tally = np.bincount(res, minlength=field.q ** m.degree)
-    return tally, len(idx)
-
-
 def sieve_count(m, degree):
     """Exact CountTable by enumerating all monic degree-N polynomials."""
     if degree < 1:
         raise UsageError("degree must be >= 1")
-    if m.degree < 1:
-        raise UsageError("modulus must have degree >= 1")
-    G = unit_group(m)
-    tally, n_irred = _class_counts(m, degree)
+    G = unit_group(m)  # refuses a constant modulus
+    idx = irreducible_indices(m.field, degree)
+    tally = np.bincount(_residues_mod(m, idx, degree),
+                        minlength=m.field.q ** m.degree)
     counts = {u: int(tally[u.encode()]) for u in G.units}
-    excluded = n_irred - sum(counts.values())
+    excluded = len(idx) - sum(counts.values())
     expected = sum(1 for p, _ in factorize(m).factors if p.degree == degree)
     if excluded != expected:
         raise IntegrityError(

@@ -92,6 +92,21 @@ def test_count_explicit_breakdown(capsys):
     assert any(term["divisor"] == 6 for term in obj["breakdown"])
 
 
+def test_count_explicit_breakdown_past_order_limit_fails_fast(capsys):
+    # order 255 > MAX_BREAKDOWN_ORDER: refused before any raw sum is built
+    start = time.perf_counter()
+    code, _, err = run(capsys, "count-explicit", "--field", "F2",
+                       "--modulus", "T^8+T^4+T^3+T+1", "--degree", "6",
+                       "--breakdown")
+    assert time.perf_counter() - start < 10.0
+    assert code == 1 and "order 255" in err and "limit is 80" in err
+    # order 80, at the limit, still runs
+    code, out, _ = run(capsys, "count-explicit", "--field", "F3",
+                       "--modulus", "T^4+T+2", "--degree", "2",
+                       "--breakdown", "--format", "json")
+    assert code == 0 and json.loads(out)["breakdown"]
+
+
 def test_lpoly_json(capsys):
     code, out, _ = run(capsys, "lpoly", "--field", "F3", "--modulus", "T^2+1",
                        "--char", "1", "--horizon", "4", "--format", "json")

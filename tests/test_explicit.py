@@ -286,6 +286,15 @@ def test_bias_usage_error():
         bias_report(m, P(F3, "T"), P(F3, "1"), [4])   # T not a unit mod T^2
 
 
+def test_bias_expected_sign_mapping_is_usage_error():
+    # a mapping N -> sign would be compared whole with every sign and flag
+    # every degree; it is refused, as is any value outside -1, 0, 1, None
+    m = P(F2, "T^2+T+1")
+    with pytest.raises(UsageError, match="expected_sign"):
+        bias_report(m, P(F2, "T"), P(F2, "1"), [9, 12],
+                    expected_sign={9: 1, 12: 1})
+
+
 def test_counts_cached_counter_reused():
     m = P(F2, "T^3+T+1")
     assert explicit_counter(m) is explicit_counter(P(F2, "T^3+T+1"))

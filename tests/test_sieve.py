@@ -88,13 +88,23 @@ def test_gauss_row_sums_full_spec_bounds():
 def test_vectorized_residues_vs_divmod():
     import numpy as np
     rng = random.Random(17)
-    for field, mstr, N in ((F2, "T^3+T+1", 14), (F3, "T^3+2T+2", 8)):
+    F9 = parse_field("F9")
+    # the first two fit in one chunk table and one block of encodings; the
+    # rest span several of each (70,000 encodings, more than one block),
+    # over F_p and F_p^k, with repeated factors and with m = T
+    cases = ((F2, "T^3+T+1", 14, 10_000), (F3, "T^3+2T+2", 8, 10_000),
+             (F2, "T^8+T^4+T^3+T+1", 24, 70_000),
+             (F3, "T^5+2T+1", 14, 70_000), (F5, "T^3+T+1", 9, 70_000),
+             (F4, "T^4+T+2", 12, 70_000), (F9, "T^2+1", 6, 70_000),
+             (F2, "T^8+T^4+1", 24, 70_000), (F2, "T", 24, 70_000))
+    for field, mstr, N, size in cases:
         m = P(field, mstr)
-        idx = [rng.randrange(0, field.q ** (N + 1)) for _ in range(10_000)]
+        idx = [rng.randrange(0, field.q ** (N + 1)) for _ in range(size)]
         res = _residues_mod(m, np.array(idx, dtype=np.int64), N)
-        for i in rng.sample(range(len(idx)), 500):
+        assert len(res) == size
+        for i in rng.sample(range(size), 500):
             f = Poly.from_index(field, idx[i])
-            assert int(res[i]) == (f % m).encode()
+            assert int(res[i]) == (f % m).encode(), (mstr, idx[i])
 
 
 def nonmonic_by_sieve(m, N):
@@ -182,5 +192,7 @@ def test_cumulative_counts_switch_to_explicit_beyond_limit():
 def test_usage_errors():
     with pytest.raises(UsageError):
         sieve_count(P(F2, "T^2"), 0)
+    with pytest.raises(UsageError, match="modulus must have degree >= 1"):
+        sieve_count(P(F2, "1"), 3)
     with pytest.raises(UsageError):
         irreducible_indices(F3, 25)   # beyond enumeration scale
