@@ -314,8 +314,9 @@ def build_parser():
     p = subs.add_parser("ties-gl2", help="GL2 stabilizers and tie certificates")
     _common(p)
     p.add_argument("--seed", type=int, default=0,
-                   help="seed for the sampled periodicity check (unit groups "
-                        "of order > 64)")
+                   help="seed drawing the 32 classes checked against the "
+                        "slash action on unit groups of order > 64 (smaller "
+                        "groups check every class)")
     p.add_argument("--residue", type=int, default=None,
                    help="degree residue e (default: all residues mod each "
                         "period)")

@@ -11,6 +11,7 @@ import ffrace
 from ffrace.cli import main
 from ffrace.explicit import explicit_counter
 from ffrace.field import parse_field
+from ffrace.gl2 import MAX_STABILIZER_Q
 from ffrace.polyring import parse_poly
 from ffrace.report import generator_power_columns
 
@@ -324,3 +325,16 @@ def test_ties_gl2_residue_past_limit_fails_fast():
                                   "--modulus", "T^3+T+1",
                                   "--residue", "100000")
     assert code == 1 and "residue 100000" in err and "limit" in err
+
+
+def test_ties_gl2_past_field_limit_fails_fast(capsys):
+    # stabilizer_search scans all ~q^4 matrices of GL2(F_q): F256 is refused
+    # before any matrix is built, F16 (the limit) still runs
+    code, out, err = run_subprocess("ties-gl2", "--field", "F256",
+                                    "--modulus", "T+1")
+    assert code == 1 and out == ""
+    assert "q = 256" in err and "limit is q = %d" % MAX_STABILIZER_Q in err
+    code, out, _ = run(capsys, "ties-gl2", "--field",
+                       "F%d" % MAX_STABILIZER_Q, "--modulus", "T+1",
+                       "--residue", "0", "--format", "csv")
+    assert code == 0 and len(out.splitlines()) > 1

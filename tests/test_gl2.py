@@ -2,12 +2,14 @@ import random
 
 import pytest
 
+from ffrace import gl2
 from ffrace.characters import MAX_GROUP_ORDER, unit_group
-from ffrace.errors import UsageError
-from ffrace.field import field_make
+from ffrace.errors import IntegrityError, UsageError
+from ffrace.field import field_make, parse_field
 from ffrace.gl2 import (Mat2, all_invertible, certify_ties,
                         find_certificate_violation, slash_action,
-                        stabilizer_search, verify_certificate_empirically)
+                        stabilizer_period, stabilizer_search,
+                        verify_certificate_empirically)
 from ffrace.polyring import Poly, enumerate_monic, format_poly, is_irreducible, \
     parse_poly
 from ffrace.sieve import irreducible_indices
@@ -280,3 +282,55 @@ def test_residue_at_group_order_limit_is_usage_error():
     limit = "limit is %d" % (MAX_GROUP_ORDER - 1)
     with pytest.raises(UsageError, match=limit):
         certify_ties(m, Mat2(F2, 1, 1, 1, 0), 1, MAX_GROUP_ORDER)
+
+
+def test_residue_reduced_by_period_keeps_printed_residue():
+    # 1023 = 1 mod 7: the same class map, still reported at residue 1023
+    m = P(F2, "T^3+T+1")
+    B = Mat2(F2, 1, 1, 1, 0)
+    cert = certify_ties(m, B, 1, 1023)
+    assert cert.residue == 1023 and cert.residue_requested == 1023
+    assert cert.orbit_map == certify_ties(m, B, 1, 1).orbit_map
+
+
+@pytest.mark.parametrize("q, mstr", [(2, "T^6+T^2+1"), (3, "T^4+T+2"),
+                                     (4, "T^3+T+1"), (9, "T^2+1"),
+                                     (2, "T^5"), (3, "T^3")])
+def test_linear_class_map_matches_slash_action_on_every_class(q, mstr):
+    m = P(parse_field("F%d" % q), mstr)
+    M = m.degree
+    units = unit_group(m).units
+    for B, lam in stabilizer_search(m):
+        period = stabilizer_period(m, B)
+        for e in sorted({0, M - 1, period - 1, period + 3}):
+            cert = certify_ties(m, B, lam, e)
+            assert len(cert.orbit_map) == len(units)
+            for c in units:
+                assert cert.orbit_map[c] == \
+                    slash_action(c, cert.residue, B) % m, (B, e, c)
+
+
+def test_rng_draw_and_exact_period_check(monkeypatch):
+    # The benchmark draws each certificate's residue from the rng it passes
+    # to certify_ties, so its inputs depend on exactly this consumption: one
+    # rng.sample(units, 32) above order 64, no draw at or below it.
+    m = P(F3, "T^4+T+2")
+    G = unit_group(m)
+    assert G.order > 64
+    stabs = [(B, lam) for B, lam in stabilizer_search(m)
+             if stabilizer_period(m, B) > 1]
+    B, lam = stabs[0]
+    rng, ref = random.Random(11), random.Random(11)
+    certify_ties(m, B, lam, 5, rng=rng)
+    ref.sample(list(G.units), 32)
+    assert rng.getstate() == ref.getstate()
+    small = P(F2, "T^3+T+1")
+    rng = random.Random(11)
+    certify_ties(small, Mat2(F2, 1, 1, 1, 0), 1, 5, rng=rng)
+    assert rng.getstate() == random.Random(11).getstate()
+    # a period claim that is a proper divisor of the true period is caught
+    true_period = stabilizer_period(m, B)
+    divisor = max(d for d in range(1, true_period) if true_period % d == 0)
+    monkeypatch.setattr(gl2, "stabilizer_period", lambda m, B: divisor)
+    with pytest.raises(IntegrityError, match="period claim failed"):
+        certify_ties(m, B, lam, 5, rng=random.Random(11))
