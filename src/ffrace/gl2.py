@@ -87,22 +87,24 @@ def all_invertible(field):
 
 
 def slash_action(f, n, B):
-    """f|_n B = sum_i f_i (aT+b)^i (cT+d)^(n-i); requires n >= deg f."""
+    """f|_n B = sum_i f_i (aT+b)^i (cT+d)^(n-i); requires n >= deg f.  Only
+    the top deg f + 1 powers of cT+d are used: the lowest, (cT+d)^(n - deg
+    f), comes by squaring."""
     if n < f.degree:
         raise UsageError("weight n=%d below deg f=%d" % (n, f.degree))
     F = f.field
     top = Poly(F, (B.b, B.a))     # aT + b
     bot = Poly(F, (B.d, B.c))     # cT + d
+    D = max(f.degree, 0)
     top_pows = [Poly.one(F)]
-    for _ in range(max(f.degree, 0)):
+    bot_pows = [bot ** (n - D)]   # bot_pows[j] = (cT+d)^(n-D+j)
+    for _ in range(D):
         top_pows.append(top_pows[-1] * top)
-    bot_pows = [Poly.one(F)]
-    for _ in range(n):
         bot_pows.append(bot_pows[-1] * bot)
     out = Poly.zero(F)
     for i, coeff in enumerate(f.coeffs):
         if coeff:
-            out = out + (top_pows[i] * bot_pows[n - i]).scale(coeff)
+            out = out + (top_pows[i] * bot_pows[D - i]).scale(coeff)
     return out
 
 

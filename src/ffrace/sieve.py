@@ -2,13 +2,18 @@
 irreducibles of one degree, by exhaustive enumeration.
 
 Polynomials are enumerated through their integer encodings (base-q digit
-vectors).  Composites of degree N are marked as products g*h over irreducible
-g of degree <= N/2; products are generated in index space, where adding a
-fixed polynomial is a digit-wise mod-q update (plain XOR when q = 2) that
-vectorizes.  f mod m is F_p-linear in the base-p digits of f's encoding, so
-the survivors are reduced a chunk of digits at a time, by lookups in tables
-over the chunk's digit patterns, and tallied per unit class.  Every call
-cross-checks its total against the closed-form count of irreducibles.
+vectors, each F_q digit a vector of base-p digits).  Composites of degree N
+are marked in division form: for an irreducible g of degree d <= N/2 and a
+monic H of degree N - d, the one multiple of g with H above T^d is f = H T^d
++ r, r = -(H T^d mod g), and its index is enc(H - T^(N-d)) q^d + enc(r),
+plain integer arithmetic.  r is F_p-linear in the base-p digits of H, so it
+is a table over a low block of digits, shifted once per value of the high
+digits.  Sums of encodings are digit-wise mod p: XOR when p = 2, otherwise
+fold[spread[a] + spread[b]] through two small tables.  f mod m is F_p-linear
+in the digits of f in the same way, so the survivors are reduced a chunk of
+digits at a time, by lookups in tables over the chunk's digit patterns, and
+tallied per unit class.  Every call cross-checks its total against the
+closed-form count of irreducibles.
 """
 
 import math
@@ -28,9 +33,8 @@ from .polyring import Poly, factorize, is_irreducible, enumerate_monic
 DEFAULT_CUTOFF = {2: 24, 3: 14, 5: 9}
 # Hard cap on enumeration size (bitmap of q^N bools).
 _MAX_ENUM = 1 << 26
-# Cap on the vectorized low-product span (memory/latency tradeoff).
-_SPAN_BITS = 18
-# Residue reduction: log2 of a chunk table's size; encodings per block.
+# log2 of the largest table over a block of base-p digits (a residue chunk,
+# the H values marked at once); encodings per block of residue reduction.
 _CHUNK_BITS = 16
 _BLOCK = 1 << 16
 
@@ -39,79 +43,105 @@ def default_cutoff(q):
     return DEFAULT_CUTOFF.get(q, max(1, int(24 / math.log2(q))))
 
 
-def _jmax(q):
-    return max(1, int(_SPAN_BITS / math.log2(q)))
-
-
-def _digit_add(arr, w, p, out=None):
-    """Add the constant encoding w to every encoded polynomial in arr, as
-    polynomials.  Encodings are base-q digit vectors of F_q coefficients and
-    each coefficient is a base-p digit vector of F_p coordinates, so addition
-    is carryless digit-wise mod p over the whole base-p expansion (plain XOR
-    in characteristic 2)."""
-    if out is None:
-        out = arr.copy()
-    elif out is not arr:
-        np.copyto(out, arr)
-    if p == 2:
-        np.bitwise_xor(out, w, out=out)
-        return out
-    pi = 1
-    while w:
-        b = w % p
-        w //= p
-        if b:
-            digit = (out // pi) % p
-            out += b * pi
-            out -= (p * pi) * (digit >= (p - b))
-        pi *= p
-    return out
-
-
-def _span_low_products(g, e_width):
-    """Encodings of g*u for every u of degree < e_width."""
-    field = g.field
+@lru_cache(maxsize=8)
+def _field_tables(field):
+    """F_q addition and multiplication as (q, q) arrays."""
     q = field.q
-    if q == 2:
-        g_int = g.encode()
-        cur = np.zeros(1, dtype=np.int64)
-        for j in range(e_width):
-            cur = np.concatenate([cur, cur ^ (g_int << j)])
-        return cur
-    scaled = [g.scale(c).encode() for c in range(q)]
-    cur = np.zeros(1, dtype=np.int64)
-    for j in range(e_width):
-        shift = q ** j
-        parts = [cur]
-        for c in range(1, q):
-            parts.append(_digit_add(cur, scaled[c] * shift, field.p))
-        cur = np.concatenate(parts)
-    return cur
+    add = np.array([[field.add(a, b) for b in range(q)] for a in range(q)])
+    mul = np.array([[field.mul(a, b) for b in range(q)] for a in range(q)])
+    return add, mul
 
 
-def _mark_multiples(bitmap, g, degree):
-    """Mark g*h for every monic h with deg(g*h) == degree."""
-    field = g.field
-    q = field.q
-    d = g.degree
+@lru_cache(maxsize=8)
+def _spread_fold(p, width):
+    """Digit-wise mod-p sums of encodings of `width` base-p digits, odd p:
+    spread[a] rewrites the digits of a in base 2p - 1, so spread[a] +
+    spread[b] carries nothing, and fold[s] reduces every base-(2p - 1)
+    digit of s mod p.  Hence fold[spread[a] + spread[b]] = a (+) b."""
+    spread = np.zeros(1, dtype=np.int32)
+    fold = np.zeros(1, dtype=np.int32)
+    for t in range(width):
+        spread = (np.arange(p, dtype=np.int32)[:, None] * (2 * p - 1) ** t
+                  + spread).ravel()
+        fold = ((np.arange(2 * p - 1, dtype=np.int32) % p)[:, None] * p ** t
+                + fold).ravel()
+    spread.flags.writeable = False
+    fold.flags.writeable = False
+    return spread, fold
+
+
+def _basis_residues(field, gs, d, e):
+    """For the monic irreducibles gs (encodings) of one degree d: steps[i, t,
+    c] encodes -c x^l T^(j+d) mod gs[i] for digit t = j*k + l of an
+    encoding of degree < e, and const[i] encodes -T^(d+e) mod gs[i].  The
+    powers of T come from r -> T r mod g, for all of gs at once."""
+    q, p, k = field.q, field.p, field.k
+    add, mul = _field_tables(field)
+    place = q ** np.arange(d)
+    w0 = mul[p - 1][(gs[:, None] // place) % q]     # T^d = -(g - T^d) mod g
+    # -c x^l as elements of F_q, shape (k, p)
+    scalars = p ** np.arange(k)[:, None] * (-np.arange(p) % p)
+    steps = np.empty((len(gs), e * k, p), dtype=np.int64)
+    w = w0
+    for j in range(e):
+        steps[:, j * k:(j + 1) * k] = \
+            mul[scalars[None, :, :, None], w[:, None, None, :]] @ place
+        w = add[np.pad(w[:, :-1], ((0, 0), (1, 0))), mul[w[:, -1:], w0]]
+    return steps, mul[p - 1][w] @ place
+
+
+def _span(start, steps, sums):
+    """table[h] = start (+) the sum of steps[t][digit t of h] over every
+    vector h of len(steps) base-p digits (index h, digit 0 lowest); sums is
+    None for p = 2 (XOR), else the (spread, fold) pair of the encodings."""
+    table = np.array([start], dtype=np.int64)
+    for mults in steps:
+        if sums is None:
+            table = np.bitwise_xor.outer(mults, table).ravel()
+        else:
+            spread, fold = sums
+            table = fold[np.add.outer(spread[mults], spread[table])].ravel()
+    return table
+
+
+def _strike(bitmap, field, gs, d, degree):
+    """Mark every multiple of degree `degree` of the monic irreducibles gs of
+    degree d.
+
+    f = H T^d + r is a multiple of g exactly when r = -(H T^d mod g), for
+    every monic H of degree e = degree - d; f's bitmap index is then
+    enc(H - T^e) q^d + enc(r).  r is F_p-linear in the base-p digits of H:
+    its values over a low block of digits are one table, shifted once per
+    value of the high digits (a scalar XOR when p = 2, a spread/fold sum
+    otherwise)."""
+    q, p = field.q, field.p
     e = degree - d
-    offset = q ** degree
-    J = min(e, _jmax(q))
-    span = _span_low_products(g, J)
-    if q == 2:
-        g_int = g.encode()
-        w = g_int << e
-        bitmap[(span ^ w) - offset] = True
-        for t in range(1, 1 << (e - J)):
-            w ^= g_int << (J + (t & -t).bit_length() - 1)
-            bitmap[(span ^ w) - offset] = True
-    else:
-        t_e = Poly.monomial(field, 1, e)
-        buf = np.empty_like(span)
-        for t in range(q ** (e - J)):
-            u_hi = Poly.from_index(field, t).shift(J)
-            w = (g * (t_e + u_hi)).encode()
-            bitmap[_digit_add(span, w, field.p, out=buf) - offset] = True
+    steps, const = _basis_residues(field, gs, d, e)
+    low = min(e * field.k, int(_CHUNK_BITS / math.log2(p)))
+    size = p ** low
+    stride = size * q ** d
+    offsets = np.arange(size, dtype=np.int64) * q ** d
+    buf = np.empty(size, dtype=np.int64)
+    sums = None if p == 2 else _spread_fold(p, d * field.k)
+    if sums is not None:
+        spread, fold = sums
+        spread_buf = np.empty(size, dtype=np.int32)
+        res_buf = np.empty(size, dtype=np.int32)
+    for i in range(len(gs)):
+        lo = _span(0, steps[i, :low], sums)
+        if sums is None:
+            lo |= offsets
+        else:
+            lo = spread[lo]
+        hi = _span(int(const[i]), steps[i, low:], sums).tolist()
+        for b, r in enumerate(hi):
+            if sums is None:
+                np.bitwise_xor(lo, r, out=buf)
+            else:
+                np.add(lo, spread[r], out=spread_buf)
+                np.take(fold, spread_buf, out=res_buf)
+                np.add(res_buf, offsets, out=buf)
+            bitmap[b * stride:(b + 1) * stride][buf] = True
 
 
 @lru_cache(maxsize=64)
@@ -127,9 +157,10 @@ def irreducible_indices(field, degree):
             "use the explicit formula" % (degree, q))
     bitmap = np.zeros(size, dtype=bool)
     for d in range(1, degree // 2 + 1):
-        for g_idx in irreducible_indices(field, d):
-            _mark_multiples(bitmap, Poly.from_index(field, int(g_idx)), degree)
-    out = np.flatnonzero(~bitmap).astype(np.int64) + size
+        _strike(bitmap, field, irreducible_indices(field, d), d, degree)
+    np.logical_not(bitmap, out=bitmap)
+    out = np.flatnonzero(bitmap).astype(np.int64, copy=False)
+    out += size
     out.flags.writeable = False
     if len(out) != gauss_irreducible_count(q, degree):
         raise IntegrityError(
@@ -138,46 +169,36 @@ def irreducible_indices(field, degree):
     return out
 
 
-@lru_cache(maxsize=4)
-def _sum_table(p, width):
-    """table[a, b] = a (+) b, the digit-wise mod-p sum of two encodings of
-    `width` base-p digits, in the smallest integer type that holds them."""
-    size = p ** width
-    base = np.arange(size, dtype=np.int64)
-    table = np.empty((size, size), dtype=np.min_scalar_type(-size))
-    for a in range(size):
-        table[a] = _digit_add(base, a, p)
-    table.flags.writeable = False
-    return table
-
-
 def _residues_mod(m, idx, degree):
     """Encodings of f mod m for every encoded f in idx (deg f <= degree).
 
     Digit t = i*k + j of the base-p encoding is the x^j-coordinate of the T^i
     coefficient.  A chunk's table holds the residues of all its digit
-    patterns; lookups are added through _sum_table, a block of idx at a time."""
+    patterns; lookups are added digit-wise mod p (XOR when p = 2, spread/fold
+    otherwise), a block of idx at a time."""
     field = m.field
     p = field.p
-    add = _sum_table(p, m.degree * field.k)
+    sums = None if p == 2 else _spread_fold(p, m.degree * field.k)
     width = max(1, int(_CHUNK_BITS / math.log2(p)))
     n_digits = (degree + 1) * field.k
-    tables = []
-    for lo in range(0, n_digits, width):
-        table = np.zeros(1, dtype=add.dtype)
-        for t in range(lo, min(lo + width, n_digits)):
-            mults = [(Poly.from_index(field, c * p ** t) % m).encode()
-                     for c in range(p)]
-            table = add[np.array(mults)[:, None], table].ravel()
-        tables.append(table)
+    steps = np.array([[(Poly.from_index(field, c * p ** t) % m).encode()
+                       for c in range(p)] for t in range(n_digits)])
+    tables = [_span(0, steps[lo:lo + width], sums)
+              for lo in range(0, n_digits, width)]
+    if sums is not None:
+        spread, fold = sums
+        tables[1:] = [spread[table] for table in tables[1:]]
     chunk = p ** width
-    res = np.empty(len(idx), dtype=add.dtype)
+    res = np.empty(len(idx), dtype=np.int64)
     for start in range(0, len(idx), _BLOCK):
         digits = idx[start:start + _BLOCK]
         acc = tables[0][digits % chunk]
         for table in tables[1:]:
             digits = digits // chunk
-            acc = add[acc, table[digits % chunk]]
+            if sums is None:
+                acc ^= table[digits % chunk]
+            else:
+                acc = fold[spread[acc] + table[digits % chunk]]
         res[start:start + _BLOCK] = acc
     return res
 
@@ -195,16 +216,25 @@ class CountTable:
         return sum(self.counts.values())
 
 
+@lru_cache(maxsize=128)
+def _class_tally(m, degree):
+    """Read-only count of the monic irreducibles of the given degree per
+    residue mod m (indexed by the residue's encoding)."""
+    idx = irreducible_indices(m.field, degree)
+    tally = np.bincount(_residues_mod(m, idx, degree),
+                        minlength=m.field.q ** m.degree)
+    tally.flags.writeable = False
+    return tally
+
+
 def sieve_count(m, degree):
     """Exact CountTable by enumerating all monic degree-N polynomials."""
     if degree < 1:
         raise UsageError("degree must be >= 1")
     G = unit_group(m)  # refuses a constant modulus
-    idx = irreducible_indices(m.field, degree)
-    tally = np.bincount(_residues_mod(m, idx, degree),
-                        minlength=m.field.q ** m.degree)
+    tally = _class_tally(m, degree)
     counts = {u: int(tally[u.encode()]) for u in G.units}
-    excluded = len(idx) - sum(counts.values())
+    excluded = int(tally.sum()) - sum(counts.values())
     expected = sum(1 for p, _ in factorize(m).factors if p.degree == degree)
     if excluded != expected:
         raise IntegrityError(

@@ -14,6 +14,8 @@ from ffrace.polyring import Poly, enumerate_monic, format_poly, is_irreducible, 
     parse_poly
 from ffrace.sieve import irreducible_indices
 
+from slash_oracle import slash_action_by_power_list
+
 F2 = field_make(2)
 F3 = field_make(3)
 F5 = field_make(5)
@@ -70,6 +72,20 @@ def test_action_law():
     ident = Mat2(F2, 1, 0, 0, 1)
     f = P(F2, "T^4+T")
     assert slash_action(f, 5, ident) == f
+
+
+def test_slash_action_matches_power_list_oracle():
+    # the action starts from (cT+d)^(n - deg f) by squaring; the oracle
+    # builds every power (cT+d)^0..(cT+d)^n
+    rng = random.Random(41)
+    for field in (F2, F3, parse_field("F4"), parse_field("F9")):
+        mats = all_invertible(field)
+        for _ in range(150):
+            B = rng.choice(mats)
+            f = Poly.from_index(field, rng.randrange(0, field.q ** 6))
+            n = max(f.degree, 0) + rng.randrange(0, 40)
+            assert slash_action(f, n, B) == \
+                slash_action_by_power_list(f, n, B), (field, f, n, B)
 
 
 def test_stabilizers_T2T1_all_of_gl2():

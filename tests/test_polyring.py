@@ -129,16 +129,25 @@ def test_gauss_counts_per_poly_loop():
 
 
 def test_is_irreducible_matches_sieve_membership_at_full_bounds():
-    from ffrace.sieve import irreducible_indices
+    import numpy as np
+    from ffrace.sieve import default_cutoff, irreducible_indices
     rng = random.Random(3)
-    for field, top in ((F2, 16), (F3, 10), (F5, 7)):
-        for N in (top - 1, top):
-            members = set(int(i) for i in irreducible_indices(field, N))
-            base = field.q ** N
-            for _ in range(300):
-                idx = base + rng.randrange(base)
-                f = Poly.from_index(field, idx)
-                assert is_irreducible(f) == (idx in members)
+    # F_2, F_3, F_5 at the top two test bounds; every other characteristic
+    # shape at the sieve's default cutoff: F_4, F_8 (p = 2, k > 1), F_7,
+    # F_13 (odd prime fields), F_9 (odd p, k = 2)
+    cases = [(F2, 15), (F2, 16), (F3, 9), (F3, 10), (F5, 6), (F5, 7)]
+    for name in ("F4", "F7", "F8", "F9", "F13"):
+        field = parse_field(name)
+        cases.append((field, default_cutoff(field.q)))
+    for field, N in cases:
+        members = irreducible_indices(field, N)
+        base = field.q ** N
+        for _ in range(300):
+            idx = base + rng.randrange(base)
+            f = Poly.from_index(field, idx)
+            pos = np.searchsorted(members, idx)
+            found = pos < len(members) and members[pos] == idx
+            assert is_irreducible(f) == found, (field, idx)
 
 
 def test_degree_multiplicativity_and_lc():

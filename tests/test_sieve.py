@@ -1,17 +1,21 @@
 import random
 
+import numpy as np
 import pytest
 
+from ffrace import sieve
 from ffrace.characters import all_characters, unit_group
 from ffrace.cyclo import CycloNum
-from ffrace.errors import UsageError
+from ffrace.errors import IntegrityError, UsageError
 from ffrace.explicit import counts, cumulative_counts
 from ffrace.field import field_make, parse_field
 from ffrace.numth import gauss_irreducible_count
 from ffrace.polyring import Poly, factorize, parse_poly
 from ffrace.sieve import (sieve_count, sieve_count_naive,
                           sieve_count_nonmonic_naive, weighted_count,
-                          _residues_mod, irreducible_indices)
+                          _residues_mod, _spread_fold, irreducible_indices)
+
+from sieve_oracle import digit_add, irreducible_indices_by_products
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -50,6 +54,23 @@ def test_engine_on_extension_field():
         assert sieve_count(m, N).counts == sieve_count_naive(m, N).counts
 
 
+def test_sieve_count_reuses_tally_not_tables(monkeypatch):
+    m = P(F3, "T^2+1")
+    first = sieve_count(m, 7)
+    first.counts[P(F3, "1")] += 100         # a caller edits its own table
+    hits = sieve._class_tally.cache_info().hits
+    again = sieve_count(m, 7)
+    assert sieve._class_tally.cache_info().hits == hits + 1
+    assert again.counts is not first.counts
+    assert again.counts == sieve_count_naive(m, 7).counts
+    # class accounting is checked on every call, memoized tally or not
+    sieve_count(m, 2)
+    monkeypatch.setattr(sieve, "factorize",
+                        lambda _m: type("NoFactors", (), {"factors": []}))
+    with pytest.raises(IntegrityError, match="class accounting failed"):
+        sieve_count(m, 2)
+
+
 def test_table1_row9():
     m = P(F2, "T^3+T+1")
     t = sieve_count(m, 9)
@@ -83,6 +104,45 @@ def test_gauss_row_sums_full_spec_bounds():
         for N in range(1, top + 1):
             t = sieve_count(m, N)
             assert t.total + t.excluded == gauss_irreducible_count(field.q, N)
+
+
+def test_enumeration_matches_product_oracle_across_blocks():
+    # at the top degree the multiples of the degree-1 irreducibles have more
+    # H digits than one block holds (3^12 H values at F3 N = 13, 2^19 at F2
+    # N = 20, 4^9 at F4 N = 10, 5^7 at F5 N = 8, 7^6 at F7 N = 7)
+    for name, top in (("F3", 13), ("F2", 20), ("F4", 10), ("F5", 8),
+                      ("F7", 7)):
+        field = parse_field(name)
+        ref = {}
+        for N in range(1, top + 1):
+            ref[N] = irreducible_indices_by_products(field, N, ref.__getitem__)
+            assert np.array_equal(irreducible_indices(field, N), ref[N]), \
+                (name, N)
+
+
+def test_dropped_marks_fail_the_gauss_count(monkeypatch):
+    field = F3
+    for d in range(1, 4):
+        irreducible_indices(field, d)      # cached before the patch
+    strike = sieve._strike
+
+    def drop_first(bitmap, field, gs, d, degree):
+        strike(bitmap, field, gs[1:] if d == 1 else gs, d, degree)
+
+    monkeypatch.setattr(sieve, "_strike", drop_first)
+    with pytest.raises(IntegrityError, match="degree 6 over F3"):
+        irreducible_indices.__wrapped__(field, 6)
+
+
+def test_spread_fold_sums_digitwise():
+    rng = np.random.default_rng(11)
+    for p, width in ((3, 7), (5, 4), (7, 3), (13, 2), (3, 1)):
+        spread, fold = _spread_fold(p, width)
+        a = rng.integers(0, p ** width, 2000)
+        b = rng.integers(0, p ** width, 2000)
+        want = np.array([digit_add(np.array([x]), int(y), p)[0]
+                         for x, y in zip(a, b)])
+        assert np.array_equal(fold[spread[a] + spread[b]], want), (p, width)
 
 
 def test_vectorized_residues_vs_divmod():
