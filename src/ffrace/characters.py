@@ -17,7 +17,6 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .cyclo import CycloNum
 from .errors import UsageError
 from .numth import prime_factors
 from .polyring import Poly, enumerate_monic, factorize, format_poly, powmod
@@ -277,18 +276,9 @@ class Character:
                            dtype=np.int64)
         return G.dlog_array @ weights % E
 
-    def value(self, a):
-        return CycloNum.zeta(self.group.exponent, self.value_exponent(a))
-
     def __pow__(self, n):
         return Character(self.group, tuple((k * n) % d for k, d in
                                            zip(self.exps, self.group.gen_orders)))
-
-    def __mul__(self, other):
-        assert self.group is other.group or self.group == other.group
-        return Character(self.group,
-                         tuple((a + b) % d for a, b, d in
-                               zip(self.exps, other.exps, self.group.gen_orders)))
 
     def __eq__(self, other):
         return (isinstance(other, Character) and self.group == other.group

@@ -14,8 +14,8 @@ from .errors import IntegrityError, UsageError
 from .explicit import bias_report, counts, cumulative_counts, \
     explicit_counter
 from .field import parse_field
-from .gl2 import certify_ties, stabilizer_period, stabilizer_search, \
-    verify_certificate_empirically
+from .gl2 import MAX_CERTIFICATES, certify_ties, stabilizer_period, \
+    stabilizer_search, verify_certificate_empirically
 from .lfunc import find_conjugate_relations, l_polynomial, power_sums, \
     weil_bound_violations
 from .polyring import format_poly, parse_poly
@@ -166,12 +166,20 @@ def _cmd_ties_gl2(args):
     if args.verify_to < 0:
         raise UsageError("--verify-to must be >= 0, got %d" % args.verify_to)
     _field, m = _need_modulus(args)
+    stabs = stabilizer_search(m)
+    if args.residue is None:
+        jobs = [(B, lam, e) for B, lam in stabs
+                for e in range(stabilizer_period(m, B))]
+        if len(jobs) > MAX_CERTIFICATES:
+            raise UsageError(
+                "ties-gl2 mod %s: all residues of %d stabilizers need %d "
+                "certificates; the supported limit is %d (pass --residue to "
+                "build one per stabilizer)"
+                % (format_poly(m), len(stabs), len(jobs), MAX_CERTIFICATES))
+    else:
+        jobs = [(B, lam, args.residue) for B, lam in stabs]
     rng = random.Random(args.seed)
-    certs = []
-    for B, lam in stabilizer_search(m):
-        residues = range(stabilizer_period(m, B)) if args.residue is None \
-            else [args.residue]
-        certs.extend(certify_ties(m, B, lam, e, rng=rng) for e in residues)
+    certs = [certify_ties(m, B, lam, e, rng=rng) for B, lam, e in jobs]
     if args.verify_to:
         for cert in certs:
             if not verify_certificate_empirically(cert, args.verify_to):
@@ -363,6 +371,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exact counts are the product: print every digit, past the interpreter's
+    # default cap on int-to-str conversion (4300 digits) where it has one
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         text = args.fn(args)
         _emit(args, text)
@@ -372,6 +385,9 @@ def main(argv=None):
     except IntegrityError as exc:
         print("internal consistency violation: %s" % exc, file=sys.stderr)
         return 2
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
     return 0
 
 

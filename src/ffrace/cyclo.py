@@ -198,30 +198,6 @@ class CycloNum:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = CycloNum.from_rational(1, self.E)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def inverse(self):
-        """1/x = (product of the conjugates sigma_l x, l != 1) / N(x), where
-        the norm N(x), the product of all phi(E) conjugates, is a nonzero
-        rational."""
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero cyclotomic number")
-        others = CycloNum.from_rational(1, self.E)
-        for l in range(2, self.E):
-            if gcd(l, self.E) == 1:
-                others = others * self.galois(l)
-        return others * (1 / (self * others).rational_value)
-
     # --- Galois / invariants ------------------------------------------------
     def galois(self, l):
         """Image under sigma_l: zeta -> zeta^l, gcd(l, E) = 1."""
@@ -244,9 +220,6 @@ class CycloNum:
             out.append(CycloNum(self.E, nums, self.den, True))
         return out
 
-    def conjugate(self):
-        return self.galois(self.E - 1) if self.E > 2 else self
-
     def trace(self):
         """Tr_{Q(zeta_E)/Q}, the sum of all phi(E) Galois images; a rational.
         Computed as the dot product of the coordinates with the Ramanujan
@@ -268,12 +241,6 @@ class CycloNum:
         if not self.is_rational:
             raise ValueError("not rational: %r" % (self,))
         return Fraction(self.nums[0], self.den)
-
-    def as_integer(self):
-        v = self.rational_value
-        if v.denominator != 1:
-            raise ValueError("not an integer: %r" % (self,))
-        return v.numerator
 
     @property
     def coeffs(self):

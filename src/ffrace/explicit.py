@@ -19,12 +19,14 @@ characters' L-polynomials are its Galois images.  Every count must reduce to
 a nonnegative rational integer and the counts must sum to the number of
 degree-N primes prime to m; a failure is raised, never rounded away.
 
-The class x character matrix Mobius inversion stays as the --breakdown audit
-and as the oracle the tests compare with: for each divisor d of N
+The class x character matrix Mobius inversion stays only as the --breakdown
+audit: for each divisor d of N
     Ztilde(d)_{a,chi} = (mu(d)/M') * sum_{b^d = a} chi(b)^-1
 and
     pi(N; m, a) = (1/N) sum_{d|N} ( Ztilde(d)_{a,chi0} (q^{N/d} - s_{m,N/d})
                                     + sum_{chi != chi0} Ztilde(d)_{a,chi} c_{N/d}(chi) ).
+The oracle built on it, with the pi_g decomposition and the Mobius helper
+sums, lives in tests/explicit_oracle.py.
 """
 
 from dataclasses import dataclass
@@ -53,15 +55,6 @@ def s_value(factorization, n):
     return sum(p.degree for p, _ in factorization.factors if n % p.degree == 0)
 
 
-@dataclass
-class ZMatrixInverse:
-    """Entries of Ztilde(n), indexed [unit class][character] in canonical
-    class / lexicographic character order."""
-    n: int
-    group: object
-    entries: list  # entries[a_index][chi_index] -> CycloNum
-
-
 def _raw_power_sums(G, n):
     """S(n)[a_idx][chi_idx] = sum_{b^n = a} chi(b)^-1 (integer CycloNums);
     Ztilde(n) = (mu(n)/M') * S(n)."""
@@ -79,31 +72,6 @@ def _raw_power_sums(G, n):
     zero = [0] * E
     return [[CycloNum.from_zeta_powers(E, t if t is not None else zero)
              for t in row] for row in tallies]
-
-
-def zmatrix_inverse(G, n):
-    """Ztilde(n); the zero matrix when mu(n) = 0."""
-    if n < 1:
-        raise UsageError("n must be >= 1")
-    E = G.exponent
-    mu = mobius(n)
-    order = G.order
-    if mu == 0:
-        zero = CycloNum.from_rational(0, E)
-        return ZMatrixInverse(n=n, group=G,
-                              entries=[[zero] * order for _ in range(order)])
-    scale = Fraction(mu, order)
-    raw = _raw_power_sums(G, n)
-    return ZMatrixInverse(n=n, group=G,
-                          entries=[[s * scale for s in row] for row in raw])
-
-
-def zmatrix(G, n):
-    """Forward matrix Z(n), entries [chi_index][a_index] = chi^n(a)."""
-    chars = all_characters(G)
-    E = G.exponent
-    return [[CycloNum.zeta(E, (n * chi.value_exponent(a)) % E)
-             for a in G.units] for chi in chars]
 
 
 @dataclass
@@ -314,75 +282,6 @@ def cumulative_counts(m, max_degree, **kw):
             column = per_class.setdefault(c, [])
             column.append(v + (column[-1] if column else 0))
     return {c: tuple(v) for c, v in per_class.items()}, sources
-
-
-def pi_g_decomposition(m, degree, cls):
-    """For cyclic unit groups: the map g -> pi_g(N; m, a) over g | M', where
-    pi_g collects the divisors d | N with gcd(d, M') = g, via the closed form
-
-      pi_g(N;m,c^k) = (g [g|k] / (M' N)) sum_{d: gcd(d,M')=g} mu(d)
-          ( q^{N/d} - s_{m,N/d}
-            + sum_{j=1}^{M'/g-1} zeta_{M'}^{-k j (d/g)^{-1}} c_{N/d}(chi_1^{g j}) ).
-
-    Individual parts are rationals (not necessarily integers); they sum to
-    the explicit count."""
-    counter = explicit_counter(m)
-    G = counter.group
-    if not G.is_cyclic:
-        raise UsageError("pi_g decomposition needs a cyclic unit group")
-    cls = cls % m
-    Mp = G.order
-    q = counter.field.q
-    if Mp == 1:
-        # only g = 1; the whole formula collapses to the trivial column
-        total = Fraction(0)
-        for d in divisors(degree):
-            mu = mobius(d)
-            if mu:
-                total += mu * (q ** (degree // d) - counter.s(degree // d))
-        return {1: total / degree}
-    k = G.dlog[cls][0]
-    E = counter.E
-    assert E == Mp
-    out = {}
-    for g in divisors(Mp):
-        if k % g:
-            out[g] = Fraction(0)
-            continue
-        acc = CycloNum.from_rational(0, E)
-        for d in divisors(degree):
-            if gcd(d, Mp) != g:
-                continue
-            mu = mobius(d)
-            if mu == 0:
-                continue
-            nu = degree // d
-            inner = CycloNum.from_rational(q ** nu - counter.s(nu), E)
-            dg_inv = pow(d // g, -1, Mp)
-            for j in range(1, Mp // g):
-                ci = (g * j) % Mp
-                zz = CycloNum.zeta(E, (-k * j * dg_inv) % E)
-                inner = inner + zz * counter._psi(ci, nu)
-            acc = acc + inner * mu
-        if not acc.is_rational:
-            raise IntegrityError("pi_%d part is not rational for %s mod %s"
-                                 % (g, cls, m))
-        out[g] = acc.rational_value * Fraction(g, Mp * degree)
-    return out
-
-
-def mobius_helpers(N, p):
-    """(sum_{p !| d | N} mu(d), sum_{d|N} mu(d) (-1)^(N/d)), both by direct
-    summation.
-
-    Closed forms: the first sum is 1 exactly when the p-free part of N is 1
-    (i.e. N is a power of p, including N = 1), else 0; the second is -1 at
-    N = 1, 2 at N = 2, and 0 for N >= 3."""
-    if N < 1 or p < 2:
-        raise UsageError("need N >= 1 and prime p")
-    first = sum(mobius(d) for d in divisors(N) if d % p != 0)
-    second = sum(mobius(d) * (-1) ** (N // d) for d in divisors(N))
-    return first, second
 
 
 @dataclass

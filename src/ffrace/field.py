@@ -91,17 +91,6 @@ class FieldSpec:
     def div(self, a, b):
         return self._mul[a][self.inv(b)]
 
-    def pow(self, a, n):
-        if n < 0:
-            a, n = self.inv(a), -n
-        out, base = 1, a
-        while n:
-            if n & 1:
-                out = self._mul[out][base]
-            base = self._mul[base][base]
-            n >>= 1
-        return out
-
     def mult_order(self, a):
         """Order of a in F_q^x."""
         if a == 0:
@@ -116,9 +105,6 @@ class FieldSpec:
         """Reduce an integer literal into the field (mod p for prime fields;
         encodings taken mod q for extensions)."""
         return c % self.q if self.k > 1 else c % self.p
-
-    def elements(self):
-        return range(self.q)
 
     def units(self):
         return range(1, self.q)

@@ -26,6 +26,10 @@ from .polyring import Poly, format_poly, powmod
 # Largest q for which stabilizer_search scans GL2(F_q): it tries all ~q^4
 # matrices, 2-3 s at q = 16 on a 2-core Xeon and hours at q = 256.
 MAX_STABILIZER_Q = 16
+# Most certificates `ties-gl2` builds for all residues of all stabilizers:
+# 878 for T^2+1/F9 take about 4 s on a 2-core Xeon, while the 25,886 of
+# T^2+T+2/F13 ran past 300 s.
+MAX_CERTIFICATES = 1024
 
 
 @dataclass(frozen=True)
@@ -47,24 +51,6 @@ class Mat2:
     def det(self):
         F = self.field
         return F.sub(F.mul(self.a, self.d), F.mul(self.b, self.c))
-
-    def __mul__(self, other):
-        F = self.field
-        return Mat2(F,
-                    F.add(F.mul(self.a, other.a), F.mul(self.b, other.c)),
-                    F.add(F.mul(self.a, other.b), F.mul(self.b, other.d)),
-                    F.add(F.mul(self.c, other.a), F.mul(self.d, other.c)),
-                    F.add(F.mul(self.c, other.b), F.mul(self.d, other.d)))
-
-    def inverse(self):
-        F = self.field
-        di = F.inv(self.det)
-        return Mat2(F, F.mul(di, self.d), F.mul(di, F.neg(self.b)),
-                    F.mul(di, F.neg(self.c)), F.mul(di, self.a))
-
-    @property
-    def is_identity(self):
-        return (self.a, self.b, self.c, self.d) == (1, 0, 0, 1)
 
     def entries(self):
         return (self.a, self.b, self.c, self.d)

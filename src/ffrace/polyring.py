@@ -45,10 +45,6 @@ class Poly:
         return cls(field, (0, 1))
 
     @classmethod
-    def monomial(cls, field, c, e):
-        return cls(field, (0,) * e + (field.from_int(c),))
-
-    @classmethod
     def from_index(cls, field, idx):
         """Inverse of encode(): base-q digits of idx are the coefficients."""
         q = field.q
@@ -140,12 +136,6 @@ class Poly:
         F = self.field
         c = F.from_int(c) if not (0 <= c < F.q) else c
         return Poly(F, [F.mul(c, x) for x in self.coeffs])
-
-    def shift(self, e):
-        """Multiply by T^e."""
-        if self.is_zero or e == 0:
-            return self if e == 0 else self
-        return Poly(self.field, (0,) * e + self.coeffs)
 
     def __divmod__(self, other):
         self._check(other)

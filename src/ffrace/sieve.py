@@ -1,5 +1,5 @@
-"""Brute-force counting oracle: exact per-congruence-class counts of monic
-irreducibles of one degree, by exhaustive enumeration.
+"""The sieve: exact per-congruence-class counts of monic irreducibles of one
+degree, by exhaustive enumeration.
 
 Polynomials are enumerated through their integer encodings (base-q digit
 vectors, each F_q digit a vector of base-p digits).  Composites of degree N
@@ -23,10 +23,9 @@ from functools import lru_cache
 import numpy as np
 
 from .characters import unit_group
-from .cyclo import CycloNum
 from .errors import IntegrityError, UsageError
 from .numth import gauss_irreducible_count
-from .polyring import Poly, factorize, is_irreducible, enumerate_monic
+from .polyring import Poly, factorize
 
 # Largest degree the sieve is routed to: `count` sieves up to the full cutoff,
 # every other caller of explicit.counts up to min(cutoff, 12).
@@ -211,10 +210,6 @@ class CountTable:
     counts: dict           # Poly (unit residue) -> int
     excluded: int          # irreducibles of this degree dividing m
 
-    @property
-    def total(self):
-        return sum(self.counts.values())
-
 
 @lru_cache(maxsize=128)
 def _class_tally(m, degree):
@@ -243,47 +238,3 @@ def sieve_count(m, degree):
             % (degree, m, excluded, expected))
     return CountTable(modulus=m, degree=degree, counts=counts,
                       excluded=excluded)
-
-
-def sieve_count_naive(m, degree):
-    """Reference implementation: per-polynomial irreducibility test plus
-    divmod reduction.  Tests only; quadratically slower."""
-    G = unit_group(m)
-    counts = {u: 0 for u in G.units}
-    excluded = 0
-    for f in enumerate_monic(m.field, degree):
-        if is_irreducible(f):
-            r = f % m
-            if G.contains(r):
-                counts[r] += 1
-            else:
-                excluded += 1
-    return CountTable(modulus=m, degree=degree, counts=counts,
-                      excluded=excluded)
-
-
-def sieve_count_nonmonic_naive(m, degree):
-    """Reference: literally enumerate every nonzero-lc polynomial."""
-    G = unit_group(m)
-    field = m.field
-    counts = {u: 0 for u in G.units}
-    for f in enumerate_monic(field, degree):
-        if is_irreducible(f):
-            for lam in field.units():
-                r = f.scale(lam) % m
-                if G.contains(r):
-                    counts[r] += 1
-    return counts
-
-
-def weighted_count(m, chi, n):
-    """A_chi(n): sum over unit classes of pi(n; m, c) * chi(c), exact."""
-    if n < 1:
-        raise UsageError("n must be >= 1")
-    table = sieve_count(m, n)
-    E = chi.group.exponent
-    tally = [0] * E
-    for c, cnt in table.counts.items():
-        if cnt:
-            tally[chi.value_exponent(c)] += cnt
-    return CycloNum.from_zeta_powers(E, tally)

@@ -1,0 +1,124 @@
+"""Reference oracles for the explicit formula: the class x character matrix
+Mobius inversion, the pi_g decomposition of cyclic unit groups and the Mobius
+helper sums, each against which explicit.ExplicitCounter.count is compared.
+
+For each divisor d of N
+    Ztilde(d)_{a,chi} = (mu(d)/M') * sum_{b^d = a} chi(b)^-1
+and
+    pi(N; m, a) = (1/N) sum_{d|N} ( Ztilde(d)_{a,chi0} (q^{N/d} - s_{m,N/d})
+                                    + sum_{chi != chi0} Ztilde(d)_{a,chi} c_{N/d}(chi) ).
+"""
+
+from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd
+
+from ffrace.characters import all_characters
+from ffrace.cyclo import CycloNum
+from ffrace.errors import IntegrityError, UsageError
+from ffrace.explicit import _raw_power_sums, explicit_counter, s_value
+from ffrace.numth import divisors, mobius
+
+
+@dataclass
+class ZMatrixInverse:
+    """Entries of Ztilde(n), indexed [unit class][character] in canonical
+    class / lexicographic character order."""
+    n: int
+    group: object
+    entries: list  # entries[a_index][chi_index] -> CycloNum
+
+
+def zmatrix_inverse(G, n):
+    """Ztilde(n); the zero matrix when mu(n) = 0."""
+    if n < 1:
+        raise UsageError("n must be >= 1")
+    E = G.exponent
+    mu = mobius(n)
+    order = G.order
+    if mu == 0:
+        zero = CycloNum.from_rational(0, E)
+        return ZMatrixInverse(n=n, group=G,
+                              entries=[[zero] * order for _ in range(order)])
+    scale = Fraction(mu, order)
+    raw = _raw_power_sums(G, n)
+    return ZMatrixInverse(n=n, group=G,
+                          entries=[[s * scale for s in row] for row in raw])
+
+
+def zmatrix(G, n):
+    """Forward matrix Z(n), entries [chi_index][a_index] = chi^n(a)."""
+    chars = all_characters(G)
+    E = G.exponent
+    return [[CycloNum.zeta(E, (n * chi.value_exponent(a)) % E)
+             for a in G.units] for chi in chars]
+
+
+def pi_g_decomposition(m, degree, cls):
+    """For cyclic unit groups: the map g -> pi_g(N; m, a) over g | M', where
+    pi_g collects the divisors d | N with gcd(d, M') = g, via the closed form
+
+      pi_g(N;m,c^k) = (g [g|k] / (M' N)) sum_{d: gcd(d,M')=g} mu(d)
+          ( q^{N/d} - s_{m,N/d}
+            + sum_{j=1}^{M'/g-1} zeta_{M'}^{-k j (d/g)^{-1}} c_{N/d}(chi_1^{g j}) ).
+
+    Individual parts are rationals (not necessarily integers); they sum to
+    the explicit count."""
+    counter = explicit_counter(m)
+    G = counter.group
+    if not G.is_cyclic:
+        raise UsageError("pi_g decomposition needs a cyclic unit group")
+    cls = cls % m
+    Mp = G.order
+    q = counter.field.q
+    fact = counter.factorization
+    if Mp == 1:
+        # only g = 1; the whole formula collapses to the trivial column
+        total = Fraction(0)
+        for d in divisors(degree):
+            mu = mobius(d)
+            if mu:
+                total += mu * (q ** (degree // d) - s_value(fact, degree // d))
+        return {1: total / degree}
+    k = G.dlog[cls][0]
+    E = counter.E
+    assert E == Mp
+    out = {}
+    for g in divisors(Mp):
+        if k % g:
+            out[g] = Fraction(0)
+            continue
+        acc = CycloNum.from_rational(0, E)
+        for d in divisors(degree):
+            if gcd(d, Mp) != g:
+                continue
+            mu = mobius(d)
+            if mu == 0:
+                continue
+            nu = degree // d
+            inner = CycloNum.from_rational(q ** nu - s_value(fact, nu), E)
+            dg_inv = pow(d // g, -1, Mp)
+            for j in range(1, Mp // g):
+                ci = (g * j) % Mp
+                zz = CycloNum.zeta(E, (-k * j * dg_inv) % E)
+                inner = inner + zz * counter.lpolys[ci].c(nu)
+            acc = acc + inner * mu
+        if not acc.is_rational:
+            raise IntegrityError("pi_%d part is not rational for %s mod %s"
+                                 % (g, cls, m))
+        out[g] = acc.rational_value * Fraction(g, Mp * degree)
+    return out
+
+
+def mobius_helpers(N, p):
+    """(sum_{p !| d | N} mu(d), sum_{d|N} mu(d) (-1)^(N/d)), both by direct
+    summation.
+
+    Closed forms: the first sum is 1 exactly when the p-free part of N is 1
+    (i.e. N is a power of p, including N = 1), else 0; the second is -1 at
+    N = 1, 2 at N = 2, and 0 for N >= 3."""
+    if N < 1 or p < 2:
+        raise UsageError("need N >= 1 and prime p")
+    first = sum(mobius(d) for d in divisors(N) if d % p != 0)
+    second = sum(mobius(d) * (-1) ** (N // d) for d in divisors(N))
+    return first, second

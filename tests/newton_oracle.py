@@ -5,7 +5,8 @@ from ffrace.cyclo import CycloNum
 from ffrace.errors import UsageError
 from ffrace.lfunc import l_polynomial
 from ffrace.numth import divisors
-from ffrace.sieve import weighted_count
+
+from sieve_oracle import weighted_count
 
 
 def power_sum_mismatch(m, chi, n_max):

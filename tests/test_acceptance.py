@@ -6,13 +6,13 @@ per criterion.
 
 import time
 
+from explicit_oracle import mobius_helpers, zmatrix, zmatrix_inverse
 from newton_oracle import power_sum_mismatch
 from published_values import (TABLE_BY_KEY, TABLE_P2T2, TABLE_P3T2, TABLE_P3T21,
                           TABLE_T2T1, TABLE_T3T1, TABLE_T3T1_CUM)
 from ffrace.characters import all_characters, unit_group
 from ffrace.cyclo import CycloNum
-from ffrace.explicit import (cumulative_counts, explicit_counter,
-                             mobius_helpers, zmatrix, zmatrix_inverse)
+from ffrace.explicit import cumulative_counts, explicit_counter
 from ffrace.field import field_make
 from ffrace.gl2 import Mat2, certify_ties, stabilizer_search, \
     verify_certificate_empirically

@@ -11,8 +11,8 @@ import ffrace
 from ffrace.cli import main
 from ffrace.explicit import explicit_counter
 from ffrace.field import parse_field
-from ffrace.gl2 import MAX_STABILIZER_Q
-from ffrace.polyring import parse_poly
+from ffrace.gl2 import MAX_CERTIFICATES, MAX_STABILIZER_Q
+from ffrace.polyring import format_poly, parse_poly
 from ffrace.report import generator_power_columns
 
 SUBCOMMANDS = ("count", "count-explicit", "lpoly", "relations", "ties-gl2",
@@ -338,3 +338,34 @@ def test_ties_gl2_past_field_limit_fails_fast(capsys):
                        "F%d" % MAX_STABILIZER_Q, "--modulus", "T+1",
                        "--residue", "0", "--format", "csv")
     assert code == 0 and len(out.splitlines()) > 1
+
+
+def test_ties_gl2_all_residues_past_certificate_limit_fails_fast():
+    # 336 stabilizers of T^2+T+2/F13 with periods summing to 25,886: refused
+    # before any certificate is built (all of them ran past 300 s)
+    code, out, err = run_subprocess("ties-gl2", "--field", "F13",
+                                    "--modulus", "T^2+T+2")
+    assert code == 1 and out == ""
+    assert "25886 certificates" in err
+    assert "limit is %d" % MAX_CERTIFICATES in err and "--residue" in err
+
+
+def test_exact_counts_past_int_str_digit_cap():
+    # the degree-15000 counts have about 4,500 digits, past the interpreter's
+    # default int-to-str cap of 4,300; the CLI prints them whole
+    code, out, err = run_subprocess("count-explicit", "--field", "F2",
+                                    "--modulus", "T^3+T+1", "--degree",
+                                    "15000", "--format", "csv", timeout=20)
+    assert code == 0, err
+    m = parse_poly(parse_field("F2"), "T^3+T+1")
+    want = explicit_counter(m).count(15000).counts
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if cap is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        header, row = out.splitlines()
+        got = dict(zip(header.split(",")[2:], row.split(",")[2:]))
+        assert got == {format_poly(c): str(n) for c, n in want.items()}
+    finally:
+        if cap is not None:
+            sys.set_int_max_str_digits(cap)

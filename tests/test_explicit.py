@@ -5,13 +5,13 @@ from math import gcd
 
 import pytest
 
+from explicit_oracle import (mobius_helpers, pi_g_decomposition, zmatrix,
+                             zmatrix_inverse)
 from ffrace.characters import all_characters, unit_group
 from ffrace.cyclo import CycloNum
 from ffrace.errors import UsageError
 from ffrace.explicit import (ExplicitCounter, bias_report, explicit_counter,
-                             mobius_helpers,
-                             pi_g_decomposition, s_value, zmatrix,
-                             zmatrix_inverse)
+                             s_value)
 from ffrace.field import field_make
 from ffrace.lfunc import l_polynomial
 from ffrace.numth import divisors, mobius

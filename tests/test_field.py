@@ -28,6 +28,14 @@ TABLE_SHA256 = {
 }
 
 
+def fpow(F, a, n):
+    """a^n in F by repeated multiplication, n >= 0."""
+    out = 1
+    for _ in range(n):
+        out = F.mul(out, a)
+    return out
+
+
 def test_f2_basics():
     F = field_make(2)
     assert F.q == 2
@@ -54,7 +62,7 @@ def test_f4_canonical_modulus_and_unit_orders():
 def test_f4_lagrange_every_unit_cubed_is_one():
     F = field_make(2, 2)
     for g in F.units():
-        assert F.pow(g, 3) == 1
+        assert fpow(F, g, 3) == 1
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3),
@@ -62,16 +70,17 @@ def test_f4_lagrange_every_unit_cubed_is_one():
 def test_field_axioms_and_frobenius(p, k):
     F = field_make(p, k)
     q = F.q
-    els = list(F.elements())
+    els = list(range(q))
     for a in els:
-        assert F.pow(a, q) == a, "a^q != a"
+        assert fpow(F, a, q) == a, "a^q != a"
         if a:
             assert F.mul(a, F.inv(a)) == 1
         for b in els:
             assert F.add(a, b) == F.add(b, a)
             assert F.mul(a, b) == F.mul(b, a)
             # Frobenius additivity
-            assert F.pow(F.add(a, b), p) == F.add(F.pow(a, p), F.pow(b, p))
+            assert fpow(F, F.add(a, b), p) == \
+                F.add(fpow(F, a, p), fpow(F, b, p))
     # spot associativity/distributivity on a deterministic slice
     sl = els[: min(len(els), 8)]
     for a in sl:
@@ -84,7 +93,7 @@ def test_field_axioms_and_frobenius(p, k):
 
 def test_division():
     F = field_make(5)
-    for a in F.elements():
+    for a in range(F.q):
         for b in F.units():
             assert F.mul(F.div(a, b), b) == a
     with pytest.raises(ZeroDivisionError):

