@@ -170,10 +170,13 @@ class UnitGroup:
     def _build_monic_classes(self):
         """monic_classes[n] = the unit indices of f mod m over the monic f of
         degree n prime to m, in encoding order, n = 0..deg m: the residues an
-        L-polynomial tallies."""
+        L-polynomial tallies.  Also unit_index: the unit index of every
+        residue encoding, -1 off the units (read-only)."""
         q, M = self.field.q, self.deg
-        index = np.full(q ** M, -1, dtype=np.int64)  # encoding -> unit index
+        index = np.full(q ** M, -1, dtype=np.int64)
         index[[u.encode() for u in self.units]] = np.arange(self.order)
+        index.setflags(write=False)
+        self.unit_index = index
         top = [(f % self.modulus).encode()
                for f in enumerate_monic(self.field, M)]
         found = [index[q ** n:2 * q ** n] for n in range(M)] + [index[top]]

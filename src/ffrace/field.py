@@ -8,6 +8,8 @@ downstream.
 
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import UsageError
 from .numth import prime_factors
 from .polyring import Poly, enumerate_monic, is_irreducible
@@ -126,6 +128,17 @@ class FieldSpec:
 def field_make(p, k=1):
     """F_{p^k} with the canonical (encoding-smallest) irreducible modulus."""
     return FieldSpec(p, k)
+
+
+@lru_cache(maxsize=8)
+def field_tables(field):
+    """F_q addition and multiplication as read-only (q, q) arrays, for
+    vectorised arithmetic on arrays of element encodings."""
+    add = np.array(field._add)
+    mul = np.array(field._mul)
+    add.flags.writeable = False
+    mul.flags.writeable = False
+    return add, mul
 
 
 def parse_field(text):

@@ -8,27 +8,32 @@ irreducibles that moves class c to c|_N B, and the class map is periodic in N
 with period N0 = the order of cT+d mod m.
 
 Certificates use linearity: c|_n B = sum_i c_i W_i(n) mod m with
-W_i(n) = (aT+b)^i (cT+d)^(n-i) mod m, i < M = deg m.  The M basis images, two
-modular powers each, give the image of every class, and W(e + N0) == W(e)
-proves the period exactly.  Drawn classes are still checked against the slash
-action.
+W_i(n) = (aT+b)^i (cT+d)^(n-i) mod m, i < M = deg m.  The image of every
+class is one product over F_q, the coefficient rows of the units times the M
+basis images, and W(e + N0) == W(e) proves the period exactly.  Drawn classes
+are checked against the rational form of the definition, (cT+d)^n c(mu) mod m
+with mu = (aT+b)/(cT+d) = (aT+b)(cT+d)^(N0-1) mod m, computed apart from the
+basis images.
 """
 
 import random
 from dataclasses import dataclass
 from math import gcd
 
+import numpy as np
+
 from .characters import MAX_GROUP_ORDER, unit_group
 from .errors import IntegrityError, UsageError
 from .explicit import counts
+from .field import field_tables
 from .polyring import Poly, format_poly, powmod
 
 # Largest q for which stabilizer_search scans GL2(F_q): it tries all ~q^4
 # matrices, 2-3 s at q = 16 on a 2-core Xeon and hours at q = 256.
 MAX_STABILIZER_Q = 16
 # Most certificates `ties-gl2` builds for all residues of all stabilizers:
-# 878 for T^2+1/F9 take about 4 s on a 2-core Xeon, while the 25,886 of
-# T^2+T+2/F13 ran past 300 s.
+# the 878 of T^2+1/F9 take about 1.1 s (cold CLI) on a 2-core Xeon, the
+# 25,886 of T^2+T+2/F13 about 23 s in one process.
 MAX_CERTIFICATES = 1024
 
 
@@ -164,7 +169,8 @@ def certify_ties(m, B, lam, e, rng=None):
     e below deg(m)-1 is lifted by multiples of the period (the class map only
     depends on e mod N0, but c|_e B needs e >= deg c for every class
     representative).  Every class of a unit group of order <= 64, or 32
-    drawn by rng.sample otherwise, is checked against slash_action."""
+    drawn by rng.sample otherwise, is checked against the rational form of
+    the slash action."""
     if e < 0:
         raise UsageError("residue must be >= 0")
     if e >= MAX_GROUP_ORDER:
@@ -185,31 +191,36 @@ def certify_ties(m, B, lam, e, rng=None):
     if _basis_images(m, B, e_used + period) != basis:
         raise IntegrityError("period claim failed for %r mod %s at residue %d"
                              % (B, format_poly(m), e_used))
-    F = m.field
-    orbit_map = {}
-    for c in G.units:
-        img = Poly.zero(F)
-        for ci, w in zip(c.coeffs, basis):
-            if ci:
-                img = img + w.scale(ci)
-        if not G.contains(img):
-            raise IntegrityError("class map left the unit classes at %s" % c)
-        orbit_map[c] = img
-    if len(set(orbit_map.values())) != len(orbit_map):
+    # the image of every class at once: coefficient rows times basis images
+    q = m.field.q
+    add, mul = field_tables(m.field)
+    place = q ** np.arange(M)
+    # the units are sorted by encoding, so these rows are in unit order
+    coeffs = np.flatnonzero(G.unit_index >= 0)[:, None] // place % q
+    images = _times(coeffs, _coeff_rows(basis, M), add, mul) @ place
+    perm = G.unit_index[images]
+    off = np.flatnonzero(perm < 0)
+    if len(off):
+        raise IntegrityError("class map left the unit classes at %s"
+                             % G.units[off[0]])
+    if np.bincount(perm, minlength=G.order).max() > 1:
         raise IntegrityError("class map is not a permutation")
     # the benchmark draws its residues from the same rng, so its inputs
     # depend on this draw: one rng.sample above order 64, nothing below
-    sample = list(G.units)
-    if len(sample) > 64:
+    drawn = range(G.order)
+    if G.order > 64:
         rng = rng or random.Random(0)
-        sample = rng.sample(sample, 32)
+        drawn = rng.sample(drawn, 32)
+    drawn = np.array(drawn)
     e0 = M - 1 + (e - (M - 1)) % period
-    for c in sample:
-        if slash_action(c, e0, B) % m != orbit_map[c]:
-            raise IntegrityError("linear class map disagrees with the slash "
-                                 "action at %s" % c)
-    orbits = _cycles(orbit_map)
-    q = m.field.q
+    wrong = np.flatnonzero(_rational_slash(coeffs[drawn], e0, B, m, period)
+                           != images[drawn])
+    if len(wrong):
+        raise IntegrityError("linear class map disagrees with the slash "
+                             "action at %s" % G.units[drawn[wrong[0]]])
+    perm = perm.tolist()
+    orbit_map = {c: G.units[j] for c, j in zip(G.units, perm)}
+    orbits = tuple(tuple(G.units[j] for j in cyc) for cyc in _cycles(perm))
     if q == 2:
         monic, why = True, "q=2"
     elif B.c == 0 and gcd(e_used, period) % m.field.mult_order(B.a) == 0:
@@ -223,28 +234,86 @@ def certify_ties(m, B, lam, e, rng=None):
 
 
 def _basis_images(m, B, n):
-    """W_i(n) = (aT+b)^i (cT+d)^(n-i) mod m for i < deg m; needs n >= deg m - 1."""
-    top = Poly(m.field, (B.b, B.a))
-    bot = Poly(m.field, (B.d, B.c))
-    return [powmod(top, i, m) * powmod(bot, n - i, m) % m
-            for i in range(m.degree)]
+    """W_i(n) = (aT+b)^i (cT+d)^(n-i) mod m for i < M = deg m; needs n >= M -
+    1.  One modular power, (cT+d)^(n-M+1) = the factor of W_(M-1); the lower
+    i step it up by cT+d."""
+    M = m.degree
+    top = Poly(m.field, (B.b, B.a)) % m
+    bot = Poly(m.field, (B.d, B.c)) % m
+    top_pows = [Poly.one(m.field)]
+    for _ in range(M - 1):
+        top_pows.append(top_pows[-1] * top % m)
+    bot_pow = powmod(bot, n - M + 1, m)
+    out = []
+    for t in reversed(top_pows):
+        out.append(t * bot_pow % m)
+        bot_pow = bot_pow * bot % m
+    return out[::-1]
+
+
+def _rational_slash(coeffs, n, B, m, period):
+    """Encodings of c|_n B mod m for the classes c with coefficient rows
+    coeffs, in the rational form of the definition: (cT+d)^n c(mu) mod m
+    with mu = (aT+b) (cT+d)^(N0-1), N0 = period: (cT+d)^N0 = 1 mod m, which
+    the period check W_0(e + N0) == W_0(e) proves.  c(mu) is Horner's rule on
+    every row at once."""
+    F, M = m.field, m.degree
+    add, mul = field_tables(F)
+    top = Poly(F, (B.b, B.a))
+    bot = Poly(F, (B.d, B.c))
+    by_mu = _mul_matrix(top * powmod(bot, period - 1, m) % m, m)
+    acc = np.zeros_like(coeffs)
+    acc[:, 0] = coeffs[:, M - 1]
+    for i in range(M - 2, -1, -1):
+        acc = _times(acc, by_mu, add, mul)
+        acc[:, 0] = add[acc[:, 0], coeffs[:, i]]
+    acc = _times(acc, _mul_matrix(powmod(bot, n, m), m), add, mul)
+    return acc @ F.q ** np.arange(M)
+
+
+def _coeff_rows(polys, M):
+    """The polynomials' coefficients (deg < M) as rows of an array."""
+    out = np.zeros((len(polys), M), dtype=np.int64)
+    for row, f in zip(out, polys):
+        row[:len(f.coeffs)] = f.coeffs
+    return out
+
+
+def _mul_matrix(f, m):
+    """Rows T^k f mod m, k < deg m: x -> x f mod m on coefficient rows."""
+    rows = [f]
+    T = Poly.T(m.field)
+    for _ in range(m.degree - 1):
+        rows.append(rows[-1] * T % m)
+    return _coeff_rows(rows, m.degree)
+
+
+def _times(X, W, add, mul):
+    """X W over F_q for coefficient rows X and a matrix W, one table pass
+    per row of W."""
+    out = np.zeros((len(X), W.shape[1]), dtype=np.int64)
+    for k, w in enumerate(W):
+        out = add[out, mul[X[:, k, None], w]]
+    return out
 
 
 def _cycles(perm):
-    seen = set()
+    """Cycles of a permutation of range(len(perm)), each from its least
+    element, in order of that element."""
+    seen = [False] * len(perm)
     out = []
-    for start in sorted(perm, key=lambda p: p.sort_key()):
-        if start in seen:
+    for start in range(len(perm)):
+        if seen[start]:
             continue
         cyc = [start]
-        seen.add(start)
+        seen[start] = True
         cur = perm[start]
         while cur != start:
             cyc.append(cur)
-            seen.add(cur)
+            seen[cur] = True
             cur = perm[cur]
-        out.append(tuple(cyc))
-    return tuple(out)
+        out.append(cyc)
+    return out
 
 
 def find_certificate_violation(cert, n_max, sieve_limit=None):

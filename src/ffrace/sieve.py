@@ -24,6 +24,7 @@ import numpy as np
 
 from .characters import unit_group
 from .errors import IntegrityError, UsageError
+from .field import field_tables
 from .numth import gauss_irreducible_count
 from .polyring import Poly, factorize
 
@@ -40,15 +41,6 @@ _BLOCK = 1 << 16
 
 def default_cutoff(q):
     return DEFAULT_CUTOFF.get(q, max(1, int(24 / math.log2(q))))
-
-
-@lru_cache(maxsize=8)
-def _field_tables(field):
-    """F_q addition and multiplication as (q, q) arrays."""
-    q = field.q
-    add = np.array([[field.add(a, b) for b in range(q)] for a in range(q)])
-    mul = np.array([[field.mul(a, b) for b in range(q)] for a in range(q)])
-    return add, mul
 
 
 @lru_cache(maxsize=8)
@@ -75,7 +67,7 @@ def _basis_residues(field, gs, d, e):
     encoding of degree < e, and const[i] encodes -T^(d+e) mod gs[i].  The
     powers of T come from r -> T r mod g, for all of gs at once."""
     q, p, k = field.q, field.p, field.k
-    add, mul = _field_tables(field)
+    add, mul = field_tables(field)
     place = q ** np.arange(d)
     w0 = mul[p - 1][(gs[:, None] // place) % q]     # T^d = -(g - T^d) mod g
     # -c x^l as elements of F_q, shape (k, p)

@@ -366,3 +366,22 @@ def test_rng_draw_and_exact_period_check(monkeypatch):
     monkeypatch.setattr(gl2, "stabilizer_period", lambda m, B: divisor)
     with pytest.raises(IntegrityError, match="period claim failed"):
         certify_ties(m, B, lam, 5, rng=random.Random(11))
+
+
+@pytest.mark.parametrize("q, mstr", [(4, "T^3+T+1"), (3, "T^4+T+2")])
+def test_definition_check_catches_basis_images_one_degree_off(q, mstr,
+                                                              monkeypatch):
+    # Basis images taken at n + 1 still pass the period check and still give
+    # a permutation of the unit classes (the true class map at degree e + 1),
+    # so only the check against the definition can see that each image is
+    # off by the factor cT+d != 1 (period > 1).  Order 63 checks every
+    # class; order 80 checks 32 drawn ones.
+    m = P(parse_field("F%d" % q), mstr)
+    B, lam = next((B, lam) for B, lam in stabilizer_search(m)
+                  if stabilizer_period(m, B) > 1)
+    true_images = gl2._basis_images
+    monkeypatch.setattr(gl2, "_basis_images",
+                        lambda m, B, n: true_images(m, B, n + 1))
+    with pytest.raises(IntegrityError,
+                       match="disagrees with the slash action"):
+        certify_ties(m, B, lam, 5, rng=random.Random(11))

@@ -7,13 +7,19 @@ that the class x character oracle stays within a few seconds.  For each:
 - ExplicitCounter.count equals the matrix Mobius inversion assembled from
   zmatrix_inverse and directly built L-polynomials;
 - it equals the sieve at a degree N <= min(sieve cutoff, 10);
-- every Galois-transported L-polynomial equals l_polynomial(m, chi).
+- every Galois-transported L-polynomial equals l_polynomial(m, chi);
+- the rational form of the GL2 slash action that checks tie certificates
+  equals the unreduced slash_action mod m.
 """
+
+import random
 
 from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
 from explicit_oracle import zmatrix_inverse
+from ffrace import gl2
+from ffrace.characters import unit_group
 from ffrace.cyclo import CycloNum
 from ffrace.explicit import ExplicitCounter
 from ffrace.field import field_make
@@ -74,3 +80,22 @@ def test_explicit_matches_oracle_sieve_and_direct_lpolys(m, n_sieve, n_oracle):
     n_sieve = min(n_sieve, default_cutoff(m.field.q))
     assert counter.count(n_sieve).counts == sieve_count(m, n_sieve).counts
     assert counter.count(n_oracle).counts == oracle_counts(counter, n_oracle)
+
+
+@seed(20261019)
+@settings(max_examples=15, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(m=moduli(), rnd=st.randoms(use_true_random=False))
+@example(m=Poly(field_make(2), (1, 0, 1, 0, 1)), rnd=random.Random(0))
+@example(m=Poly(field_make(3), (0, 0, 0, 1)), rnd=random.Random(0))
+@example(m=Poly(field_make(2, 2), (1, 1, 0, 1)), rnd=random.Random(0))
+def test_rational_slash_matches_unreduced_slash_action(m, rnd):
+    M = m.degree
+    units = unit_group(m).units
+    for B, _lam in gl2.stabilizer_search(m):
+        period = gl2.stabilizer_period(m, B)
+        for n in range(M - 1, M + period + 3):
+            c = rnd.choice(units)
+            got = gl2._rational_slash(gl2._coeff_rows([c], M), n, B, m, period)
+            want = gl2.slash_action(c, n, B) % m
+            assert got.tolist() == [want.encode()], (B, n, c)
