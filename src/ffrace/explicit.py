@@ -1,44 +1,45 @@
-"""Exact per-class counts with no enumeration: the explicit formula, assembled
-on the character side and shared across Galois orbits of characters.
+"""Exact per-class counts with no enumeration: the explicit formula,
+evaluated modulo primes that split completely in Q(zeta_E).
 
-For a character chi mod m let A_chi(N) = sum chi(P) over the monic
-irreducible P of degree N prime to m.  Mobius inversion of
-c_n(chi) = sum_{d|n} d A_{chi^(n/d)}(d) gives
+With A_chi(N) = sum chi(P) over the monic irreducible P of degree N prime
+to m, Mobius inversion of c_n(chi) = sum_{d|n} d A_{chi^(n/d)}(d) gives
     N A_chi(N) = sum_{k|N} mu(k) psi(chi^k, N/k),
-with psi(chi, n) = c_n(chi) = -sum_j alpha_j^n for nontrivial chi and
-psi(chi0, n) = q^n - s_{m,n}; orthogonality then gives
-    pi(N; m, a) = (1/M') sum_chi chi(a)^-1 A_chi(N),    M' = Phi(m).
-For l a unit mod E, L(u, chi^l) = sigma_l L(u, chi), so the orbit of chi
-contributes one trace:
-    sum_{chi' ~ chi} chi'(a)^-1 A_chi'(N)
-        = (phi(ord chi)/phi(E)) Tr_{Q(zeta_E)/Q}(zeta_E^(-e_chi(a)) A_chi(N)),
-and Tr(zeta_E^t x) is an integer dot product of the power-basis coordinates
-of x with the Ramanujan sums Tr(zeta_E^t).  L-polynomials are built, and
-power sums extended, for one representative per orbit only; the other
-characters' L-polynomials are its Galois images.  Every count must reduce to
-a nonnegative rational integer and the counts must sum to the number of
-degree-N primes prime to m; a failure is raised, never rounded away.
+where psi(chi, n) = c_n(chi) = -p_n(chi), p_n the inverse-zero power sums
+of L(u, chi), and psi(chi, n) = q^n - s_{m,n} for every trivial chi^k; then
+    N M' pi(N; m, a) = sum_chi chi(a)^-1 N A_chi(N),    M' = Phi(m),
+an integer of size at most N M' q^N.  For a prime l = 1 mod E,
+Z[zeta_E]/l = F_l^phi(E): zeta_E -> omega, a primitive E-th root of unity
+mod l, makes every step arithmetic mod l on all characters and all primes
+at once: the L-coefficients, Newton's recurrence, the sum over characters.
+Primes l < 2^25 are stacked until the product of all but the last exceeds
+2 N M' q^N; the Chinese remainder theorem gives the integer in the
+symmetric range, and the last prime must agree.  Every count must be a
+nonnegative integer and the counts must sum to the number of degree-N
+primes prime to m; a failure is raised, never rounded away.
 
-The class x character matrix Mobius inversion stays only as the --breakdown
-audit: for each divisor d of N
-    Ztilde(d)_{a,chi} = (mu(d)/M') * sum_{b^d = a} chi(b)^-1
-and
+The L-polynomials in Q(zeta_E) are built on first use: relations and the
+--breakdown audit, the class x character matrix inversion
+    Ztilde(d)_{a,chi} = (mu(d)/M') * sum_{b^d = a} chi(b)^-1,
     pi(N; m, a) = (1/N) sum_{d|N} ( Ztilde(d)_{a,chi0} (q^{N/d} - s_{m,N/d})
                                     + sum_{chi != chi0} Ztilde(d)_{a,chi} c_{N/d}(chi) ).
-The oracle built on it, with the pi_g decomposition and the Mobius helper
-sums, lives in tests/explicit_oracle.py.
+The oracles built on it, the cyclotomic orbit assembly, the pi_g
+decomposition and the Mobius helper sums live in tests/explicit_oracle.py.
 """
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
+from operator import mul
+
+import numpy as np
 
 from .characters import all_characters, unit_group
 from .cyclo import CycloNum
 from .errors import IntegrityError, UsageError
 from .lfunc import LPolynomial, l_polynomial
-from .numth import (divisors, euler_phi, gauss_irreducible_count, mobius,
-                    ramanujan_sums)
+from .numth import (divisors, gauss_irreducible_count, is_prime, mobius,
+                    prime_factors)
 from .polyring import Poly, factorize, format_poly
 from .sieve import default_cutoff, sieve_count
 
@@ -46,6 +47,79 @@ from .sieve import default_cutoff, sieve_count
 # raw sums per squarefree divisor of N: on a 2-core Xeon, order 80 at N = 30
 # (8 such divisors) takes 4.5 s and 380 MB, order 124 at N = 6 12 s and 770 MB.
 MAX_BREAKDOWN_ORDER = 80
+# Split primes lie below 2^PRIME_BITS: an entry times a weight is below
+# 2^50, a sum of 4096 of them below 2^62.
+PRIME_BITS = 25
+# int64 entries of omega^V gathered at once (1 MB), and of cached power sums
+# over all rows (2 MB).  On a 2-core Xeon the order-1023 count at N = 80
+# takes 0.06 s and 45 MB, 0.20 s and 122 MB with the whole table gathered;
+# N = 1..400 mod T^3+2T+2/F3 take 0.22 s, 0.74 s with 2^16 power sums; the
+# N = 15000 count mod T^3+T+1/F2 peaks at 33 MB, 61 MB with 2^21.
+_GATHER, _HORIZON = 1 << 17, 1 << 18
+
+_split = {}  # E -> [(l, omega)], the split primes found so far, descending
+_split_lock = threading.Lock()
+
+
+def split_prime(E, i):
+    """(l, omega): the i-th prime l = 1 mod E below 2^PRIME_BITS, counting
+    down, and a primitive E-th root of unity omega mod l."""
+    with _split_lock:
+        found = _split.setdefault(E, [])
+        l = found[-1][0] - E if found else (2 ** PRIME_BITS - 2) // E * E + 1
+        while len(found) <= i:
+            if l <= E + 1:
+                raise UsageError("the explicit formula needs more than the %d "
+                                 "primes l = 1 mod %d below 2^%d"
+                                 % (len(found), E, PRIME_BITS))
+            if is_prime(l):
+                found.append((l, next(
+                    w for w in (pow(g, (l - 1) // E, l) for g in range(2, l))
+                    if all(pow(w, E // p, l) != 1 for p in prime_factors(E)))))
+            l -= E
+        return found[i]
+
+
+def _gathered(powers, values):
+    """(rows, omega^values[rows] on every prime) over blocks of rows."""
+    step = max(1, _GATHER // max(1, powers.shape[0] * values.shape[1]))
+    for lo in range(0, len(values), step):
+        yield slice(lo, lo + step), np.take(powers, values[lo:lo + step], 1)
+
+
+def _newton(rows, start, stop, keep=None):
+    """Newton's recurrence p_n = -(n a_n + sum_i a_i p_(n-i)) mod l on every
+    row for start <= n < stop, from the cached p_(start-1), p_(start-2), ...
+    (zero below p_1): {n: p_n} for n in keep, or for every n."""
+    ell, _powers, coeffs, psums = rows
+    zero = np.zeros(coeffs.shape[1:], dtype=np.int64)
+    recent = [psums[start - 1 - i] if start > i else zero
+              for i in range(1, len(coeffs) + 1)]
+    out = {}
+    for n in range(start, stop):
+        p = n * coeffs[n - 1] if n <= len(coeffs) else zero.copy()
+        for a, x in zip(coeffs, recent):
+            p += a * x
+        np.negative(p, out=p)
+        p %= ell
+        if keep is None or n in keep:
+            out[n] = p
+        recent = [p] + recent[:-1]
+    return out
+
+
+def _crt(residues, ell):
+    """Per column of residues, the x in the symmetric range of the product
+    of all rows but the last with x = residues[j] mod ell[j] on those rows,
+    and whether the last row agrees with it."""
+    *ell, check = ell.ravel().tolist()
+    product = prod(ell)
+    basis = [product // l * pow(product // l, -1, l) for l in ell]
+    out = []
+    for *column, last in residues.T.tolist():
+        x = sum(map(mul, column, basis)) % product
+        out.append((x - product if 2 * x > product else x, x % check == last))
+    return out
 
 
 def s_value(factorization, n):
@@ -83,45 +157,30 @@ class ExplicitCount:
 
 
 class ExplicitCounter:
-    """Caches the per-modulus character data across degrees: unit group,
-    Galois orbits of characters, L-polynomials (built on orbit
-    representatives, transported to the rest), power sums, and the Ztilde
-    raw sums of the --breakdown audit."""
+    """Caches the per-modulus data across degrees: unit group, characters,
+    their values V[chi, a] (chi(a) = zeta_E^V), the stack of split primes
+    with cached power sums, the Ztilde raw sums of the --breakdown audit
+    and, on first use, the Galois orbits and the L-polynomials in
+    Q(zeta_E).  Safe to share between threads."""
 
     def __init__(self, m):
         if m.degree < 1:
             raise UsageError("modulus must have degree >= 1")
         self.modulus = m
         self.field = m.field
-        self.group = unit_group(m)
-        E = self.E = self.group.exponent
+        G = self.group = unit_group(m)
+        self.E = G.exponent
         self.factorization = factorize(m)
-        self.chars = all_characters(self.group)
+        self.chars = all_characters(G)
         self._index = {chi.exps: ci for ci, chi in enumerate(self.chars)}
-        # orbit[ci] = (r, l): chars[ci] = chars[r]^l with l a unit mod E and
-        # r the first index of the orbit (so r <= ci)
-        self.orbit = [None] * len(self.chars)
-        galois_units = [l for l in range(1, E + 1) if gcd(l, E) == 1]
-        for ci, chi in enumerate(self.chars):
-            if self.orbit[ci] is None:
-                for l in galois_units:
-                    cj = self._index[(chi ** l).exps]
-                    if self.orbit[cj] is None:
-                        self.orbit[cj] = (ci, l)
-        self.lpolys = [None] * len(self.chars)
-        for ci, (r, l) in enumerate(self.orbit):
-            if ci == 0:
-                continue
-            if r == ci:
-                self.lpolys[ci] = l_polynomial(m, self.chars[ci])
-            else:
-                self.lpolys[ci] = LPolynomial(
-                    self.chars[ci], [c.galois(l) for c in self.lpolys[r].coeffs])
-        # nontrivial representatives: (index, phi(order), e_chi(a) per class)
-        self._reps = [(ci, euler_phi(self.chars[ci].order),
-                       self.chars[ci].value_exponents().tolist())
-                      for ci, (r, _l) in enumerate(self.orbit)
-                      if r == ci and ci != 0]
+        self._values = np.array([chi.value_exponents() for chi in self.chars],
+                                dtype=np.int32).reshape(G.order, G.order)
+        self._lock = threading.RLock()
+        # (ell (P, 1), powers (P, E): omega^e mod l, coeffs (deg m - 1, P,
+        # M'): a_1, a_2, .. of every L-polynomial, psums (H, P, M'): p_1..p_H)
+        self._stack = self._new_rows(0)
+        self._orbit = self._lpolys = None
+        self._powers = {}  # k mod E -> the index of chars[ci]^k for every ci
         self._raw = {}
 
     def s(self, n):
@@ -133,15 +192,93 @@ class ExplicitCounter:
             raw = self._raw.setdefault(d, _raw_power_sums(self.group, d))
         return raw
 
-    def _psi(self, ci, n):
-        """psi(chars[ci], n): q^n - s_{m,n} (an int) for the trivial
-        character, else c_n(chi) = sigma_l c_n(rep) on the orbit
-        representative."""
-        if ci == 0:
-            return self.field.q ** n - self.s(n)
-        r, l = self.orbit[ci]
-        c = self.lpolys[r].c(n)
-        return c if l == 1 else c.galois(l)
+    @property
+    def orbit(self):
+        """orbit[ci] = (r, l): chars[ci] = chars[r]^l with l a unit mod E and
+        r the first index of the Galois orbit (so r <= ci)."""
+        with self._lock:
+            if self._orbit is None:
+                E = self.E
+                orbit = [None] * len(self.chars)
+                units = [l for l in range(1, E + 1) if gcd(l, E) == 1]
+                for ci, chi in enumerate(self.chars):
+                    if orbit[ci] is None:
+                        for l in units:
+                            cj = self._index[(chi ** l).exps]
+                            if orbit[cj] is None:
+                                orbit[cj] = (ci, l)
+                self._orbit = orbit
+            return self._orbit
+
+    @property
+    def lpolys(self):
+        """L-polynomials in Q(zeta_E), None for the trivial character: built
+        on the orbit representatives, sigma_l-transported to the rest."""
+        with self._lock:
+            if self._lpolys is None:
+                lpolys = [None] * len(self.chars)
+                for ci, (r, l) in enumerate(self.orbit[1:], 1):
+                    if r == ci:
+                        lpolys[ci] = l_polynomial(self.modulus, self.chars[ci])
+                    else:
+                        lpolys[ci] = LPolynomial(self.chars[ci], [
+                            c.galois(l) for c in lpolys[r].coeffs])
+                self._lpolys = lpolys
+            return self._lpolys
+
+    def _power_index(self, k):
+        k %= self.E
+        if k not in self._powers:
+            self._powers[k] = np.array(
+                [self._index[(chi ** k).exps] for chi in self.chars])
+        return self._powers[k]
+
+    def _new_rows(self, P):
+        """The stack over the first P split primes, no power sums cached.
+        Every L-polynomial must have a_0 = 1 and a vanishing degree-M
+        character sum mod every prime."""
+        ell, omega = np.array([split_prime(self.E, i) for i in range(P)],
+                              dtype=np.int64).reshape(P, 2).T[..., None]
+        powers = np.ones((P, self.E), dtype=np.int64)
+        for e in range(1, self.E):
+            powers[:, e:e + 1] = powers[:, e - 1:e] * omega % ell
+        classes = self.group.monic_classes
+        sums = np.zeros((len(classes), P, self.group.order), dtype=np.int64)
+        for rows, table in _gathered(powers, self._values):
+            for n, ix in enumerate(classes):
+                sums[n, :, rows] = table[..., ix].sum(axis=-1)
+        sums %= ell
+        bad = np.argwhere((sums[0, :, 1:] != 1) | (sums[-1, :, 1:] != 0))
+        if len(bad):
+            j, ci = bad[0]
+            raise IntegrityError(
+                "mod the prime %d: a_0 != 1 or the degree-%d character sum "
+                "does not vanish for %r"
+                % (ell[j, 0], len(classes) - 1, self.chars[ci + 1]))
+        sums[:, :, 0] = 0
+        return ell, powers, sums[1:-1], sums[:0]
+
+    def _rows(self, degree, bound):
+        """The first k + 1 rows of the stack, the product of the first k
+        past 2 bound, with power sums cached toward the degree."""
+        k, product = 0, 1
+        while product <= 2 * bound:
+            product *= split_prime(self.E, k)[0]
+            k += 1
+        with self._lock:
+            P = len(self._stack[0])
+            if P <= k:
+                self._stack = self._new_rows(max(k + 1, 2 * P))
+            ell, powers, coeffs, psums = rows = self._stack
+            # doubling keeps the copies linear over a run of degrees
+            cap = _HORIZON // ell.size // self.group.order
+            if len(psums) < min(degree, cap):
+                found = _newton(rows, len(psums) + 1,
+                                min(max(degree, 2 * len(psums)), cap) + 1)
+                self._stack = rows = rows[:3] + (np.concatenate(
+                    [psums] + [found[n][None] for n in sorted(found)]),)
+        return tuple(x[:k + 1] for x in rows[:2]) + \
+            tuple(x[:, :k + 1] for x in rows[2:])
 
     def count(self, degree, breakdown=False):
         if degree < 1:
@@ -152,46 +289,41 @@ class ExplicitCounter:
                 "--breakdown mod %s: unit group of order %d; the supported "
                 "limit is %d" % (format_poly(self.modulus), G.order,
                                  MAX_BREAKDOWN_ORDER))
-        E = self.E
-        R = ramanujan_sums(E)
+        q = self.field.q
+        scale = degree * G.order
+        ell, powers, _coeffs, psums = rows = \
+            self._rows(degree, scale * q ** degree)
         moebius = [(k, mobius(k)) for k in divisors(degree) if mobius(k)]
-        # phi(E) * N * M' * pi(N; a), accumulated orbit by orbit
-        trivial = sum(mu * self._psi(0, degree // k) for k, mu in moebius)
-        totals = [euler_phi(E) * trivial] * G.order
-        for ci, weight, exps in self._reps:
-            chi = self.chars[ci]
-            rational = 0
-            acc = CycloNum.from_rational(0, E)
-            for k, mu in moebius:
-                term = self._psi(self._index[(chi ** k).exps], degree // k)
-                if isinstance(term, int):
-                    rational += mu * term
-                else:
-                    acc = acc + term if mu > 0 else acc - term
-            if acc.den != 1:
-                raise IntegrityError(
-                    "power sums of %r mod %s are not algebraic integers"
-                    % (chi, self.modulus))
-            # N A_chi(N) = sum_j nums[j] zeta_E^j; chi(a) = zeta_E^e with
-            # e a multiple of E / ord(chi)
-            nums = list(acc.nums)
-            nums[0] += rational
-            trace = {}
-            for e in range(0, E, E // chi.order):
-                trace[e] = weight * sum(x * R[(j - e) % E]
-                                        for j, x in enumerate(nums) if x)
-            for ai, e in enumerate(exps):
-                totals[ai] += trace[e]
-        scale = euler_phi(E) * degree * G.order
+        wanted = {degree // k for k, _mu in moebius}
+        found = {n: psums[n - 1] for n in wanted if n <= len(psums)}
+        if degree > len(psums):
+            found.update(_newton(rows, len(psums) + 1, degree + 1, wanted))
+        # N A_chi(N) mod l, then N M' pi(N; a) = sum_chi chi(a) X_conj(chi)
+        X = 0
+        for k, mu in moebius:
+            n = degree // k
+            psi = -found[n] % ell
+            s = self.s(n)
+            psi[:, 0] = [(pow(q, n, l) - s) % l for l in ell.ravel().tolist()]
+            X = X + mu * psi[:, self._power_index(k)]
+        X = X[:, self._power_index(-1)] % ell
+        totals = 0
+        for chis, table in _gathered(powers, self._values):
+            totals = totals + np.einsum("pc,pca->pa", X[:, chis], table)
         counts = {}
-        for u, total in zip(G.units, totals):
-            val = Fraction(total, scale)
-            if val.denominator != 1 or val < 0:
+        for u, (total, agrees) in zip(G.units, _crt(totals % ell, ell)):
+            if not agrees:
+                raise IntegrityError(
+                    "explicit count pi(%d; %s, %s): the redundant prime %d "
+                    "disagrees with the other %d"
+                    % (degree, self.modulus, u, ell[-1, 0], len(ell) - 1))
+            counts[u], rest = divmod(total, scale)
+            if rest or total < 0:
                 raise IntegrityError(
                     "explicit count pi(%d; %s, %s) = %s is not a nonnegative "
-                    "integer" % (degree, self.modulus, u, val))
-            counts[u] = int(val)
-        primes = gauss_irreducible_count(self.field.q, degree) - sum(
+                    "integer" % (degree, self.modulus, u,
+                                 Fraction(total, scale)))
+        primes = gauss_irreducible_count(q, degree) - sum(
             1 for p, _e in self.factorization.factors if p.degree == degree)
         total = sum(counts.values())
         if total != primes:
@@ -217,7 +349,9 @@ class ExplicitCounter:
                 continue
             raw = self.raw_zsum(d)
             scale = Fraction(mu, order)
-            vals = [self._psi(ci, degree // d) for ci in range(order)]
+            n = degree // d
+            vals = [self.field.q ** n - self.s(n)] + \
+                [L.c(n) for L in self.lpolys[1:]]
             for ai, u in enumerate(G.units):
                 terms = [(raw[ai][ci] * scale) * vals[ci]
                          for ci in range(order)]

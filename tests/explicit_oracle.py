@@ -1,6 +1,7 @@
 """Reference oracles for the explicit formula: the class x character matrix
-Mobius inversion, the pi_g decomposition of cyclic unit groups and the Mobius
-helper sums, each against which explicit.ExplicitCounter.count is compared.
+Mobius inversion, the cyclotomic orbit assembly, the pi_g decomposition of
+cyclic unit groups and the Mobius helper sums, each against which
+explicit.ExplicitCounter.count is compared.
 
 For each divisor d of N
     Ztilde(d)_{a,chi} = (mu(d)/M') * sum_{b^d = a} chi(b)^-1
@@ -17,7 +18,8 @@ from ffrace.characters import all_characters
 from ffrace.cyclo import CycloNum
 from ffrace.errors import IntegrityError, UsageError
 from ffrace.explicit import _raw_power_sums, explicit_counter, s_value
-from ffrace.numth import divisors, mobius
+from ffrace.numth import (divisors, euler_phi, gauss_irreducible_count,
+                          mobius, ramanujan_sums)
 
 
 @dataclass
@@ -52,6 +54,72 @@ def zmatrix(G, n):
     E = G.exponent
     return [[CycloNum.zeta(E, (n * chi.value_exponent(a)) % E)
              for a in G.units] for chi in chars]
+
+
+def cyclotomic_counts(counter, degree):
+    """pi(N; m, a) for every unit class a, assembled in Q(zeta_E) one Galois
+    orbit of characters at a time.  For l a unit mod E,
+    L(u, chi^l) = sigma_l L(u, chi), so the orbit of chi contributes one
+    trace:
+        sum_{chi' ~ chi} chi'(a)^-1 A_chi'(N)
+            = (phi(ord chi)/phi(E)) Tr_{Q(zeta_E)/Q}(zeta_E^(-e_chi(a)) A_chi(N)),
+    and Tr(zeta_E^t x) is an integer dot product of the power-basis
+    coordinates of x with the Ramanujan sums Tr(zeta_E^t).  Power sums are
+    extended on the orbit representatives only."""
+    G = counter.group
+    E = counter.E
+    q = counter.field.q
+    R = ramanujan_sums(E)
+
+    def psi(ci, n):
+        # q^n - s_{m,n} for the trivial character, else sigma_l c_n(rep)
+        if ci == 0:
+            return q ** n - counter.s(n)
+        r, l = counter.orbit[ci]
+        c = counter.lpolys[r].c(n)
+        return c if l == 1 else c.galois(l)
+
+    moebius = [(k, mobius(k)) for k in divisors(degree) if mobius(k)]
+    # phi(E) * N * M' * pi(N; a), accumulated orbit by orbit
+    trivial = sum(mu * psi(0, degree // k) for k, mu in moebius)
+    totals = [euler_phi(E) * trivial] * G.order
+    for ci, (r, _l) in enumerate(counter.orbit):
+        if ci == 0 or r != ci:
+            continue
+        chi = counter.chars[ci]
+        rational = 0
+        acc = CycloNum.from_rational(0, E)
+        for k, mu in moebius:
+            term = psi(counter._index[(chi ** k).exps], degree // k)
+            if isinstance(term, int):
+                rational += mu * term
+            else:
+                acc = acc + term if mu > 0 else acc - term
+        if acc.den != 1:
+            raise IntegrityError("power sums of %r are not algebraic integers"
+                                 % (chi,))
+        # N A_chi(N) = sum_j nums[j] zeta_E^j; chi(a) = zeta_E^e with e a
+        # multiple of E / ord(chi)
+        nums = list(acc.nums)
+        nums[0] += rational
+        weight = euler_phi(chi.order)
+        trace = {e: weight * sum(x * R[(j - e) % E]
+                                 for j, x in enumerate(nums) if x)
+                 for e in range(0, E, E // chi.order)}
+        for ai, e in enumerate(chi.value_exponents().tolist()):
+            totals[ai] += trace[e]
+    scale = euler_phi(E) * degree * G.order
+    out = {}
+    for u, total in zip(G.units, totals):
+        val = Fraction(total, scale)
+        if val.denominator != 1 or val < 0:
+            raise IntegrityError("cyclotomic count pi(%d; %s) = %s"
+                                 % (degree, u, val))
+        out[u] = int(val)
+    primes = gauss_irreducible_count(q, degree) - sum(
+        1 for p, _e in counter.factorization.factors if p.degree == degree)
+    assert sum(out.values()) == primes
+    return out
 
 
 def pi_g_decomposition(m, degree, cls):

@@ -1,4 +1,5 @@
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import gcd
@@ -7,9 +8,10 @@ import pytest
 
 from explicit_oracle import (mobius_helpers, pi_g_decomposition, zmatrix,
                              zmatrix_inverse)
+from ffrace import explicit
 from ffrace.characters import all_characters, unit_group
 from ffrace.cyclo import CycloNum
-from ffrace.errors import UsageError
+from ffrace.errors import IntegrityError, UsageError
 from ffrace.explicit import (ExplicitCounter, bias_report, explicit_counter,
                              s_value)
 from ffrace.field import field_make
@@ -343,3 +345,111 @@ def test_lpolys_transported_from_orbit_representatives():
             if ci:
                 assert counter.lpolys[ci].coeffs == \
                     l_polynomial(m, counter.chars[ci]).coeffs
+
+
+def _race(fn, jobs):
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            return list(pool.map(fn, jobs))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_concurrent_counts_while_the_prime_stack_grows():
+    # each degree needs more split primes than the last few (N M' q^N grows),
+    # so threads on a cold counter extend the rows and the cached power sums
+    # while others read them
+    m = P(F3, "T^3+2T+2")
+    degrees = range(13, 201)
+    serial = [ExplicitCounter(m).count(n).counts for n in degrees]
+    cold = ExplicitCounter(m)
+    assert _race(lambda n: cold.count(n).counts, degrees) == serial
+
+
+def test_concurrent_lpolys_of_cold_counter():
+    m = P(F2, "T^6+T^2+1")
+    cold = ExplicitCounter(m)
+    start = threading.Barrier(4)
+
+    def read(_):
+        start.wait()
+        return cold.lpolys
+
+    found = _race(read, range(4))
+    assert all(lp is found[0] for lp in found)
+    assert [L.coeffs for L in found[0][1:]] == \
+        [l_polynomial(m, chi).coeffs for chi in cold.chars[1:]]
+
+
+def _corrupt_residues(monkeypatch, rows):
+    """Add 1 to the class-0 residue of the given prime rows before the
+    CRT."""
+    crt = explicit._crt
+
+    def corrupted(residues, ell):
+        residues = residues.copy()
+        for r in rows(len(ell)):
+            residues[r, 0] = (residues[r, 0] + 1) % ell[r, 0]
+        return crt(residues, ell)
+
+    monkeypatch.setattr(explicit, "_crt", corrupted)
+
+
+@pytest.mark.parametrize("field, mstr, N", [
+    (F2, "T^3+T+1", 40), (F3, "T^4+T+2", 16), (F2, "T^6+T^2+1", 30)])
+def test_corrupt_prime_row_raises(monkeypatch, field, mstr, N):
+    _corrupt_residues(monkeypatch, lambda P: [0])
+    with pytest.raises(IntegrityError):
+        ExplicitCounter(P(field, mstr)).count(N)
+
+
+def test_redundant_prime_disagreement_raises(monkeypatch):
+    _corrupt_residues(monkeypatch, lambda P: [P - 1])
+    with pytest.raises(IntegrityError, match="redundant prime"):
+        ExplicitCounter(P(F3, "T^4+T+2")).count(16)
+
+
+def test_consistent_corruption_fails_integrality(monkeypatch):
+    # the same wrong residue on every row passes the redundant prime; the
+    # value N M' pi + 1 is no multiple of N M'
+    _corrupt_residues(monkeypatch, range)
+    with pytest.raises(IntegrityError, match="not a nonnegative integer"):
+        ExplicitCounter(P(F3, "T^4+T+2")).count(16)
+
+
+def test_non_primitive_root_of_unity_raises(monkeypatch):
+    # omega = 1 on one prime makes every character trivial there: the
+    # degree-M character sums of that row no longer vanish
+    split_prime = explicit.split_prime
+
+    def bad(E, i):
+        l, w = split_prime(E, i)
+        return (l, 1) if i == 1 else (l, w)
+
+    monkeypatch.setattr(explicit, "split_prime", bad)
+    with pytest.raises(IntegrityError, match="does not vanish"):
+        ExplicitCounter(P(F2, "T^3+T+1")).count(20)
+
+
+def test_degree_past_the_split_primes_is_refused(monkeypatch):
+    # below 2^10 there are 29 primes l = 1 mod 7, about 248 bits: enough for
+    # N = 20 over F2, not for N = 300
+    monkeypatch.setattr(explicit, "PRIME_BITS", 10)
+    monkeypatch.setattr(explicit, "_split", {})
+    m = P(F2, "T^3+T+1")
+    assert ExplicitCounter(m).count(20).counts == sieve_count(m, 20).counts
+    with pytest.raises(UsageError, match="primes l = 1 mod 7 below 2"):
+        ExplicitCounter(m).count(300)
+
+
+def test_split_primes_have_primitive_roots():
+    for E in (1, 2, 7, 56, 63, 80, 1023):
+        for i in range(3):
+            l, w = explicit.split_prime(E, i)
+            assert (l - 1) % E == 0 and l < 2 ** explicit.PRIME_BITS
+            assert pow(w, E, l) == 1
+            assert all(pow(w, E // p, l) != 1 for p in (2, 3, 5, 7, 11, 31)
+                       if E % p == 0)
+        assert explicit.split_prime(E, 1)[0] < explicit.split_prime(E, 0)[0]

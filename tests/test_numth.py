@@ -1,7 +1,7 @@
 from math import cos, gcd, pi
 
-from ffrace.numth import (divisors, euler_phi, mobius, prime_factors,
-                          ramanujan_sums)
+from ffrace.numth import (divisors, euler_phi, is_prime, mobius,
+                          prime_factors, ramanujan_sums)
 
 N = 2000
 
@@ -39,3 +39,13 @@ def test_ramanujan_sums_are_traces_of_roots_of_unity():
         expected = tuple(round(sum(cos(2 * pi * t * l / E) for l in units))
                          for t in range(E))
         assert ramanujan_sums(E) == expected, E
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(-2, N + 1):
+        assert is_prime(n) == (n > 1 and prime_factors(n) == (n,)), n
+    # 2^25 - 39 is the largest prime below 2^25; 25326001 is a strong
+    # pseudoprime to the bases 2, 3 and 5 (base 7 exposes it)
+    assert is_prime(2 ** 25 - 39)
+    assert not any(is_prime(n) for n in range(2 ** 25 - 38, 2 ** 25))
+    assert not is_prime(25326001) and not is_prime(3 * 11 * 17)
