@@ -198,28 +198,7 @@ class CycloNum:
 
     __rmul__ = __mul__
 
-    # --- Galois / invariants ------------------------------------------------
-    def galois(self, l):
-        """Image under sigma_l: zeta -> zeta^l, gcd(l, E) = 1."""
-        l %= self.E
-        if gcd(l, self.E) != 1:
-            raise UsageError("sigma_%d is not a Galois element for E=%d"
-                             % (l, self.E))
-        weights = [0] * self.E
-        for i, c in enumerate(self.nums):
-            weights[(i * l) % self.E] = c
-        return CycloNum(self.E, _reduce(self.E, weights), self.den)
-
-    def zeta_multiples(self):
-        """[zeta_E^j * self for j < E], by shifting the power basis and
-        reducing by the monic Phi_E (zeta_E is a unit: no renormalizing)."""
-        Phi, nums, out = cyclotomic_poly(self.E), self.nums, [self]
-        for _ in range(self.E - 1):
-            top, nums = nums[-1], (0,) + nums[:-1]
-            nums = tuple(x - top * c for x, c in zip(nums, Phi))
-            out.append(CycloNum(self.E, nums, self.den, True))
-        return out
-
+    # --- invariants -------------------------------------------------------
     def trace(self):
         """Tr_{Q(zeta_E)/Q}, the sum of all phi(E) Galois images; a rational.
         Computed as the dot product of the coordinates with the Ramanujan

@@ -17,19 +17,20 @@ symmetric range, and the last prime must agree.  Every count must be a
 nonnegative integer and the counts must sum to the number of degree-N
 primes prime to m; a failure is raised, never rounded away.
 
-The L-polynomials in Q(zeta_E) are built on first use: relations and the
---breakdown audit, the class x character matrix inversion
+The conjugate-relation search (lfunc.find_conjugate_relations) reads the
+first row of the stack.  The L-polynomials in Q(zeta_E) are built on first
+use, for the --breakdown audit: the class x character matrix inversion
     Ztilde(d)_{a,chi} = (mu(d)/M') * sum_{b^d = a} chi(b)^-1,
     pi(N; m, a) = (1/N) sum_{d|N} ( Ztilde(d)_{a,chi0} (q^{N/d} - s_{m,N/d})
                                     + sum_{chi != chi0} Ztilde(d)_{a,chi} c_{N/d}(chi) ).
-The oracles built on it, the cyclotomic orbit assembly, the pi_g
+The oracles built on it, the assembly by traces in Q(zeta_E), the pi_g
 decomposition and the Mobius helper sums live in tests/explicit_oracle.py.
 """
 
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import prod
 from operator import mul
 
 import numpy as np
@@ -37,7 +38,7 @@ import numpy as np
 from .characters import all_characters, unit_group
 from .cyclo import CycloNum
 from .errors import IntegrityError, UsageError
-from .lfunc import LPolynomial, l_polynomial
+from .lfunc import l_polynomial
 from .numth import (divisors, gauss_irreducible_count, is_prime, mobius,
                     prime_factors)
 from .polyring import Poly, factorize, format_poly
@@ -160,8 +161,8 @@ class ExplicitCounter:
     """Caches the per-modulus data across degrees: unit group, characters,
     their values V[chi, a] (chi(a) = zeta_E^V), the stack of split primes
     with cached power sums, the Ztilde raw sums of the --breakdown audit
-    and, on first use, the Galois orbits and the L-polynomials in
-    Q(zeta_E).  Safe to share between threads."""
+    and, on first use, the L-polynomials in Q(zeta_E).  Safe to share
+    between threads."""
 
     def __init__(self, m):
         if m.degree < 1:
@@ -179,7 +180,7 @@ class ExplicitCounter:
         # (ell (P, 1), powers (P, E): omega^e mod l, coeffs (deg m - 1, P,
         # M'): a_1, a_2, .. of every L-polynomial, psums (H, P, M'): p_1..p_H)
         self._stack = self._new_rows(0)
-        self._orbit = self._lpolys = None
+        self._lpolys = None
         self._powers = {}  # k mod E -> the index of chars[ci]^k for every ci
         self._raw = {}
 
@@ -193,37 +194,13 @@ class ExplicitCounter:
         return raw
 
     @property
-    def orbit(self):
-        """orbit[ci] = (r, l): chars[ci] = chars[r]^l with l a unit mod E and
-        r the first index of the Galois orbit (so r <= ci)."""
-        with self._lock:
-            if self._orbit is None:
-                E = self.E
-                orbit = [None] * len(self.chars)
-                units = [l for l in range(1, E + 1) if gcd(l, E) == 1]
-                for ci, chi in enumerate(self.chars):
-                    if orbit[ci] is None:
-                        for l in units:
-                            cj = self._index[(chi ** l).exps]
-                            if orbit[cj] is None:
-                                orbit[cj] = (ci, l)
-                self._orbit = orbit
-            return self._orbit
-
-    @property
     def lpolys(self):
-        """L-polynomials in Q(zeta_E), None for the trivial character: built
-        on the orbit representatives, sigma_l-transported to the rest."""
+        """L-polynomials in Q(zeta_E), None for the trivial character, built
+        on first use."""
         with self._lock:
             if self._lpolys is None:
-                lpolys = [None] * len(self.chars)
-                for ci, (r, l) in enumerate(self.orbit[1:], 1):
-                    if r == ci:
-                        lpolys[ci] = l_polynomial(self.modulus, self.chars[ci])
-                    else:
-                        lpolys[ci] = LPolynomial(self.chars[ci], [
-                            c.galois(l) for c in lpolys[r].coeffs])
-                self._lpolys = lpolys
+                self._lpolys = [None] + [l_polynomial(self.modulus, chi)
+                                         for chi in self.chars[1:]]
             return self._lpolys
 
     def _power_index(self, k):

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from cyclo_oracle import galois
+from relations_oracle import orbit
 from ffrace.characters import all_characters
 from ffrace.cyclo import CycloNum
 from ffrace.errors import IntegrityError, UsageError
@@ -70,20 +72,21 @@ def cyclotomic_counts(counter, degree):
     E = counter.E
     q = counter.field.q
     R = ramanujan_sums(E)
+    orbits = orbit(counter)
 
     def psi(ci, n):
         # q^n - s_{m,n} for the trivial character, else sigma_l c_n(rep)
         if ci == 0:
             return q ** n - counter.s(n)
-        r, l = counter.orbit[ci]
+        r, l = orbits[ci]
         c = counter.lpolys[r].c(n)
-        return c if l == 1 else c.galois(l)
+        return c if l == 1 else galois(c, l)
 
     moebius = [(k, mobius(k)) for k in divisors(degree) if mobius(k)]
     # phi(E) * N * M' * pi(N; a), accumulated orbit by orbit
     trivial = sum(mu * psi(0, degree // k) for k, mu in moebius)
     totals = [euler_phi(E) * trivial] * G.order
-    for ci, (r, _l) in enumerate(counter.orbit):
+    for ci, (r, _l) in enumerate(orbits):
         if ci == 0 or r != ci:
             continue
         chi = counter.chars[ci]

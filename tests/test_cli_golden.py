@@ -7,9 +7,9 @@ non-cyclic group of order 56 and an extension field.
 
 The count, cumulative and ties files under tests/golden/cli/ were captured
 from `ffrace` before the routing was collapsed into `explicit.counts`, the
-relations files before `find_conjugate_relations` read the explicit
-counter's L-polynomials; regenerate one with
-`PYTHONPATH=src python -m ffrace.cli <argv> --format <fmt>`."""
+relations files from the search in Q(zeta_E) (tests/relations_oracle.py),
+before `find_conjugate_relations` moved to one split prime.  Regenerate
+one with `PYTHONPATH=src python -m ffrace.cli <argv> --format <fmt>`."""
 
 import pathlib
 

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from cyclo_oracle import inverse, power
+from cyclo_oracle import galois, inverse, power, zeta_multiples
 from ffrace.cyclo import CycloNum, cyclotomic_poly
 from ffrace.errors import UsageError
 from ffrace.numth import euler_phi
@@ -55,29 +55,29 @@ def test_zeta_power_identity():
 def test_alpha7_norm_is_two():
     a = alpha7()
     assert a == -1 - zeta(7) - zeta(7, 3)       # the stated rewriting
-    assert a * a.galois(-1) == 2                # |alpha|^2 = 2
+    assert a * galois(a, -1) == 2               # |alpha|^2 = 2
 
 
 def test_alpha8_norm_is_three():
     a = alpha8()
-    assert a * a.galois(-1) == 3                # |alpha|^2 = 3
+    assert a * galois(a, -1) == 3               # |alpha|^2 = 3
 
 
 def test_galois_examples():
     a7 = alpha7()
-    assert a7.galois(2) == zeta(7, -1 % 7) * a7       # sigma_2 = z^-1 *
-    assert a7.galois(4) == zeta(7, -3 % 7) * a7
+    assert galois(a7, 2) == zeta(7, -1 % 7) * a7      # sigma_2 = z^-1 *
+    assert galois(a7, 4) == zeta(7, -3 % 7) * a7
     a8 = alpha8()
-    assert a8.galois(3) == -a8                        # z8^-4 = -1
+    assert galois(a8, 3) == -a8                       # z8^-4 = -1
     x = sqrt_minus3()
-    assert x.galois(5) == -x
-    assert x.galois(5) == zeta(6, 3) * x
+    assert galois(x, 5) == -x
+    assert galois(x, 5) == zeta(6, 3) * x
     assert x * x == -3
     # sigma_1 identity
     for v in (a7, a8, x):
-        assert v.galois(1) == v
+        assert galois(v, 1) == v
     with pytest.raises(UsageError):
-        zeta(8).galois(2)
+        galois(zeta(8), 2)
 
 
 def test_galois_is_ring_hom_and_composes():
@@ -91,9 +91,17 @@ def test_galois_is_ring_hom_and_composes():
                              for _ in range(euler_phi(E))], 1)
             l = rng.choice(ls)
             k = rng.choice(ls)
-            assert (x + y).galois(l) == x.galois(l) + y.galois(l)
-            assert (x * y).galois(l) == x.galois(l) * y.galois(l)
-            assert x.galois(k).galois(l) == x.galois((l * k) % E)
+            assert galois(x + y, l) == galois(x, l) + galois(y, l)
+            assert galois(x * y, l) == galois(x, l) * galois(y, l)
+            assert galois(galois(x, k), l) == galois(x, (l * k) % E)
+
+
+def test_zeta_multiples_are_products():
+    rng = random.Random(3)
+    for E in (1, 2, 7, 12, 63):
+        x = CycloNum(E, [rng.randrange(-9, 10) for _ in range(euler_phi(E))],
+                     rng.randrange(1, 4))
+        assert zeta_multiples(x) == [zeta(E, j) * x for j in range(E)]
 
 
 def galois_sum(x):
@@ -101,7 +109,7 @@ def galois_sum(x):
     total = CycloNum.from_rational(0, x.E)
     for l in range(1, x.E + 1):
         if gcd(l, x.E) == 1:
-            total = total + x.galois(l)
+            total = total + galois(x, l)
     assert total.is_rational
     return total.rational_value
 
@@ -119,7 +127,7 @@ def test_traces():
         x = CycloNum(12, [rng.randrange(-4, 5) for _ in range(4)], 1)
         y = CycloNum(12, [rng.randrange(-4, 5) for _ in range(4)], 3)
         assert (x + y).trace() == x.trace() + y.trace()
-        assert x.galois(5).trace() == x.trace()
+        assert galois(x, 5).trace() == x.trace()
     # the Ramanujan-sum trace equals the sum of the Galois images
     for E in (12, 15, 63):
         for _ in range(5):
@@ -180,7 +188,7 @@ def test_reduction_matches_long_division():
                 image = [0] * E                 # zeta^i -> zeta^(il mod E)
                 for i, c in enumerate(x.nums):
                     image[(i * l) % E] = c
-                assert x.galois(l) == oracle(E, image, x.den)
+                assert galois(x, l) == oracle(E, image, x.den)
             y = CycloNum(E, [rng.randrange(-9, 10) for _ in range(phi)])
             conv = [0] * (2 * phi - 1)
             for i, a in enumerate(x.nums):

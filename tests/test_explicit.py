@@ -2,7 +2,6 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from math import gcd
 
 import pytest
 
@@ -335,16 +334,13 @@ def test_concurrent_cold_counter_matches_serial():
     assert threaded == serial
 
 
-def test_lpolys_transported_from_orbit_representatives():
+def test_lpolys_are_the_direct_l_polynomials():
     for field, mstr in ((F2, "T^6+T^2+1"), (F3, "T^2"), (F2, "T^3+T+1")):
         m = P(field, mstr)
         counter = ExplicitCounter(m)
-        for ci, (r, l) in enumerate(counter.orbit):
-            assert counter.chars[r] ** l == counter.chars[ci]
-            assert r <= ci and gcd(l, counter.E) == 1
-            if ci:
-                assert counter.lpolys[ci].coeffs == \
-                    l_polynomial(m, counter.chars[ci]).coeffs
+        assert counter.lpolys[0] is None
+        assert [L.coeffs for L in counter.lpolys[1:]] == \
+            [l_polynomial(m, chi).coeffs for chi in counter.chars[1:]]
 
 
 def _race(fn, jobs):

@@ -1,8 +1,11 @@
 import pytest
 
+from cyclo_oracle import galois
 from lpoly_oracle import character_sums
 from newton_oracle import power_sum_mismatch, verify_power_sums_vs_sieve
+from relations_oracle import conjugate_relations, strip_unit_roots
 from sieve_oracle import weighted_count
+from ffrace import cyclo, explicit
 from ffrace.characters import Character, UnitGroup, all_characters, unit_group
 from ffrace.cyclo import CycloNum
 from ffrace.errors import IntegrityError, UsageError
@@ -73,7 +76,7 @@ def test_lpoly_p3T21():
             assert L.coeffs == (CycloNum.from_rational(1, 8),
                                 L.coeffs[1]) and L.coeffs[1] == -1
         else:
-            assert L.coeffs[1] == -alpha.galois(l)
+            assert L.coeffs[1] == -galois(alpha, l)
 
 
 def test_lpoly_rejects_trivial():
@@ -201,13 +204,13 @@ def test_weil_bound_all_reference_moduli():
 def test_strip_unit_roots():
     m, chars = chars_of(F2, "T^3+T+1")
     L = l_polynomial(m, chars[1])
-    k, stripped = L.strip_unit_roots()
+    k, stripped = strip_unit_roots(L)
     assert k == 1 and stripped.degree == 1
     alpha = z(7, 2) + z(7, 4) + z(7, 5) + z(7, 6)
     assert stripped.power_sum(1) == alpha
     # 1 - u strips to the empty product
     m2, chars2 = chars_of(F2, "T^2+T+1")
-    k2, s2 = l_polynomial(m2, chars2[1]).strip_unit_roots()
+    k2, s2 = strip_unit_roots(l_polynomial(m2, chars2[1]))
     assert k2 == 1 and s2.degree == 0
 
 
@@ -240,3 +243,51 @@ def test_conjugate_relations_include_galois_equivariance():
     for l in (1, 3, 5, 7):
         for k in (1, 3, 5, 7):   # the degree-1 characters
             assert (str(k), str((k * l) % 8), l, 0) in rels
+
+
+# the moduli of the relations goldens, the paper's three, and groups with
+# repeated and non-cyclic factors over F2, F3 and F5 (exponents up to 80)
+RELATION_MODULI = [
+    ("F2", "T^4+T+1"), ("F2", "T^6+T^2+1"), ("F4", "T^2+T+2"),
+    ("F2", "T^3+T+1"), ("F3", "T^2+1"), ("F3", "T^2"),
+    ("F2", "T^6+T+1"), ("F3", "T^4+T+2"), ("F5", "T^2+2"), ("F2", "T^5"),
+    ("F3", "T^3"), ("F2", "T^2+T"), ("F2", "T"),
+]
+
+
+def relation_rows(rels):
+    return [r.to_json() for r in rels]
+
+
+@pytest.mark.parametrize("field, mstr", RELATION_MODULI)
+def test_relations_match_oracle(field, mstr):
+    m = P(parse_field(field), mstr)
+    assert relation_rows(find_conjugate_relations(m)) == \
+        relation_rows(conjugate_relations(m))
+
+
+def test_relations_build_no_cyclotomic_number(monkeypatch):
+    # a fresh counter on a modulus no other test uses, so nothing in
+    # Q(zeta_E) is cached: the search must not construct any
+    m = P(F2, "T^5+T^3+1")
+    want = relation_rows(conjugate_relations(m))
+    assert any(r["stripped"] for r in want)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("CycloNum built")
+
+    monkeypatch.setattr(cyclo.CycloNum, "__init__", refuse)
+    monkeypatch.setattr(explicit, "_counters", {})
+    assert relation_rows(find_conjugate_relations(m)) == want
+
+
+def test_relations_refuse_a_split_prime_below_the_bound(monkeypatch):
+    # E = 63, d = 5: the tests are exact for ell^2 > 4^6 2^5, ell > 362; with
+    # 7-bit split primes the counter's first is 127
+    monkeypatch.setattr(explicit, "PRIME_BITS", 7)
+    monkeypatch.setitem(explicit._split, 63, [])
+    monkeypatch.setattr(explicit, "_counters", {})
+    m = P(F2, "T^6+T+1")
+    assert explicit.explicit_counter(m)._rows(0, 0)[0].tolist() == [[127]]
+    with pytest.raises(IntegrityError, match="below the bound"):
+        find_conjugate_relations(m)

@@ -9,7 +9,9 @@ that the class x character oracle stays within a few seconds.  For each:
   Mobius inversion assembled from zmatrix_inverse and directly built
   L-polynomials;
 - it equals the sieve at a degree N <= min(sieve cutoff, 10);
-- every Galois-transported L-polynomial equals l_polynomial(m, chi);
+- find_conjugate_relations, modulo one split prime, returns the rows of the
+  search in Q(zeta_E) (every exponent here is at most 80, within
+  MAX_RELATIONS_EXPONENT);
 - the rational form of the GL2 slash action that checks tie certificates
   equals the unreduced slash_action mod m.
 """
@@ -20,12 +22,13 @@ from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
 from explicit_oracle import cyclotomic_counts, zmatrix_inverse
+from relations_oracle import conjugate_relations
 from ffrace import gl2
 from ffrace.characters import unit_group
 from ffrace.cyclo import CycloNum
 from ffrace.explicit import ExplicitCounter
 from ffrace.field import field_make
-from ffrace.lfunc import l_polynomial
+from ffrace.lfunc import find_conjugate_relations, l_polynomial
 from ffrace.numth import divisors
 from ffrace.polyring import Poly
 from ffrace.sieve import default_cutoff, sieve_count
@@ -80,13 +83,22 @@ def oracle_counts(counter, degree):
 @example(m=Poly(field_make(3), (0, 0, 0, 1)), n_sieve=10, n_oracle=12)
 def test_explicit_matches_oracle_sieve_and_direct_lpolys(m, n_sieve, n_oracle):
     counter = ExplicitCounter(m)
-    for chi, L in zip(counter.chars[1:], counter.lpolys[1:]):
-        assert L.coeffs == l_polynomial(m, chi).coeffs, chi
     n_sieve = min(n_sieve, default_cutoff(m.field.q))
     assert counter.count(n_sieve).counts == sieve_count(m, n_sieve).counts
     modular = counter.count(n_oracle).counts
     assert modular == cyclotomic_counts(counter, n_oracle)
     assert modular == oracle_counts(counter, n_oracle)
+
+
+@seed(20261020)
+@settings(max_examples=25, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(m=moduli())
+@example(m=Poly(field_make(2), (1, 0, 1, 0, 1)))
+@example(m=Poly(field_make(3), (0, 0, 0, 1)))
+def test_relations_match_oracle(m):
+    assert [r.to_json() for r in find_conjugate_relations(m)] == \
+        [r.to_json() for r in conjugate_relations(m)]
 
 
 @seed(20261019)
