@@ -3,12 +3,15 @@ path: sieve-first `count` (limit = the sieve cutoff), the default limit of
 the multi-degree commands, the non-monic fold on both engines, and the
 degrees 13..24 where the two limits disagree; and the full, ordered output
 of `relations` (csv only) on a cyclic group with stripped rows, a
-non-cyclic group of order 56 and an extension field.
+non-cyclic group of order 56 and an extension field; and the
+`count-explicit --breakdown` audit, every per-divisor, per-character term,
+on a non-cyclic group (json) and a cyclic one (md).
 
 The count, cumulative and ties files under tests/golden/cli/ were captured
 from `ffrace` before the routing was collapsed into `explicit.counts`, the
 relations files from the search in Q(zeta_E) (tests/relations_oracle.py),
-before `find_conjugate_relations` moved to one split prime.  Regenerate
+before `find_conjugate_relations` moved to one split prime, the breakdown
+files before the raw sums were tallied over the log grid.  Regenerate
 one with `PYTHONPATH=src python -m ffrace.cli <argv> --format <fmt>`."""
 
 import pathlib
@@ -49,6 +52,15 @@ RELATIONS = {
                           "--modulus", "T^2+T+2"],
 }
 
+BREAKDOWNS = {
+    "count_explicit_F2_T4T21_d12_breakdown.json": [
+        "count-explicit", "--field", "F2", "--modulus", "T^4+T^2+1",
+        "--degree", "12", "--breakdown", "--format", "json"],
+    "count_explicit_F3_T21_d12_breakdown.md": [
+        "count-explicit", "--field", "F3", "--modulus", "T^2+1",
+        "--degree", "12", "--breakdown", "--format", "md"],
+}
+
 
 def replay(capsys, argv, path):
     code = main(argv)
@@ -68,3 +80,8 @@ def test_cli_output_matches_golden(capsys, name, fmt):
 def test_relations_output_matches_golden(capsys, name):
     replay(capsys, RELATIONS[name] + ["--format", "csv"],
            GOLDEN / ("%s.csv" % name))
+
+
+@pytest.mark.parametrize("name", sorted(BREAKDOWNS))
+def test_breakdown_output_matches_golden(capsys, name):
+    replay(capsys, BREAKDOWNS[name], GOLDEN / name)
