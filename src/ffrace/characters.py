@@ -9,6 +9,11 @@ the exponent is read off the factorization of m, an element's order is found
 by peeling the primes of the exponent (a^(t/p) = 1?) and its quotient order,
 which divides that order, by peeling the primes again (a^(t/p) in the
 subgroup?), each test one modular power.
+
+Units and characters are positions in one row-major grid over the invariant
+factors (the dual group has the same ones): units[i] sits at the position
+of its dlog vector, all_characters(G)[ci] at position ci.  So b -> b^n and
+chi -> chi^k are index maps, power_index(n) and character_power_index(k).
 """
 
 from functools import lru_cache
@@ -73,7 +78,6 @@ class UnitGroup:
         self.units = tuple(units)
         self.order = len(units)
         assert self.order == order, "unit count differs from Phi(m)"
-        self._index = {u: i for i, u in enumerate(units)}
         self._build_generators()
         self._build_monic_classes()
 
@@ -145,9 +149,11 @@ class UnitGroup:
             assert self._has_order(x, t), "adjusted generator has wrong order"
             gens.append(x)
             orders.append(t)
+            pows = [one]
+            for _ in range(t - 1):
+                pows.append(self._mul(pows[-1], x))
             sub = {self._mul(h, xp): vec + (j,)
-                   for h, vec in sub.items()
-                   for j, xp in enumerate(self._pows(x, t))}
+                   for h, vec in sub.items() for j, xp in enumerate(pows)}
             bound = gcd(t, self.order // len(sub))
         # ascending invariant factors d_1 | ... | d_r = exponent
         gens.reverse()
@@ -158,14 +164,18 @@ class UnitGroup:
         self.gen_orders = tuple(orders)
         self.exponent = orders[-1] if orders else 1
         assert self.exponent == exponent, "top invariant factor != exponent"
-        self.dlog = {u: vec[::-1] for u, vec in sub.items()}
-        assert len(self.dlog) == self.order
-        # the same logs as an array, row i for units[i]; read-only, as
-        # unit_group hands one group to every caller
+        assert len(sub) == self.order
+        # the logs, row i for units[i]; read-only, as unit_group hands one
+        # group to every caller
         self.dlog_array = np.array(
-            [self.dlog[u] for u in self.units],
+            [sub[u][::-1] for u in self.units],
             dtype=np.int64).reshape(self.order, len(gens))
         self.dlog_array.setflags(write=False)
+        # the unit index at every position of the row-major grid over
+        # gen_orders, the inverse of the units' positions
+        self.unit_at = np.empty(self.order, dtype=np.int64)
+        self.unit_at[self._positions(1)] = np.arange(self.order)
+        self.unit_at.setflags(write=False)
 
     def _build_monic_classes(self):
         """monic_classes[n] = the unit indices of f mod m over the monic f of
@@ -184,37 +194,33 @@ class UnitGroup:
         for ix in self.monic_classes:
             ix.setflags(write=False)
 
-    def _pows(self, a, t):
-        out = [Poly.one(self.field)]
-        for _ in range(t - 1):
-            out.append(self._mul(out[-1], a))
-        return out
-
     # --- queries ------------------------------------------------------------
-    def index_of(self, u):
-        try:
-            return self._index[u]
-        except KeyError:
-            raise UsageError("%s is not a unit mod %s" % (u, self.modulus))
+    def _positions(self, n):
+        """The grid position of units[i]^n for every i."""
+        if not self.gen_orders:  # the trivial group: one position
+            return np.zeros(self.order, dtype=np.int64)
+        return np.ravel_multi_index(
+            (self.dlog_array * (n % self.exponent) % self.gen_orders).T,
+            self.gen_orders)
+
+    def power_index(self, n):
+        """The unit index of units[i]^n for every i (n may be negative)."""
+        return self.unit_at[self._positions(n)]
+
+    def character_power_index(self, k):
+        """The index of chars[ci]^k in all_characters order for every ci:
+        chars[ci] has the exponents of the logs of units[unit_at[ci]]."""
+        return self._positions(k)[self.unit_at]
 
     def contains(self, u):
-        return u in self._index
-
-    def from_dlog(self, vec):
-        out = Poly.one(self.field)
-        for g, e in zip(self.generators, vec):
-            if e:
-                out = self._mul(out, powmod(g, e, self.modulus))
-        return out
-
-    def unit_pow(self, u, n):
-        """u^n using the discrete log (n may be negative)."""
-        vec = self.dlog[u]
-        return self.from_dlog(tuple((e * n) % d
-                                    for e, d in zip(vec, self.gen_orders)))
+        code = u.encode()
+        return (u.field == self.field and code < len(self.unit_index)
+                and self.unit_index[code] >= 0)
 
     def order_of(self, u):
-        vec = self.dlog[u]
+        if not self.contains(u):
+            raise UsageError("%s is not a unit mod %s" % (u, self.modulus))
+        vec = self.dlog_array[self.unit_index[u.encode()]].tolist()
         return lcm(1, *(d // gcd(e, d) for e, d in zip(vec, self.gen_orders)))
 
     @property
@@ -255,33 +261,16 @@ class Character:
     def is_trivial(self):
         return not any(self.exps)
 
-    @property
-    def order(self):
-        return lcm(1, *(d // gcd(k, d)
-                        for k, d in zip(self.exps, self.group.gen_orders)))
-
-    def value_exponent(self, a):
-        """t with chi(a) = zeta_E^t."""
-        G = self.group
-        E = G.exponent
-        vec = G.dlog[a]
-        return sum(k * e * (E // d)
-                   for k, e, d in zip(self.exps, vec, G.gen_orders)) % E
-
     def value_exponents(self):
-        """value_exponent(a) for every unit a, in canonical class order, as
-        one product with the group's dlog array: sum_i k_i (E/d_i) dlog_i(a)
-        mod E."""
+        """t(a) with chi(a) = zeta_E^t(a) for every unit a, in canonical
+        class order, as one product with the group's dlog array:
+        sum_i k_i (E/d_i) dlog_i(a) mod E."""
         G = self.group
         E = G.exponent
         weights = np.array([k * (E // d)
                             for k, d in zip(self.exps, G.gen_orders)],
                            dtype=np.int64)
         return G.dlog_array @ weights % E
-
-    def __pow__(self, n):
-        return Character(self.group, tuple((k * n) % d for k, d in
-                                           zip(self.exps, self.group.gen_orders)))
 
     def __eq__(self, other):
         return (isinstance(other, Character) and self.group == other.group

@@ -15,7 +15,9 @@ Primes l < 2^25 are stacked until the product of all but the last exceeds
 2 N M' q^N; the Chinese remainder theorem gives the integer in the
 symmetric range, and the last prime must agree.  Every count must be a
 nonnegative integer and the counts must sum to the number of degree-N
-primes prime to m; a failure is raised, never rounded away.
+primes prime to m; a failure is raised, never rounded away.  A count
+whose Newton walk would pass MAX_EXPLICIT_WORK is refused before any prime
+is searched.
 
 The conjugate-relation search (lfunc.find_conjugate_relations) reads the
 first row of the stack.  The L-polynomials in Q(zeta_E) are built on first
@@ -30,7 +32,7 @@ decomposition and the Mobius helper sums live in tests/explicit_oracle.py.
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import log2, prod
 from operator import mul
 
 import numpy as np
@@ -48,6 +50,13 @@ from .sieve import default_cutoff, sieve_count
 # raw sums per squarefree divisor of N: on a 2-core Xeon, order 80 at N = 30
 # (8 such divisors) takes 4.5 s and 380 MB, order 124 at N = 6 12 s and 770 MB.
 MAX_BREAKDOWN_ORDER = 80
+# Cost units (passes over one row entry) a cold explicit count may take: N
+# steps of Newton's recurrence over P x M' entries, P the split primes past
+# 2 N M' q^N, each deg m - 1 multiply-adds and about four passes more (copy,
+# n a_n, negation, reduction mod l).  Cold CLI counts at the limit, 2-core
+# Xeon: 5.8 s mod T^3+T+1/F2 (N = 46257) and T^4+T+2/F3 (10050), 7.2 s at
+# order 1023 (2577) and mod T+1/F2 (149975), 8.9 s mod T+1/F3 (84233).
+MAX_EXPLICIT_WORK = 36 * 10 ** 8
 # Split primes lie below 2^PRIME_BITS: an entry times a weight is below
 # 2^50, a sum of 4096 of them below 2^62.
 PRIME_BITS = 25
@@ -130,23 +139,20 @@ def s_value(factorization, n):
     return sum(p.degree for p, _ in factorization.factors if n % p.degree == 0)
 
 
-def _raw_power_sums(G, n):
-    """S(n)[a_idx][chi_idx] = sum_{b^n = a} chi(b)^-1 (integer CycloNums);
-    Ztilde(n) = (mu(n)/M') * S(n)."""
-    E = G.exponent
-    chars = all_characters(G)
-    order = G.order
-    tallies = [[None] * order for _ in range(order)]
-    for b in G.units:
-        a_idx = G.index_of(G.unit_pow(b, n))
-        row = tallies[a_idx]
-        for ci, chi in enumerate(chars):
-            if row[ci] is None:
-                row[ci] = [0] * E
-            row[ci][(-chi.value_exponent(b)) % E] += 1
-    zero = [0] * E
-    return [[CycloNum.from_zeta_powers(E, t if t is not None else zero)
-             for t in row] for row in tallies]
+def explicit_work(q, order, deg, degree):
+    """The cost units of a cold degree-N count (see MAX_EXPLICIT_WORK)."""
+    bits = log2(2 * degree * order) + degree * log2(q)
+    return degree * (int(bits) // PRIME_BITS + 2) * order * (deg + 3)
+
+
+def max_explicit_degree(q, order, deg):
+    """The largest degree within MAX_EXPLICIT_WORK, by bisection."""
+    lo, hi = 1, 1 << 40
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        ok = explicit_work(q, order, deg, mid) <= MAX_EXPLICIT_WORK
+        lo, hi = (mid, hi) if ok else (lo, mid)
+    return lo
 
 
 @dataclass
@@ -161,8 +167,8 @@ class ExplicitCounter:
     """Caches the per-modulus data across degrees: unit group, characters,
     their values V[chi, a] (chi(a) = zeta_E^V), the stack of split primes
     with cached power sums, the Ztilde raw sums of the --breakdown audit
-    and, on first use, the L-polynomials in Q(zeta_E).  Safe to share
-    between threads."""
+    and, on first use, the L-polynomials in Q(zeta_E).  V is one product
+    over the group's log grid.  Safe to share between threads."""
 
     def __init__(self, m):
         if m.degree < 1:
@@ -173,24 +179,34 @@ class ExplicitCounter:
         self.E = G.exponent
         self.factorization = factorize(m)
         self.chars = all_characters(G)
-        self._index = {chi.exps: ci for ci, chi in enumerate(self.chars)}
-        self._values = np.array([chi.value_exponents() for chi in self.chars],
-                                dtype=np.int32).reshape(G.order, G.order)
+        # chars[ci]'s exponents are the logs of units[unit_at[ci]]
+        weights = G.exponent // np.array(G.gen_orders, dtype=np.int64)
+        self._values = ((G.dlog_array[G.unit_at] * weights)
+                        @ G.dlog_array.T % self.E).astype(np.int32)
         self._lock = threading.RLock()
         # (ell (P, 1), powers (P, E): omega^e mod l, coeffs (deg m - 1, P,
         # M'): a_1, a_2, .. of every L-polynomial, psums (H, P, M'): p_1..p_H)
         self._stack = self._new_rows(0)
         self._lpolys = None
-        self._powers = {}  # k mod E -> the index of chars[ci]^k for every ci
         self._raw = {}
 
     def s(self, n):
         return s_value(self.factorization, n)
 
     def raw_zsum(self, d):
+        """S(d)[a_idx][chi_idx] = sum_{b^d = a} chi(b)^-1 (integer CycloNums),
+        one tally of (index of b^d, chi, -V[chi, b] mod E) over every
+        (chi, b); Ztilde(d) = (mu(d)/M') * S(d)."""
         raw = self._raw.get(d)
         if raw is None:
-            raw = self._raw.setdefault(d, _raw_power_sums(self.group, d))
+            G, E = self.group, self.E
+            tallies = np.zeros((G.order, G.order, E), dtype=np.int32)
+            np.add.at(tallies, (G.power_index(d)[None, :],
+                                np.arange(G.order)[:, None],
+                                -self._values % E), 1)
+            raw = self._raw.setdefault(d, [
+                [CycloNum.from_zeta_powers(E, t) for t in row.tolist()]
+                for row in tallies])
         return raw
 
     @property
@@ -202,13 +218,6 @@ class ExplicitCounter:
                 self._lpolys = [None] + [l_polynomial(self.modulus, chi)
                                          for chi in self.chars[1:]]
             return self._lpolys
-
-    def _power_index(self, k):
-        k %= self.E
-        if k not in self._powers:
-            self._powers[k] = np.array(
-                [self._index[(chi ** k).exps] for chi in self.chars])
-        return self._powers[k]
 
     def _new_rows(self, P):
         """The stack over the first P split primes, no power sums cached.
@@ -267,6 +276,13 @@ class ExplicitCounter:
                 "limit is %d" % (format_poly(self.modulus), G.order,
                                  MAX_BREAKDOWN_ORDER))
         q = self.field.q
+        work = explicit_work(q, G.order, self.modulus.degree, degree)
+        if work > MAX_EXPLICIT_WORK:
+            raise UsageError(
+                "explicit count of degree %d mod %s: about %.1e cost units; "
+                "the supported limit is %.1e, degree %d for this modulus"
+                % (degree, format_poly(self.modulus), work, MAX_EXPLICIT_WORK,
+                   max_explicit_degree(q, G.order, self.modulus.degree)))
         scale = degree * G.order
         ell, powers, _coeffs, psums = rows = \
             self._rows(degree, scale * q ** degree)
@@ -275,15 +291,16 @@ class ExplicitCounter:
         found = {n: psums[n - 1] for n in wanted if n <= len(psums)}
         if degree > len(psums):
             found.update(_newton(rows, len(psums) + 1, degree + 1, wanted))
-        # N A_chi(N) mod l, then N M' pi(N; a) = sum_chi chi(a) X_conj(chi)
+        # X[:, chi] = N A_conj(chi)(N) mod l, summing psi(chi^-k, N/k); then
+        # N M' pi(N; a) = sum_chi chi(a) X[:, chi]
         X = 0
         for k, mu in moebius:
             n = degree // k
             psi = -found[n] % ell
             s = self.s(n)
             psi[:, 0] = [(pow(q, n, l) - s) % l for l in ell.ravel().tolist()]
-            X = X + mu * psi[:, self._power_index(k)]
-        X = X[:, self._power_index(-1)] % ell
+            X = X + mu * psi[:, G.character_power_index(-k)]
+        X %= ell
         totals = 0
         for chis, table in _gathered(powers, self._values):
             totals = totals + np.einsum("pc,pca->pa", X[:, chis], table)

@@ -161,7 +161,7 @@ def find_conjugate_relations(m):
             % (format_poly(m), ell, d))
     units = [u for u in range(1, E) if gcd(u, E) == 1]
     # conj[j, ci]: the index of chars[ci]^units[j]
-    conj = np.array([counter._power_index(u) for u in units],
+    conj = np.array([counter.group.character_power_index(u) for u in units],
                     dtype=np.intp).reshape(len(units), len(chars))
     # a_0..a_d and p_1..p_d of every character at zeta_E -> omega, and the
     # degree and the multiplicity of the inverse zero 1 mod ell there; a

@@ -143,15 +143,8 @@ def generator_power_columns(m):
     G = unit_group(m)
     if not G.is_cyclic:
         raise UsageError("generator-power columns need a cyclic unit group")
-    if G.order == 1:
-        return [Poly.one(m.field)]
-    g = G.generators[0]
-    cols = []
-    cur = Poly.one(m.field)
-    for _ in range(G.order):
-        cols.append(cur)
-        cur = (cur * g) % m
-    return cols
+    # in a cyclic group the grid position of g^k is k
+    return [G.units[i] for i in G.unit_at.tolist()]
 
 
 def emit_table(key, fmt="csv", lo=None, hi=None):

@@ -15,11 +15,12 @@ from fractions import Fraction
 from math import gcd
 
 from cyclo_oracle import galois
+from group_oracle import char_order, char_pow, dlog, value_exponent
 from relations_oracle import orbit
 from ffrace.characters import all_characters
 from ffrace.cyclo import CycloNum
 from ffrace.errors import IntegrityError, UsageError
-from ffrace.explicit import _raw_power_sums, explicit_counter, s_value
+from ffrace.explicit import explicit_counter, s_value
 from ffrace.numth import (divisors, euler_phi, gauss_irreducible_count,
                           mobius, ramanujan_sums)
 
@@ -45,7 +46,7 @@ def zmatrix_inverse(G, n):
         return ZMatrixInverse(n=n, group=G,
                               entries=[[zero] * order for _ in range(order)])
     scale = Fraction(mu, order)
-    raw = _raw_power_sums(G, n)
+    raw = explicit_counter(G.modulus).raw_zsum(n)
     return ZMatrixInverse(n=n, group=G,
                           entries=[[s * scale for s in row] for row in raw])
 
@@ -54,7 +55,7 @@ def zmatrix(G, n):
     """Forward matrix Z(n), entries [chi_index][a_index] = chi^n(a)."""
     chars = all_characters(G)
     E = G.exponent
-    return [[CycloNum.zeta(E, (n * chi.value_exponent(a)) % E)
+    return [[CycloNum.zeta(E, (n * value_exponent(chi, a)) % E)
              for a in G.units] for chi in chars]
 
 
@@ -82,6 +83,7 @@ def cyclotomic_counts(counter, degree):
         c = counter.lpolys[r].c(n)
         return c if l == 1 else galois(c, l)
 
+    index = {chi.exps: ci for ci, chi in enumerate(counter.chars)}
     moebius = [(k, mobius(k)) for k in divisors(degree) if mobius(k)]
     # phi(E) * N * M' * pi(N; a), accumulated orbit by orbit
     trivial = sum(mu * psi(0, degree // k) for k, mu in moebius)
@@ -93,7 +95,7 @@ def cyclotomic_counts(counter, degree):
         rational = 0
         acc = CycloNum.from_rational(0, E)
         for k, mu in moebius:
-            term = psi(counter._index[(chi ** k).exps], degree // k)
+            term = psi(index[char_pow(chi, k).exps], degree // k)
             if isinstance(term, int):
                 rational += mu * term
             else:
@@ -105,10 +107,10 @@ def cyclotomic_counts(counter, degree):
         # multiple of E / ord(chi)
         nums = list(acc.nums)
         nums[0] += rational
-        weight = euler_phi(chi.order)
+        weight = euler_phi(char_order(chi))
         trace = {e: weight * sum(x * R[(j - e) % E]
                                  for j, x in enumerate(nums) if x)
-                 for e in range(0, E, E // chi.order)}
+                 for e in range(0, E, E // char_order(chi))}
         for ai, e in enumerate(chi.value_exponents().tolist()):
             totals[ai] += trace[e]
     scale = euler_phi(E) * degree * G.order
@@ -151,7 +153,7 @@ def pi_g_decomposition(m, degree, cls):
             if mu:
                 total += mu * (q ** (degree // d) - s_value(fact, degree // d))
         return {1: total / degree}
-    k = G.dlog[cls][0]
+    k = dlog(G, cls)[0]
     E = counter.E
     assert E == Mp
     out = {}

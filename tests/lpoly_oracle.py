@@ -2,6 +2,7 @@
 polynomial at a time, against which its numpy pass over the group's dlog
 array is compared."""
 
+from group_oracle import value_exponent
 from ffrace.cyclo import CycloNum
 from ffrace.polyring import enumerate_monic
 
@@ -18,6 +19,6 @@ def character_sums(m, chi):
         for f in enumerate_monic(m.field, n):
             r = f % m
             if G.contains(r):
-                tally[chi.value_exponent(r)] += 1
+                tally[value_exponent(chi, r)] += 1
         sums.append(CycloNum.from_zeta_powers(E, tally))
     return sums

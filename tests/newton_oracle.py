@@ -6,6 +6,7 @@ from ffrace.errors import UsageError
 from ffrace.lfunc import l_polynomial
 from ffrace.numth import divisors
 
+from group_oracle import char_pow
 from sieve_oracle import weighted_count
 
 
@@ -20,7 +21,7 @@ def power_sum_mismatch(m, chi, n_max):
     for n in range(1, n_max + 1):
         rhs = CycloNum.from_rational(0, E)
         for d in divisors(n):
-            rhs = rhs + weighted_count(m, chi ** (n // d), d) * d
+            rhs = rhs + weighted_count(m, char_pow(chi, n // d), d) * d
         if L.c(n) != rhs:
             return n
     return None

@@ -7,6 +7,7 @@ CycloNum, matched by its power-basis coordinates."""
 from math import gcd
 
 from cyclo_oracle import galois, zeta_multiples
+from group_oracle import char_pow
 from ffrace.cyclo import CycloNum
 from ffrace.explicit import explicit_counter
 from ffrace.lfunc import ConjugateRelation, LPolynomial
@@ -18,10 +19,11 @@ def orbit(counter):
     E = counter.E
     orbit = [None] * len(counter.chars)
     units = [l for l in range(1, E + 1) if gcd(l, E) == 1]
+    index = {chi.exps: ci for ci, chi in enumerate(counter.chars)}
     for ci, chi in enumerate(counter.chars):
         if orbit[ci] is None:
             for l in units:
-                cj = counter._index[(chi ** l).exps]
+                cj = index[char_pow(chi, l).exps]
                 if orbit[cj] is None:
                     orbit[cj] = (ci, l)
     return orbit
@@ -80,8 +82,9 @@ def conjugate_relations(m):
             if found is not None:
                 found.append((ci, t))
     units = [l for l in range(1, E) if gcd(l, E) == 1]
+    index = {chi.exps: ci for ci, chi in enumerate(chars)}
     return [ConjugateRelation(chi=chars[ci], other=chars[cj], l=l, t=t,
                               stripped=flag, size=len(psums))
             for (ci, flag), psums in variants.items() for l in units
             for cj, t in matches[flag, coords(
-                variants[counter._index[(chars[ci] ** l).exps], flag])]]
+                variants[index[char_pow(chars[ci], l).exps], flag])]]

@@ -11,6 +11,7 @@ A_chi(n) that the power-sum oracle checks Newton's identities against."""
 
 import numpy as np
 
+from group_oracle import value_exponent
 from ffrace.characters import unit_group
 from ffrace.cyclo import CycloNum
 from ffrace.errors import UsageError
@@ -125,5 +126,5 @@ def weighted_count(m, chi, n):
     tally = [0] * E
     for c, cnt in table.counts.items():
         if cnt:
-            tally[chi.value_exponent(c)] += cnt
+            tally[value_exponent(chi, c)] += cnt
     return CycloNum.from_zeta_powers(E, tally)

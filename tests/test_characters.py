@@ -3,6 +3,8 @@ from math import lcm
 
 import pytest
 
+from group_oracle import (char_order, char_pow, from_dlog, power_indices,
+                          unit_pow, value_exponent)
 from ffrace.characters import (UnitGroup, all_characters, group_exponent,
                                parse_character, unit_group)
 from ffrace.cyclo import CycloNum
@@ -21,7 +23,7 @@ def G(field, s):
 
 def value(chi, a):
     """chi(a) as an element of Q(zeta_E)."""
-    return CycloNum.zeta(chi.group.exponent, chi.value_exponent(a))
+    return CycloNum.zeta(chi.group.exponent, value_exponent(chi, a))
 
 
 def test_generator_choices_match_reference_moduli():
@@ -60,7 +62,7 @@ def test_non_cyclic_group():
 def test_dlog_roundtrip_and_orders():
     for grp in (G(F2, "T^3+T+1"), G(F3, "T^2+1"), G(F2, "T^4+T^2+1"),
                 G(F3, "T^3+2T+2")):
-        assert len(grp.dlog) == grp.order
+        assert len(grp.dlog_array) == grp.order
         prod = 1
         for d in grp.gen_orders:
             prod *= d
@@ -68,10 +70,10 @@ def test_dlog_roundtrip_and_orders():
         for i, (gen, d) in enumerate(zip(grp.generators, grp.gen_orders)):
             assert grp.order_of(gen) == d
         one = parse_poly(grp.field, "1")
-        for u in grp.units:
-            assert grp.from_dlog(grp.dlog[u]) == u
-            assert grp.unit_pow(u, grp.exponent) == one
-            assert (u * grp.unit_pow(u, -1)) % grp.modulus == one
+        for u, vec in zip(grp.units, grp.dlog_array.tolist()):
+            assert from_dlog(grp, vec) == u
+            assert unit_pow(grp, u, grp.exponent) == one
+            assert (u * unit_pow(grp, u, -1)) % grp.modulus == one
 
 
 def test_char_values_reference():
@@ -117,14 +119,14 @@ def test_all_characters_order_and_duality():
     assert [c.exps for c in chars] == [(k,) for k in range(8)]
     chi1 = chars[1]
     for l in range(8):
-        assert (chi1 ** l).exps == chars[l].exps
+        assert char_pow(chi1, l).exps == chars[l].exps
     # chi^{M'} = chi0
-    assert (chi1 ** g.order).is_trivial
+    assert char_pow(chi1, g.order).is_trivial
     # exponent divides M', character orders divide E
     for grp in (g, G(F2, "T^4+T^2+1")):
         assert grp.order % grp.exponent == 0
         for chi in all_characters(grp):
-            assert grp.exponent % chi.order == 0
+            assert grp.exponent % char_order(chi) == 0
 
 
 def test_orthogonality_both_ways():
@@ -135,7 +137,7 @@ def test_orthogonality_both_ways():
         # column: sum_chi chi(b^-1 c) = M' [b == c]
         for b in grp.units:
             for c in grp.units:
-                x = (grp.unit_pow(b, -1) * c) % grp.modulus
+                x = (unit_pow(grp, b, -1) * c) % grp.modulus
                 total = CycloNum.from_rational(0, E)
                 for chi in chars:
                     total = total + value(chi, x)
@@ -145,8 +147,8 @@ def test_orthogonality_both_ways():
             for psi in chars[:4]:
                 total = CycloNum.from_rational(0, E)
                 for a in grp.units:
-                    total = total + CycloNum.zeta(
-                        E, (chi.value_exponent(a) - psi.value_exponent(a)) % E)
+                    total = total + CycloNum.zeta(E, (
+                        value_exponent(chi, a) - value_exponent(psi, a)) % E)
                 assert total == (grp.order if chi.exps == psi.exps else 0)
 
 
@@ -154,9 +156,20 @@ def test_character_order_formula():
     g = G(F3, "T^2+1")
     for chi in all_characters(g):
         n = 1
-        while not (chi ** n).is_trivial:
+        while not char_pow(chi, n).is_trivial:
             n += 1
-        assert chi.order == n
+        assert char_order(chi) == n
+
+
+def test_power_indices_match_oracle():
+    # the trivial group (T/F2), a split one (T^2+T/F2, also trivial), a
+    # non-cyclic one and a cyclic one of order 26
+    for grp in (G(F2, "T"), G(F2, "T^2+T"), G(F2, "T^4+T^2+1"),
+                G(F3, "T^3+2T+2")):
+        for n in range(-grp.exponent, grp.exponent + 1):
+            assert (grp.power_index(n).tolist(),
+                    grp.character_power_index(n).tolist()) == \
+                power_indices(grp, n), (grp, n)
 
 
 def test_parse_character():
@@ -190,8 +203,9 @@ def canonical_text(grp):
     lines = [format_poly(grp.modulus),
              ";".join(format_poly(g) for g in grp.generators),
              ",".join(map(str, grp.gen_orders))]
-    lines += ["%d:%s" % (u.encode(), ",".join(map(str, grp.dlog[u])))
-              for u in sorted(grp.dlog, key=lambda u: u.encode())]
+    lines += ["%d:%s" % (u.encode(), ",".join(map(str, vec)))
+              for u, vec in sorted(zip(grp.units, grp.dlog_array.tolist()),
+                                   key=lambda row: row[0].encode())]
     return "\n".join(lines) + "\n"
 
 

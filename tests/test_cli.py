@@ -8,6 +8,7 @@ import time
 import pytest
 
 import ffrace
+from ffrace import explicit
 from ffrace.cli import main
 from ffrace.explicit import explicit_counter
 from ffrace.field import parse_field
@@ -106,6 +107,29 @@ def test_count_explicit_breakdown_past_order_limit_fails_fast(capsys):
                        "--modulus", "T^4+T+2", "--degree", "2",
                        "--breakdown", "--format", "json")
     assert code == 0 and json.loads(out)["breakdown"]
+
+
+def test_count_explicit_past_work_limit_fails_fast(capsys, monkeypatch):
+    # N = 10^6 mod T^3+T+1/F2 would run for hours and N = 20000 at order 1023
+    # for about 10 minutes: refused from N, q, M' and deg m alone, before any
+    # split prime is searched
+    def no_search(E, i):
+        raise AssertionError("split prime searched")
+    monkeypatch.setattr(explicit, "split_prime", no_search)
+    for modulus, degree, order in (("T^3+T+1", 10 ** 6, 7),
+                                   ("T^10+T^3+1", 20000, 1023)):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "count-explicit", "--field", "F2",
+                           "--modulus", modulus, "--degree", str(degree))
+        assert time.perf_counter() - start < 1.0
+        deg = parse_poly(parse_field("F2"), modulus).degree
+        top = explicit.max_explicit_degree(2, order, deg)
+        assert code == 1 and top < degree, err
+        assert "the supported limit is %.1e, degree %d for this modulus" \
+            % (explicit.MAX_EXPLICIT_WORK, top) in err
+        assert explicit.explicit_work(2, order, deg, top) \
+            <= explicit.MAX_EXPLICIT_WORK \
+            < explicit.explicit_work(2, order, deg, top + 1)
 
 
 def test_lpoly_json(capsys):

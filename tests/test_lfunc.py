@@ -1,6 +1,7 @@
 import pytest
 
 from cyclo_oracle import galois
+from group_oracle import char_pow
 from lpoly_oracle import character_sums
 from newton_oracle import power_sum_mismatch, verify_power_sums_vs_sieve
 from relations_oracle import conjugate_relations, strip_unit_roots
@@ -144,7 +145,7 @@ def test_trivial_character_divisor_identity():
         for n in range(1, 9):
             lhs = CycloNum.from_rational(0)
             for d in divisors(n):
-                lhs = lhs + weighted_count(m, chi0 ** (n // d), d) * d
+                lhs = lhs + weighted_count(m, char_pow(chi0, n // d), d) * d
             assert lhs == field.q ** n - s_value(fact, n)
 
 

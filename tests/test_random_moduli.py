@@ -12,6 +12,8 @@ that the class x character oracle stays within a few seconds.  For each:
 - find_conjugate_relations, modulo one split prime, returns the rows of the
   search in Q(zeta_E) (every exponent here is at most 80, within
   MAX_RELATIONS_EXPONENT);
+- the unit group's power_index and character_power_index, read off its
+  log grid, equal the powers taken one element at a time;
 - the rational form of the GL2 slash action that checks tie certificates
   equals the unreduced slash_action mod m.
 """
@@ -22,6 +24,7 @@ from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
 from explicit_oracle import cyclotomic_counts, zmatrix_inverse
+from group_oracle import power_indices
 from relations_oracle import conjugate_relations
 from ffrace import gl2
 from ffrace.characters import unit_group
@@ -99,6 +102,19 @@ def test_explicit_matches_oracle_sieve_and_direct_lpolys(m, n_sieve, n_oracle):
 def test_relations_match_oracle(m):
     assert [r.to_json() for r in find_conjugate_relations(m)] == \
         [r.to_json() for r in conjugate_relations(m)]
+
+
+@seed(20261021)
+@settings(max_examples=25, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(m=moduli())
+@example(m=Poly(field_make(2), (1, 0, 1, 0, 1)))
+@example(m=Poly(field_make(3), (0, 0, 0, 1)))
+def test_power_indices_match_oracle(m):
+    G = unit_group(m)
+    for n in range(-G.exponent, G.exponent + 1):
+        assert (G.power_index(n).tolist(),
+                G.character_power_index(n).tolist()) == power_indices(G, n)
 
 
 @seed(20261019)
