@@ -16,8 +16,8 @@ from .explicit import bias_report, counts, cumulative_counts, \
 from .field import parse_field
 from .gl2 import MAX_CERTIFICATES, certify_ties, stabilizer_period, \
     stabilizer_search, verify_certificate_empirically
-from .lfunc import find_conjugate_relations, l_polynomial, power_sums, \
-    weil_bound_violations
+from .lfunc import check_horizon, find_conjugate_relations, l_polynomial, \
+    power_sums, weil_bound_violations
 from .polyring import format_poly, parse_poly
 from .report import TABLES, check_cumulative_ties, detect_tie_patterns, \
     emit_table, render_table
@@ -124,12 +124,14 @@ def _cmd_count_explicit(args):
 
 def _cmd_lpoly(args):
     _field, m = _need_modulus(args)
+    horizon = args.horizon
+    if horizon:
+        check_horizon(m, horizon)
     G = unit_group(m)
     chi = parse_character(G, args.char)
     if chi.is_trivial:
         raise UsageError("the trivial character has no L-polynomial")
     L = l_polynomial(m, chi)
-    horizon = args.horizon
     cs = power_sums(L, horizon) if horizon else []
     roots = L.inverse_roots_numeric()
     bad = weil_bound_violations(L)
@@ -248,7 +250,7 @@ def _parse_degrees(spec):
             raise UsageError("bad degree range %r" % (spec,))
         if step < 1 or lo < 1 or hi < lo:
             raise UsageError("bad degree range %r" % (spec,))
-        return list(range(lo, hi + 1, step))
+        return range(lo, hi + 1, step)
     try:
         return [int(p) for p in spec.split(",")]
     except ValueError:

@@ -2,17 +2,18 @@
 
 Elements live in the power basis 1, z, ..., z^(phi(E)-1) of Q[x]/(Phi_E(x)),
 so equality is coefficient equality.  Internally a value is a tuple of integer
-numerators over one positive denominator, which keeps the hot paths (character
-sums, power sums, the counting formula) in pure integer arithmetic.
+numerators over one positive denominator, which keeps the L-polynomials,
+their power sums and the --breakdown audit in pure integer arithmetic.  The
+explicit counts themselves run modulo split primes (ffrace.explicit).
 """
 
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 
 from .errors import UsageError
-from .numth import divisors, euler_phi, ramanujan_sums
+from .numth import divisors, euler_phi
 
 
 @lru_cache(maxsize=None)
@@ -93,7 +94,9 @@ def _normalized(nums, den):
 
 
 class CycloNum:
-    """An element of Q(zeta_E), reduced mod Phi_E."""
+    """An element of Q(zeta_E), reduced mod Phi_E.  A CycloNum belongs to one
+    conductor E: an int or a Fraction combines with it as an element of
+    Q(zeta_E), a CycloNum of another conductor is refused."""
 
     __slots__ = ("E", "nums", "den")
 
@@ -110,59 +113,36 @@ class CycloNum:
 
     # --- constructors -----------------------------------------------------
     @classmethod
-    def from_rational(cls, value, E=1):
+    def from_rational(cls, value, E):
         fr = Fraction(value)
         nums = [fr.numerator] + [0] * (euler_phi(E) - 1)
         return cls(E, nums, fr.denominator)
 
     @classmethod
-    def zeta(cls, E, t=1):
-        """zeta_E^t."""
-        t %= E
-        return cls(E, _reduce(E, [0] * t + [1]), 1)
-
-    @classmethod
     def from_zeta_powers(cls, E, weights):
-        """sum weights[i] * zeta_E^i for an integer/Fraction weight vector of
-        length E (the natural carrier for character-sum tallies)."""
+        """sum weights[i] * zeta_E^i for an integer weight vector of length E
+        (the natural carrier for character-sum tallies)."""
         assert len(weights) == E
-        den = 1
-        if any(type(w) is Fraction for w in weights):
-            den = lcm(*(w.denominator for w in weights
-                        if type(w) is Fraction))
-            weights = [int(w * den) for w in weights]
-        return cls(E, _reduce(E, weights), den)
+        return cls(E, _reduce(E, weights))
 
     # --- coercion ---------------------------------------------------------
-    def promote(self, E2):
-        """Reinterpret in Q(zeta_E2) for E | E2 (zeta_E = zeta_E2^(E2/E))."""
-        if E2 == self.E:
-            return self
-        if E2 % self.E:
-            raise UsageError("cannot promote conductor %d to %d" % (self.E, E2))
-        r = E2 // self.E
-        weights = [0] * E2
-        for i, c in enumerate(self.nums):
-            weights[i * r] = c
-        return CycloNum(E2, _reduce(E2, weights), self.den)
-
-    def _pair(self, other):
+    def _coerce(self, other):
         if not isinstance(other, CycloNum):
-            other = CycloNum.from_rational(other, 1)
-        if self.E == other.E:
-            return self, other
-        L = lcm(self.E, other.E)
-        return self.promote(L), other.promote(L)
+            return CycloNum.from_rational(other, self.E)
+        if other.E != self.E:
+            raise UsageError("cannot combine Q(zeta_%d) with Q(zeta_%d)"
+                             % (self.E, other.E))
+        return other
 
     # --- ring ops ----------------------------------------------------------
     def __add__(self, other):
-        a, b = self._pair(other)
-        da, db = a.den, b.den
+        b = self._coerce(other)
+        da, db = self.den, b.den
         if da == db:
-            nums = [x + y for x, y in zip(a.nums, b.nums)]
-            return CycloNum(a.E, nums, da)
-        nums = [x * db + y * da for x, y in zip(a.nums, b.nums)]
-        return CycloNum(a.E, nums, da * db)
+            nums = [x + y for x, y in zip(self.nums, b.nums)]
+            return CycloNum(self.E, nums, da)
+        nums = [x * db + y * da for x, y in zip(self.nums, b.nums)]
+        return CycloNum(self.E, nums, da * db)
 
     __radd__ = __add__
 
@@ -171,12 +151,10 @@ class CycloNum:
                         _normalized_input=True)
 
     def __sub__(self, other):
-        a, b = self._pair(other)
-        return a + (-b)
+        return self + (-self._coerce(other))
 
     def __rsub__(self, other):
-        a, b = self._pair(other)
-        return b + (-a)
+        return self._coerce(other) + (-self)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -184,42 +162,24 @@ class CycloNum:
         if isinstance(other, Fraction):
             return CycloNum(self.E, [x * other.numerator for x in self.nums],
                             self.den * other.denominator)
-        a, b = self._pair(other)
-        phi = len(a.nums)
+        b = self._coerce(other)
+        phi = len(self.nums)
         conv = [0] * (2 * phi - 1)
-        for i, x in enumerate(a.nums):
+        for i, x in enumerate(self.nums):
             if x:
                 bn = b.nums
                 for j in range(phi):
                     y = bn[j]
                     if y:
                         conv[i + j] += x * y
-        return CycloNum(a.E, _reduce(a.E, conv), a.den * b.den)
+        return CycloNum(self.E, _reduce(self.E, conv), self.den * b.den)
 
     __rmul__ = __mul__
 
     # --- invariants -------------------------------------------------------
-    def trace(self):
-        """Tr_{Q(zeta_E)/Q}, the sum of all phi(E) Galois images; a rational.
-        Computed as the dot product of the coordinates with the Ramanujan
-        sums Tr(zeta_E^j)."""
-        R = ramanujan_sums(self.E)
-        return Fraction(sum(x * R[j] for j, x in enumerate(self.nums)),
-                        self.den)
-
     @property
     def is_zero(self):
         return not any(self.nums)
-
-    @property
-    def is_rational(self):
-        return not any(self.nums[1:])
-
-    @property
-    def rational_value(self):
-        if not self.is_rational:
-            raise ValueError("not rational: %r" % (self,))
-        return Fraction(self.nums[0], self.den)
 
     @property
     def coeffs(self):
@@ -235,28 +195,13 @@ class CycloNum:
 
     # --- identity / io -----------------------------------------------------
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycloNum.from_rational(other, 1)
-        if not isinstance(other, CycloNum):
+        if not isinstance(other, (int, Fraction, CycloNum)):
             return NotImplemented
-        a, b = self._pair(other)
-        return a.nums == b.nums and a.den == b.den
-
-    def __hash__(self):
-        # Tr(x)/phi(E): unchanged by promotion, and r for a rational r
-        return hash(self.trace() / euler_phi(self.E))
+        b = self._coerce(other)
+        return self.nums == b.nums and self.den == b.den
 
     def to_json(self):
         return {"E": self.E, "coeffs": [str(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, obj):
-        E = obj["E"]
-        fracs = [Fraction(s) for s in obj["coeffs"]]
-        den = 1
-        for f in fracs:
-            den = lcm(den, f.denominator)
-        return cls(E, [int(f * den) for f in fracs], den)
 
     def __repr__(self):
         return "CycloNum(E=%d, [%s])" % (

@@ -17,7 +17,7 @@ symmetric range, and the last prime must agree.  Every count must be a
 nonnegative integer and the counts must sum to the number of degree-N
 primes prime to m; a failure is raised, never rounded away.  A count
 whose Newton walk would pass MAX_EXPLICIT_WORK is refused before any prime
-is searched.
+is searched, and so is a run of counts whose walks would pass it together.
 
 The conjugate-relation search (lfunc.find_conjugate_relations) reads the
 first row of the stack.  The L-polynomials in Q(zeta_E) are built on first
@@ -37,19 +37,15 @@ from operator import mul
 
 import numpy as np
 
-from .characters import all_characters, unit_group
+from .characters import all_characters, group_order, unit_group
 from .cyclo import CycloNum
 from .errors import IntegrityError, UsageError
-from .lfunc import l_polynomial
-from .numth import (divisors, gauss_irreducible_count, is_prime, mobius,
-                    prime_factors)
+from .lfunc import MAX_EXACT_WORK, l_polynomial, power_sum_work
+from .numth import (divisors, euler_phi, gauss_irreducible_count, is_prime,
+                    largest_within, mobius, prime_factors)
 from .polyring import Poly, factorize, format_poly
 from .sieve import default_cutoff, sieve_count
 
-# Largest unit-group order the --breakdown audit accepts.  It builds order^2
-# raw sums per squarefree divisor of N: on a 2-core Xeon, order 80 at N = 30
-# (8 such divisors) takes 4.5 s and 380 MB, order 124 at N = 6 12 s and 770 MB.
-MAX_BREAKDOWN_ORDER = 80
 # Cost units (passes over one row entry) a cold explicit count may take: N
 # steps of Newton's recurrence over P x M' entries, P the split primes past
 # 2 N M' q^N, each deg m - 1 multiply-adds and about four passes more (copy,
@@ -146,13 +142,51 @@ def explicit_work(q, order, deg, degree):
 
 
 def max_explicit_degree(q, order, deg):
-    """The largest degree within MAX_EXPLICIT_WORK, by bisection."""
-    lo, hi = 1, 1 << 40
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        ok = explicit_work(q, order, deg, mid) <= MAX_EXPLICIT_WORK
-        lo, hi = (mid, hi) if ok else (lo, mid)
-    return lo
+    """The largest degree within MAX_EXPLICIT_WORK."""
+    return largest_within(
+        lambda n: explicit_work(q, order, deg, n) <= MAX_EXPLICIT_WORK)
+
+
+def breakdown_work(q, order, E, deg, degree):
+    """Cost units of the --breakdown audit (see lfunc.MAX_EXACT_WORK): the
+    exact power sums of the order - 1 nontrivial characters to the degree,
+    then order^2 terms per squarefree divisor of it.  A term takes phi(E)^2
+    coordinate products and writes phi(E) coordinates of at most
+    degree log2(q) / 2 bits; building and printing one costs 512 units more,
+    and 16 more per coordinate."""
+    phi = euler_phi(E)
+    terms = 2 ** len(prime_factors(degree)) * order ** 2
+    return (order - 1) * power_sum_work(q, E, deg - 1, degree) + \
+        terms * (512 + phi * (phi + 16 + degree * log2(q) / 16))
+
+
+def _sieve_limit(m, sieve_limit):
+    return min(default_cutoff(m.field.q), 12) if sieve_limit is None \
+        else sieve_limit
+
+
+def check_run_work(m, degrees, sieve_limit=None):
+    """Refuse a run of counts mod m over a sequence of degrees whose
+    explicit counts, those above sieve_limit (routed as counts() does; 0
+    sends every degree), would together pass MAX_EXPLICIT_WORK.  Judged from
+    q, M' and deg m alone: no counter is built, no prime searched, and the
+    sum stops at the first degree past the limit."""
+    floor = max(_sieve_limit(m, sieve_limit), 0)
+    q, order, deg = m.field.q, group_order(m), m.degree
+    work, top = 0, None
+    for n in degrees:
+        if n > floor:
+            work += explicit_work(q, order, deg, n)
+            if work > MAX_EXPLICIT_WORK:
+                raise UsageError(
+                    "explicit counts of degrees %d..%d mod %s: past the "
+                    "supported limit of %.1e cost units together; %s"
+                    % (degrees[0], degrees[-1], format_poly(m),
+                       MAX_EXPLICIT_WORK,
+                       "the run is accepted up to degree %d" % top
+                       if top is not None else
+                       "degree %d alone passes it" % n))
+        top = n
 
 
 @dataclass
@@ -270,12 +304,16 @@ class ExplicitCounter:
         if degree < 1:
             raise UsageError("degree must be >= 1")
         G = self.group
-        if breakdown and G.order > MAX_BREAKDOWN_ORDER:
-            raise UsageError(
-                "--breakdown mod %s: unit group of order %d; the supported "
-                "limit is %d" % (format_poly(self.modulus), G.order,
-                                 MAX_BREAKDOWN_ORDER))
         q = self.field.q
+        if breakdown:
+            work = breakdown_work(q, G.order, self.E, self.modulus.degree,
+                                  degree)
+            if work > MAX_EXACT_WORK:
+                raise UsageError(
+                    "--breakdown of degree %d mod %s (unit group of order %d):"
+                    " about %.1e cost units; the supported limit is %.1e"
+                    % (degree, format_poly(self.modulus), G.order, work,
+                       MAX_EXACT_WORK))
         work = explicit_work(q, G.order, self.modulus.degree, degree)
         if work > MAX_EXPLICIT_WORK:
             raise UsageError(
@@ -384,9 +422,7 @@ def counts(m, degree, *, monic=True, sieve_limit=None):
     monic=False counts all irreducibles with a nonzero leading coefficient.
     f -> lc(f)^-1 f maps the lc = lam ones bijectively onto the monic ones
     and class c onto lam^-1 c, so pi~(N; m, c) = sum_lam pi(N; m, lam^-1 c)."""
-    if sieve_limit is None:
-        sieve_limit = min(default_cutoff(m.field.q), 12)
-    if degree <= sieve_limit:
+    if degree <= _sieve_limit(m, sieve_limit):
         out, source = sieve_count(m, degree).counts, "sieve"
     else:
         out, source = explicit_counter(m).count(degree).counts, "explicit"
@@ -403,6 +439,7 @@ def cumulative_counts(m, max_degree, **kw):
     engine of every degree, sources[N]."""
     if max_degree < 1:
         raise UsageError("max degree must be >= 1")
+    check_run_work(m, range(1, max_degree + 1), kw.get("sieve_limit"))
     per_class, sources = {}, {}
     for n in range(1, max_degree + 1):
         found, sources[n] = counts(m, n, **kw)
@@ -428,12 +465,13 @@ class BiasReport:
 
 
 def bias_report(m, class_a, class_b, degrees, expected_sign=None):
-    """Exact differences pi(N;m,a) - pi(N;m,b) over the given degrees.
+    """Exact differences pi(N;m,a) - pi(N;m,b) over a sequence of degrees.
     expected_sign in {-1, 0, 1} flags the degrees whose difference has
     another sign; None flags none."""
     if expected_sign not in (-1, 0, 1, None):
         raise UsageError("expected_sign must be -1, 0, 1 or None, got %r"
                          % (expected_sign,))
+    check_run_work(m, degrees, 0)
     counter = explicit_counter(m)
     a = class_a % m
     b = class_b % m

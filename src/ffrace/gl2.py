@@ -24,7 +24,7 @@ import numpy as np
 
 from .characters import MAX_GROUP_ORDER, unit_group
 from .errors import IntegrityError, UsageError
-from .explicit import counts
+from .explicit import check_run_work, counts
 from .field import field_tables
 from .polyring import Poly, format_poly, powmod
 
@@ -321,9 +321,10 @@ def find_certificate_violation(cert, n_max, sieve_limit=None):
     explicit.counts (sieve_limit is passed on to it), or None.  Degrees run
     over N >= 2 in the certificate's residue class (the bijection needs
     deg >= 2)."""
-    for N in range(2, n_max + 1):
-        if (N - cert.residue) % cert.period:
-            continue
+    degrees = range(2 + (cert.residue - 2) % cert.period, n_max + 1,
+                    cert.period)
+    check_run_work(cert.modulus, degrees, sieve_limit)
+    for N in degrees:
         found, _source = counts(cert.modulus, N, monic=cert.monic_certified,
                                 sieve_limit=sieve_limit)
         for c, img in cert.orbit_map.items():

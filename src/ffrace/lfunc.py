@@ -9,18 +9,28 @@ diagnostic.
 
 import threading
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, log2
 
 import numpy as np
 
-from .characters import unit_group
+from .characters import group_exponent, unit_group
 from .cyclo import CycloNum
 from .errors import IntegrityError, UsageError
+from .numth import euler_phi, largest_within
 from .polyring import format_poly
 
 # The exponent relations supports.  The search is not the limit (E = 255
 # takes 1.1 s on a 2-core Xeon); its output is, with 65,024 rows there.
 MAX_RELATIONS_EXPONENT = 128
+# How far |alpha| may sit from 1 or sqrt(q) in the floating Weil diagnostic.
+WEIL_TOL = 1e-9
+# Cost units of exact work in Q(zeta_E) that `lpoly --horizon` and the
+# --breakdown audit may take: one unit is one product of two power-basis
+# coordinates, or one byte of a coordinate written.  Cold CLI runs go at
+# 1.3-2.3e7 units a second on a 2-core Xeon; at the limit, --horizon 3516 at
+# order 80 (T^4+T+2/F3) takes 3.7 s, 265 MB and prints 49 MB, --horizon 15
+# at order 1023 1.7 s, --breakdown at order 80, N = 73 3.5 s and 131 MB.
+MAX_EXACT_WORK = 5 * 10 ** 7
 
 
 class LPolynomial:
@@ -99,6 +109,29 @@ def l_polynomial(m, chi):
         raise IntegrityError("degree-%d character sum does not vanish for %r"
                              % (m.degree, chi))
     return LPolynomial(chi, coeffs)
+
+
+def power_sum_work(q, E, d, n):
+    """Cost units (see MAX_EXACT_WORK) of the exact power sums p_1..p_n of
+    an L-polynomial of degree d over F_q in Q(zeta_E): n Newton steps, each d
+    products of phi(E)^2 coordinate pairs writing phi(E) coordinates of at
+    most n log2(q) / 2 bits."""
+    phi = euler_phi(E)
+    return n * phi * (d * phi + n * log2(q) / 16)
+
+
+def check_horizon(m, n):
+    """Refuse exact power sums to n mod m past MAX_EXACT_WORK, from q, the
+    unit-group exponent and deg m alone, before any L-polynomial is built."""
+    q, E, d = m.field.q, group_exponent(m), m.degree - 1
+    work = power_sum_work(q, E, d, n)
+    if work > MAX_EXACT_WORK:
+        top = largest_within(
+            lambda h: power_sum_work(q, E, d, h) <= MAX_EXACT_WORK)
+        raise UsageError(
+            "power sums to n = %d mod %s: about %.1e cost units; the "
+            "supported limit is %.1e, n = %d for this modulus"
+            % (n, format_poly(m), work, MAX_EXACT_WORK, top))
 
 
 def power_sums(lpoly, n_max):
@@ -209,12 +242,12 @@ def find_conjugate_relations(m):
             for cj, t in matches[flag, keys[image, flag]]]
 
 
-def weil_bound_violations(lpoly, tol=1e-9):
-    """Inverse zeros whose modulus is neither 1 nor sqrt(q) within tol."""
+def weil_bound_violations(lpoly):
+    """Inverse zeros whose modulus is neither 1 nor sqrt(q) within WEIL_TOL."""
     q = lpoly.chi.group.field.q
     bad = []
     for alpha in lpoly.inverse_roots_numeric():
         r = abs(alpha)
-        if abs(r - 1.0) > tol and abs(r - q ** 0.5) > tol:
+        if abs(r - 1.0) > WEIL_TOL and abs(r - q ** 0.5) > WEIL_TOL:
             bad.append(alpha)
     return bad

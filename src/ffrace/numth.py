@@ -1,7 +1,6 @@
 """Small integer number-theory helpers shared by the counting modules."""
 
 from functools import lru_cache
-from math import gcd
 
 
 @lru_cache(maxsize=None)
@@ -50,12 +49,14 @@ def euler_phi(n: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
-def ramanujan_sums(E: int) -> tuple:
-    """Entry t = Tr_{Q(zeta_E)/Q}(zeta_E^t) = mu(r) phi(E) / phi(r) with
-    r = E / gcd(t, E), for 0 <= t < E."""
-    orders = [E // gcd(t, E) for t in range(E)]
-    return tuple(mobius(r) * (euler_phi(E) // euler_phi(r)) for r in orders)
+def largest_within(ok, hi=1 << 40):
+    """The largest n in [1, hi) with ok(n), by bisection, for ok true at 1
+    and monotone: true up to some n, false beyond."""
+    lo = 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if ok(mid) else (lo, mid)
+    return lo
 
 
 def is_prime(n: int) -> bool:

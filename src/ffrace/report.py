@@ -7,7 +7,7 @@ from math import lcm
 
 from .characters import MAX_GROUP_ORDER, unit_group
 from .errors import UsageError
-from .explicit import counts, cumulative_counts
+from .explicit import check_run_work, counts, cumulative_counts
 from .gl2 import stabilizer_period, stabilizer_search
 from .polyring import Poly, format_poly, parse_poly
 from .field import parse_field
@@ -59,6 +59,8 @@ def detect_tie_patterns(m, lo, hi, period=None):
     refinement across the window)."""
     if not 1 <= lo <= hi:
         raise UsageError("need 1 <= lo <= hi")
+    degrees = range(lo, hi + 1)
+    check_run_work(m, degrees)
     if period is None:
         period = default_period(m)
     if period < 1:
@@ -68,7 +70,6 @@ def detect_tie_patterns(m, lo, hi, period=None):
         raise UsageError("period %d: the supported limit is %d"
                          % (period, MAX_GROUP_ORDER))
     G = unit_group(m)
-    degrees = list(range(lo, hi + 1))
     found, sources = {}, {}
     for n in degrees:
         found[n], sources[n] = counts(m, n)
@@ -167,6 +168,7 @@ def emit_table(key, fmt="csv", lo=None, hi=None):
         rows = [[n] + [per_class[c][n - 1] for c in cols]
                 for n in range(lo, hi + 1)]
     else:
+        check_run_work(m, range(lo, hi + 1))
         rows = []
         for n in range(lo, hi + 1):
             found, _source = counts(m, n)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from cyclo_oracle import galois
+from cyclo_oracle import (galois, is_rational, ramanujan_sums,
+                          rational_value, zeta)
 from group_oracle import char_order, char_pow, dlog, value_exponent
 from relations_oracle import orbit
 from ffrace.characters import all_characters
@@ -22,7 +23,7 @@ from ffrace.cyclo import CycloNum
 from ffrace.errors import IntegrityError, UsageError
 from ffrace.explicit import explicit_counter, s_value
 from ffrace.numth import (divisors, euler_phi, gauss_irreducible_count,
-                          mobius, ramanujan_sums)
+                          mobius)
 
 
 @dataclass
@@ -55,7 +56,7 @@ def zmatrix(G, n):
     """Forward matrix Z(n), entries [chi_index][a_index] = chi^n(a)."""
     chars = all_characters(G)
     E = G.exponent
-    return [[CycloNum.zeta(E, (n * value_exponent(chi, a)) % E)
+    return [[zeta(E, (n * value_exponent(chi, a)) % E)
              for a in G.units] for chi in chars]
 
 
@@ -173,13 +174,13 @@ def pi_g_decomposition(m, degree, cls):
             dg_inv = pow(d // g, -1, Mp)
             for j in range(1, Mp // g):
                 ci = (g * j) % Mp
-                zz = CycloNum.zeta(E, (-k * j * dg_inv) % E)
+                zz = zeta(E, (-k * j * dg_inv) % E)
                 inner = inner + zz * counter.lpolys[ci].c(nu)
             acc = acc + inner * mu
-        if not acc.is_rational:
+        if not is_rational(acc):
             raise IntegrityError("pi_%d part is not rational for %s mod %s"
                                  % (g, cls, m))
-        out[g] = acc.rational_value * Fraction(g, Mp * degree)
+        out[g] = rational_value(acc) * Fraction(g, Mp * degree)
     return out
 
 

@@ -251,7 +251,7 @@ def test_criterion_10_property_suites():
     for field, mstr in SIX_MODULI:
         m = P(field, mstr)
         for chi in all_characters(unit_group(m))[1:]:
-            assert weil_bound_violations(l_polynomial(m, chi), tol=1e-9) == []
+            assert weil_bound_violations(l_polynomial(m, chi)) == []
     # (d) integrality assertion never fired across all runs above: reaching
     #     this line is the check (IntegrityError would have failed the suite)
     # (e) Gauss counts vs sieve at the stated enumeration bounds

@@ -8,8 +8,9 @@ import time
 import pytest
 
 import ffrace
-from ffrace import explicit
+from ffrace import cli as cli_mod, explicit, lfunc
 from ffrace.cli import main
+from ffrace.errors import UsageError
 from ffrace.explicit import explicit_counter
 from ffrace.field import parse_field
 from ffrace.gl2 import MAX_CERTIFICATES, MAX_STABILIZER_Q
@@ -94,19 +95,107 @@ def test_count_explicit_breakdown(capsys):
     assert any(term["divisor"] == 6 for term in obj["breakdown"])
 
 
+def _refuse_work(monkeypatch):
+    """Make every count, prime search, audit term and L-polynomial fail."""
+    def fail(*args, **kwargs):
+        raise AssertionError("work started before the refusal")
+    for module, name in ((explicit, "split_prime"), (explicit, "sieve_count"),
+                         (explicit, "l_polynomial"),
+                         (explicit.ExplicitCounter, "raw_zsum"),
+                         (cli_mod, "l_polynomial"),
+                         (cli_mod, "unit_group")):
+        monkeypatch.setattr(module, name, fail)
+
+
 def test_count_explicit_breakdown_past_order_limit_fails_fast(capsys):
-    # order 255 > MAX_BREAKDOWN_ORDER: refused before any raw sum is built
+    # order 255: the audit's order^2 terms per divisor pass MAX_EXACT_WORK,
+    # refused before any raw sum is built
     start = time.perf_counter()
     code, _, err = run(capsys, "count-explicit", "--field", "F2",
                        "--modulus", "T^8+T^4+T^3+T+1", "--degree", "6",
                        "--breakdown")
     assert time.perf_counter() - start < 10.0
-    assert code == 1 and "order 255" in err and "limit is 80" in err
-    # order 80, at the limit, still runs
+    assert code == 1 and "order 255" in err
+    assert "limit is %.1e" % lfunc.MAX_EXACT_WORK in err
+    # order 80 still runs at N = 2
     code, out, _ = run(capsys, "count-explicit", "--field", "F3",
                        "--modulus", "T^4+T+2", "--degree", "2",
                        "--breakdown", "--format", "json")
     assert code == 0 and json.loads(out)["breakdown"]
+
+
+def test_breakdown_and_horizon_past_exact_limit_fail_fast(capsys,
+                                                          monkeypatch):
+    # order 80 at N = 1000 took 17 s and printed 43 MB; order 7 at N = 20000
+    # and power sums to n = 100000 would hold GB of exact coordinates
+    _refuse_work(monkeypatch)
+    limit = "the supported limit is %.1e" % lfunc.MAX_EXACT_WORK
+    for field, modulus, degree in (("F3", "T^4+T+2", 1000),
+                                   ("F2", "T^3+T+1", 20000)):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "count-explicit", "--field", field,
+                           "--modulus", modulus, "--degree", str(degree),
+                           "--breakdown", "--format", "json")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and "--breakdown of degree %d" % degree in err, err
+        assert limit in err
+    start = time.perf_counter()
+    code, _, err = run(capsys, "lpoly", "--field", "F3", "--modulus",
+                       "T^4+T+2", "--char", "1", "--horizon", "100000")
+    assert time.perf_counter() - start < 1.0
+    top = lfunc.largest_within(lambda n: lfunc.power_sum_work(3, 80, 3, n)
+                               <= lfunc.MAX_EXACT_WORK)
+    assert code == 1 and top < 100000, err
+    assert "%s, n = %d for this modulus" % (limit, top) in err
+    assert lfunc.power_sum_work(3, 80, 3, top) <= lfunc.MAX_EXACT_WORK \
+        < lfunc.power_sum_work(3, 80, 3, top + 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ("cumulative", "--max-degree", "4000"),
+    ("cumulative", "--max-degree", "100000", "--ties"),
+    ("count", "--degree", "4000", "--cumulative"),
+    ("bias", "--class-a", "T", "--class-b", "1", "--degrees", "1:100000000"),
+    ("ties-empirical", "--min-degree", "9", "--max-degree", "4000",
+     "--period", "7"),
+    ("ties-gl2", "--residue", "1", "--verify-to", "100000"),
+])
+def test_runs_past_work_limit_fail_fast(capsys, monkeypatch, argv):
+    # each degree of these runs is within MAX_EXPLICIT_WORK, the run is not:
+    # cold `cumulative --max-degree 4000` mod T^3+T+1 took 108 s
+    _refuse_work(monkeypatch)
+    start = time.perf_counter()
+    code, _, err = run(capsys, *argv, "--field", "F2", "--modulus", "T^3+T+1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and "limit of %.1e cost units together" \
+        % explicit.MAX_EXPLICIT_WORK in err, err
+    assert "accepted up to degree" in err
+
+
+def test_run_limit_names_the_largest_top_degree():
+    m = parse_poly(parse_field("F2"), "T^3+T+1")
+    with pytest.raises(UsageError) as refused:
+        explicit.check_run_work(m, range(1, 4001))
+    message = str(refused.value)
+    assert message.startswith("explicit counts of degrees 1..4000 mod T^3+T+1")
+    top = int(message.rsplit("accepted up to degree ", 1)[1])
+    explicit.check_run_work(m, range(1, top + 1))
+    with pytest.raises(UsageError):
+        explicit.check_run_work(m, range(1, top + 2))
+    # bias sends every degree to the explicit formula
+    with pytest.raises(UsageError, match="degree 10000000 "
+                       "alone passes it"):
+        explicit.check_run_work(m, [10 ** 7], 0)
+
+
+def test_table_past_run_limit_fails_fast(capsys, monkeypatch):
+    _refuse_work(monkeypatch)
+    for table in ("T3T1", "T3T1cum"):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "table", table, "--lo", "1", "--hi",
+                           "100000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and "accepted up to degree" in err, err
 
 
 def test_count_explicit_past_work_limit_fails_fast(capsys, monkeypatch):
@@ -263,7 +352,6 @@ def test_relations_past_exponent_limit_fails_fast(capsys):
 
 def test_integrity_errors_exit_2(capsys, monkeypatch):
     # a failed exact-arithmetic self-check must exit 2, not crash
-    import ffrace.cli as cli_mod
     from ffrace.errors import IntegrityError
 
     def boom(args):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from cyclo_oracle import from_json, zeta
 from explicit_oracle import (mobius_helpers, pi_g_decomposition, zmatrix,
                              zmatrix_inverse)
 from group_oracle import char_pow, unit_pow, value_exponent
@@ -44,7 +45,7 @@ def test_ztilde_n1_is_scaled_conjugate_transpose():
         Z1 = zmatrix_inverse(G, 1)
         for ai, a in enumerate(G.units):
             for ci, chi in enumerate(chars):
-                want = CycloNum.zeta(E, (-value_exponent(chi, a)) % E) * \
+                want = zeta(E, (-value_exponent(chi, a)) % E) * \
                     Fraction(1, G.order)
                 assert Z1.entries[ai][ci] == want
 
@@ -60,7 +61,7 @@ def test_ztilde_coprime_closed_form():
             Z = zmatrix_inverse(G, n)
             for ai, a in enumerate(G.units):
                 for ci, chi in enumerate(chars):
-                    want = CycloNum.zeta(
+                    want = zeta(
                         E, (-ninv * value_exponent(chi, a)) % E) * \
                         Fraction(mobius(n), G.order)
                     assert Z.entries[ai][ci] == want
@@ -80,7 +81,7 @@ def test_ztilde_prime_divisor_closed_form():
         for ci, chi in enumerate(chars):
             if a in lth_powers and chi.exps in lth_chars:
                 root = next(b for b in G.units if unit_pow(G, b, l) == a)
-                want = CycloNum.zeta(E, (-value_exponent(chi, root)) % E) * \
+                want = zeta(E, (-value_exponent(chi, root)) % E) * \
                     Fraction(-l, G.order)
             else:
                 want = CycloNum.from_rational(0, E)
@@ -180,7 +181,7 @@ def test_roundtrip_eq13():
             for d in divisors(n):
                 nu = n // d    # Z(nu) applied to the degree-d count column
                 for a in G.units:
-                    acc = acc + CycloNum.zeta(
+                    acc = acc + zeta(
                         E, (nu * value_exponent(chi, a)) % E) * \
                         (d * per_degree[d][a])
             if ci == 0:
@@ -201,7 +202,7 @@ def test_breakdown_audit():
         for (c, _d), terms in res.breakdown.items():
             if c == cls:
                 for term in terms.values():
-                    total = total + CycloNum.from_json(term)
+                    total = total + from_json(term)
         assert total == 6 * res.counts[P(F2, cls)]
 
 

@@ -1,7 +1,8 @@
 from math import cos, gcd, pi
 
+from cyclo_oracle import ramanujan_sums
 from ffrace.numth import (divisors, euler_phi, is_prime, mobius,
-                          prime_factors, ramanujan_sums)
+                          prime_factors)
 
 N = 2000
 

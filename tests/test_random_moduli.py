@@ -23,6 +23,7 @@ import random
 from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
+from cyclo_oracle import rational_value
 from explicit_oracle import cyclotomic_counts, zmatrix_inverse
 from group_oracle import power_indices
 from relations_oracle import conjugate_relations
@@ -68,7 +69,7 @@ def oracle_counts(counter, degree):
                     acc[ai] = acc[ai] + Z[ai][ci] * v
     out = {}
     for u, v in zip(G.units, acc):
-        val = v.rational_value / degree
+        val = rational_value(v) / degree
         assert val.denominator == 1 and val >= 0
         out[u] = int(val)
     return out
