@@ -14,8 +14,8 @@ from .errors import IntegrityError, UsageError
 from .explicit import bias_report, counts, cumulative_counts, \
     explicit_counter
 from .field import parse_field
-from .gl2 import MAX_CERTIFICATES, certify_ties, stabilizer_period, \
-    stabilizer_search, verify_certificate_empirically
+from .gl2 import MAX_CERTIFICATES, certify_ties, first_failed_certificate, \
+    stabilizer_period, stabilizer_search
 from .lfunc import check_horizon, find_conjugate_relations, l_polynomial, \
     power_sums, weil_bound_violations
 from .polyring import format_poly, parse_poly
@@ -125,9 +125,9 @@ def _cmd_count_explicit(args):
 def _cmd_lpoly(args):
     _field, m = _need_modulus(args)
     horizon = args.horizon
+    G = unit_group(m)  # refuses a group past MAX_GROUP_ORDER first
     if horizon:
-        check_horizon(m, horizon)
-    G = unit_group(m)
+        check_horizon(G, horizon)
     chi = parse_character(G, args.char)
     if chi.is_trivial:
         raise UsageError("the trivial character has no L-polynomial")
@@ -183,10 +183,10 @@ def _cmd_ties_gl2(args):
     rng = random.Random(args.seed)
     certs = [certify_ties(m, B, lam, e, rng=rng) for B, lam, e in jobs]
     if args.verify_to:
-        for cert in certs:
-            if not verify_certificate_empirically(cert, args.verify_to):
-                raise IntegrityError("certificate failed empirical check: %s"
-                                     % cert.to_json())
+        bad = first_failed_certificate(certs, args.verify_to)
+        if bad is not None:
+            raise IntegrityError("certificate failed empirical check: %s"
+                                 % bad.to_json())
     if args.fmt == "json":
         return json.dumps([c.to_json() for c in certs], indent=2) + "\n"
     header = ["matrix", "lambda", "N0", "e", "monic", "orbits"]

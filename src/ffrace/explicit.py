@@ -37,7 +37,7 @@ from operator import mul
 
 import numpy as np
 
-from .characters import all_characters, group_order, unit_group
+from .characters import all_characters, unit_group
 from .cyclo import CycloNum
 from .errors import IntegrityError, UsageError
 from .lfunc import MAX_EXACT_WORK, l_polynomial, power_sum_work
@@ -169,24 +169,34 @@ def check_run_work(m, degrees, sieve_limit=None):
     """Refuse a run of counts mod m over a sequence of degrees whose
     explicit counts, those above sieve_limit (routed as counts() does; 0
     sends every degree), would together pass MAX_EXPLICIT_WORK.  Judged from
-    q, M' and deg m alone: no counter is built, no prime searched, and the
-    sum stops at the first degree past the limit."""
+    q, the unit-group order and deg m alone: no counter is built, no prime
+    searched, and the sum stops at the first degree past the limit.  The
+    degrees may repeat (runs merged in order) and need only be iterable."""
     floor = max(_sieve_limit(m, sieve_limit), 0)
-    q, order, deg = m.field.q, group_order(m), m.degree
-    work, top = 0, None
+    q, order, deg = m.field.q, unit_group(m).order, m.degree
+    work, first, below, last = 0, None, None, None
     for n in degrees:
+        if n != last:
+            below, last = last, n
+            first = n if first is None else first
         if n > floor:
             work += explicit_work(q, order, deg, n)
             if work > MAX_EXPLICIT_WORK:
                 raise UsageError(
-                    "explicit counts of degrees %d..%d mod %s: past the "
-                    "supported limit of %.1e cost units together; %s"
-                    % (degrees[0], degrees[-1], format_poly(m),
-                       MAX_EXPLICIT_WORK,
-                       "the run is accepted up to degree %d" % top
-                       if top is not None else
-                       "degree %d alone passes it" % n))
-        top = n
+                    "explicit counts mod %s from degree %d: past the "
+                    "supported limit of %.1e cost units together at degree "
+                    "%d; %s" % (format_poly(m), first, MAX_EXPLICIT_WORK, n,
+                                "the run is accepted up to degree %d" % below
+                                if below is not None else
+                                "degree %d alone passes it" % n))
+
+
+def run_counts(m, degrees, **kw):
+    """(n, counts(m, n, **kw)) for every n in degrees, lazily, after
+    check_run_work has accepted the run as a whole: every run of counts goes
+    through here."""
+    check_run_work(m, degrees, kw.get("sieve_limit"))
+    return ((n, counts(m, n, **kw)) for n in degrees)
 
 
 @dataclass
@@ -305,7 +315,16 @@ class ExplicitCounter:
             raise UsageError("degree must be >= 1")
         G = self.group
         q = self.field.q
+        work = explicit_work(q, G.order, self.modulus.degree, degree)
+        if work > MAX_EXPLICIT_WORK:
+            raise UsageError(
+                "explicit count of degree %d mod %s: about %.1e cost units; "
+                "the supported limit is %.1e, degree %d for this modulus"
+                % (degree, format_poly(self.modulus), work, MAX_EXPLICIT_WORK,
+                   max_explicit_degree(q, G.order, self.modulus.degree)))
         if breakdown:
+            # after the count's own limit, which keeps the degree small
+            # enough to factor by trial division
             work = breakdown_work(q, G.order, self.E, self.modulus.degree,
                                   degree)
             if work > MAX_EXACT_WORK:
@@ -314,13 +333,6 @@ class ExplicitCounter:
                     " about %.1e cost units; the supported limit is %.1e"
                     % (degree, format_poly(self.modulus), G.order, work,
                        MAX_EXACT_WORK))
-        work = explicit_work(q, G.order, self.modulus.degree, degree)
-        if work > MAX_EXPLICIT_WORK:
-            raise UsageError(
-                "explicit count of degree %d mod %s: about %.1e cost units; "
-                "the supported limit is %.1e, degree %d for this modulus"
-                % (degree, format_poly(self.modulus), work, MAX_EXPLICIT_WORK,
-                   max_explicit_degree(q, G.order, self.modulus.degree)))
         scale = degree * G.order
         ell, powers, _coeffs, psums = rows = \
             self._rows(degree, scale * q ** degree)
@@ -439,10 +451,9 @@ def cumulative_counts(m, max_degree, **kw):
     engine of every degree, sources[N]."""
     if max_degree < 1:
         raise UsageError("max degree must be >= 1")
-    check_run_work(m, range(1, max_degree + 1), kw.get("sieve_limit"))
     per_class, sources = {}, {}
-    for n in range(1, max_degree + 1):
-        found, sources[n] = counts(m, n, **kw)
+    for n, (found, sources[n]) in run_counts(m, range(1, max_degree + 1),
+                                             **kw):
         for c, v in found.items():
             column = per_class.setdefault(c, [])
             column.append(v + (column[-1] if column else 0))
@@ -471,19 +482,17 @@ def bias_report(m, class_a, class_b, degrees, expected_sign=None):
     if expected_sign not in (-1, 0, 1, None):
         raise UsageError("expected_sign must be -1, 0, 1 or None, got %r"
                          % (expected_sign,))
-    check_run_work(m, degrees, 0)
-    counter = explicit_counter(m)
+    run = run_counts(m, degrees, sieve_limit=0)
     a = class_a % m
     b = class_b % m
-    G = counter.group
+    G = unit_group(m)
     if not (G.contains(a) and G.contains(b)):
         raise UsageError("classes must be units mod the modulus")
     rows = []
     violations = []
-    for N in degrees:
-        counts = counter.count(N).counts
-        diff = counts[a] - counts[b]
-        rows.append((N, counts[a], counts[b], diff))
+    for N, (found, _source) in run:
+        diff = found[a] - found[b]
+        rows.append((N, found[a], found[b], diff))
         if expected_sign is not None:
             if (diff > 0) - (diff < 0) != expected_sign:
                 violations.append(N)

@@ -16,6 +16,7 @@ with mu = (aT+b)/(cT+d) = (aT+b)(cT+d)^(N0-1) mod m, computed apart from the
 basis images.
 """
 
+import heapq
 import random
 from dataclasses import dataclass
 from math import gcd
@@ -24,7 +25,7 @@ import numpy as np
 
 from .characters import MAX_GROUP_ORDER, unit_group
 from .errors import IntegrityError, UsageError
-from .explicit import check_run_work, counts
+from .explicit import check_run_work, run_counts
 from .field import field_tables
 from .polyring import Poly, format_poly, powmod
 
@@ -316,17 +317,20 @@ def _cycles(perm):
     return out
 
 
+def certificate_degrees(cert, n_max):
+    """The degrees 2 <= N <= n_max of the certificate's residue class (the
+    bijection needs deg >= 2)."""
+    return range(2 + (cert.residue - 2) % cert.period, n_max + 1,
+                 cert.period)
+
+
 def find_certificate_violation(cert, n_max, sieve_limit=None):
     """First (N, class, image) whose certified equality fails against
-    explicit.counts (sieve_limit is passed on to it), or None.  Degrees run
-    over N >= 2 in the certificate's residue class (the bijection needs
-    deg >= 2)."""
-    degrees = range(2 + (cert.residue - 2) % cert.period, n_max + 1,
-                    cert.period)
-    check_run_work(cert.modulus, degrees, sieve_limit)
-    for N in degrees:
-        found, _source = counts(cert.modulus, N, monic=cert.monic_certified,
-                                sieve_limit=sieve_limit)
+    explicit.counts (sieve_limit is passed on to it) at the certificate's
+    degrees, or None."""
+    for N, (found, _source) in run_counts(
+            cert.modulus, certificate_degrees(cert, n_max),
+            monic=cert.monic_certified, sieve_limit=sieve_limit):
         for c, img in cert.orbit_map.items():
             if found[c] != found[img]:
                 return N, c, img
@@ -335,3 +339,14 @@ def find_certificate_violation(cert, n_max, sieve_limit=None):
 
 def verify_certificate_empirically(cert, n_max, sieve_limit=None):
     return find_certificate_violation(cert, n_max, sieve_limit) is None
+
+
+def first_failed_certificate(certs, n_max):
+    """The first of certs, all mod one modulus, whose empirical check to
+    n_max fails, or None.  Their runs are priced together first: each is
+    within the run limit where all of them may not be."""
+    if certs:
+        check_run_work(certs[0].modulus, heapq.merge(
+            *(certificate_degrees(c, n_max) for c in certs)))
+    return next((c for c in certs
+                 if not verify_certificate_empirically(c, n_max)), None)

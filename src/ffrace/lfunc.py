@@ -13,7 +13,7 @@ from math import gcd, log2
 
 import numpy as np
 
-from .characters import group_exponent, unit_group
+from .characters import unit_group
 from .cyclo import CycloNum
 from .errors import IntegrityError, UsageError
 from .numth import euler_phi, largest_within
@@ -120,10 +120,12 @@ def power_sum_work(q, E, d, n):
     return n * phi * (d * phi + n * log2(q) / 16)
 
 
-def check_horizon(m, n):
-    """Refuse exact power sums to n mod m past MAX_EXACT_WORK, from q, the
-    unit-group exponent and deg m alone, before any L-polynomial is built."""
-    q, E, d = m.field.q, group_exponent(m), m.degree - 1
+def check_horizon(G, n):
+    """Refuse exact power sums to n for the characters of the unit group G
+    past MAX_EXACT_WORK, from q, its exponent and deg m alone, before any
+    L-polynomial is built."""
+    m = G.modulus
+    q, E, d = m.field.q, G.exponent, m.degree - 1
     work = power_sum_work(q, E, d, n)
     if work > MAX_EXACT_WORK:
         top = largest_within(

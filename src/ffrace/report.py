@@ -7,7 +7,7 @@ from math import lcm
 
 from .characters import MAX_GROUP_ORDER, unit_group
 from .errors import UsageError
-from .explicit import check_run_work, counts, cumulative_counts
+from .explicit import cumulative_counts, run_counts
 from .gl2 import stabilizer_period, stabilizer_search
 from .polyring import Poly, format_poly, parse_poly
 from .field import parse_field
@@ -60,7 +60,7 @@ def detect_tie_patterns(m, lo, hi, period=None):
     if not 1 <= lo <= hi:
         raise UsageError("need 1 <= lo <= hi")
     degrees = range(lo, hi + 1)
-    check_run_work(m, degrees)
+    run = run_counts(m, degrees)
     if period is None:
         period = default_period(m)
     if period < 1:
@@ -71,8 +71,8 @@ def detect_tie_patterns(m, lo, hi, period=None):
                          % (period, MAX_GROUP_ORDER))
     G = unit_group(m)
     found, sources = {}, {}
-    for n in degrees:
-        found[n], sources[n] = counts(m, n)
+    for n, (counted, source) in run:
+        found[n], sources[n] = counted, source
     per_residue = {}
     for r in range(period):
         observed = [n for n in degrees if n % period == r]
@@ -168,11 +168,8 @@ def emit_table(key, fmt="csv", lo=None, hi=None):
         rows = [[n] + [per_class[c][n - 1] for c in cols]
                 for n in range(lo, hi + 1)]
     else:
-        check_run_work(m, range(lo, hi + 1))
-        rows = []
-        for n in range(lo, hi + 1):
-            found, _source = counts(m, n)
-            rows.append([n] + [found[c] for c in cols])
+        rows = [[n] + [found[c] for c in cols]
+                for n, (found, _source) in run_counts(m, range(lo, hi + 1))]
     header = ["N"] + [format_poly(c) for c in cols]
     return render_table(header, rows, fmt, name=key)
 

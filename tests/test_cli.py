@@ -1,3 +1,4 @@
+import heapq
 import json
 import os
 import pathlib
@@ -8,7 +9,7 @@ import time
 import pytest
 
 import ffrace
-from ffrace import cli as cli_mod, explicit, lfunc
+from ffrace import cli as cli_mod, explicit, gl2, lfunc
 from ffrace.cli import main
 from ffrace.errors import UsageError
 from ffrace.explicit import explicit_counter
@@ -103,7 +104,7 @@ def _refuse_work(monkeypatch):
                          (explicit, "l_polynomial"),
                          (explicit.ExplicitCounter, "raw_zsum"),
                          (cli_mod, "l_polynomial"),
-                         (cli_mod, "unit_group")):
+                         (cli_mod, "power_sums")):
         monkeypatch.setattr(module, name, fail)
 
 
@@ -151,6 +152,30 @@ def test_breakdown_and_horizon_past_exact_limit_fail_fast(capsys,
         < lfunc.power_sum_work(3, 80, 3, top + 1)
 
 
+def test_limits_are_priced_without_factoring_large_numbers(capsys,
+                                                           monkeypatch):
+    # pricing --horizon needs phi(E) and --breakdown the prime factors of N,
+    # both by trial division: unit groups of order 2^61 - 1 and 2^127 - 1
+    # (prime) and a prime N near 2^61 would take minutes to hours, so the
+    # group-order and explicit-count limits are checked first
+    _refuse_work(monkeypatch)
+    for modulus, order in (("T^61+T^5+T^2+T+1", 2 ** 61 - 1),
+                           ("T^127+T+1", 2 ** 127 - 1)):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "lpoly", "--field", "F2", "--modulus",
+                           modulus, "--char", "1", "--horizon", "1")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and "order %d" % order in err, err
+        assert "limit is 1024" in err
+    start = time.perf_counter()
+    code, _, err = run(capsys, "count-explicit", "--field", "F2", "--modulus",
+                       "T^3+T+1", "--degree", str(2 ** 61 - 1), "--breakdown")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and "the supported limit is %.1e, degree %d" \
+        % (explicit.MAX_EXPLICIT_WORK, explicit.max_explicit_degree(2, 7, 3)) \
+        in err, err
+
+
 @pytest.mark.parametrize("argv", [
     ("cumulative", "--max-degree", "4000"),
     ("cumulative", "--max-degree", "100000", "--ties"),
@@ -177,7 +202,7 @@ def test_run_limit_names_the_largest_top_degree():
     with pytest.raises(UsageError) as refused:
         explicit.check_run_work(m, range(1, 4001))
     message = str(refused.value)
-    assert message.startswith("explicit counts of degrees 1..4000 mod T^3+T+1")
+    assert message.startswith("explicit counts mod T^3+T+1 from degree 1: ")
     top = int(message.rsplit("accepted up to degree ", 1)[1])
     explicit.check_run_work(m, range(1, top + 1))
     with pytest.raises(UsageError):
@@ -186,6 +211,32 @@ def test_run_limit_names_the_largest_top_degree():
     with pytest.raises(UsageError, match="degree 10000000 "
                        "alone passes it"):
         explicit.check_run_work(m, [10 ** 7], 0)
+
+
+def test_ties_gl2_prices_its_certificates_together(capsys, monkeypatch):
+    # the 15 certificates mod T^3+T+1 are each within the run limit to
+    # N = 1800, not together: checked one by one they took 47 s cold
+    m = parse_poly(parse_field("F2"), "T^3+T+1")
+    certs = [gl2.certify_ties(m, B, lam, e)
+             for B, lam in gl2.stabilizer_search(m)
+             for e in range(gl2.stabilizer_period(m, B))]
+    assert len(certs) == 15
+    for cert in certs:
+        explicit.check_run_work(m, gl2.certificate_degrees(cert, 1800))
+    _refuse_work(monkeypatch)
+    start = time.perf_counter()
+    code, _, err = run(capsys, "ties-gl2", "--field", "F2", "--modulus",
+                       "T^3+T+1", "--verify-to", "1800")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and "accepted up to degree" in err, err
+    top = int(err.rsplit("accepted up to degree ", 1)[1])
+
+    def merged(n_max):
+        return heapq.merge(*(gl2.certificate_degrees(c, n_max)
+                             for c in certs))
+    explicit.check_run_work(m, merged(top))
+    with pytest.raises(UsageError):
+        explicit.check_run_work(m, merged(top + 1))
 
 
 def test_table_past_run_limit_fails_fast(capsys, monkeypatch):
