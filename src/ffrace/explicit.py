@@ -56,12 +56,10 @@ MAX_EXPLICIT_WORK = 36 * 10 ** 8
 # Split primes lie below 2^PRIME_BITS: an entry times a weight is below
 # 2^50, a sum of 4096 of them below 2^62.
 PRIME_BITS = 25
-# int64 entries of omega^V gathered at once (1 MB), and of cached power sums
-# over all rows (2 MB).  On a 2-core Xeon the order-1023 count at N = 80
-# takes 0.06 s and 45 MB, 0.20 s and 122 MB with the whole table gathered;
-# N = 1..400 mod T^3+2T+2/F3 take 0.22 s, 0.74 s with 2^16 power sums; the
-# N = 15000 count mod T^3+T+1/F2 peaks at 33 MB, 61 MB with 2^21.
-_GATHER, _HORIZON = 1 << 17, 1 << 18
+# int64 entries of omega^V gathered at once (1 MB).  On a 2-core Xeon the
+# order-1023 count at N = 80 takes 0.06 s and 45 MB, 0.20 s and 122 MB with
+# the whole table gathered.
+_GATHER = 1 << 17
 
 _split = {}  # E -> [(l, omega)], the split primes found so far, descending
 _split_lock = threading.Lock()
@@ -93,25 +91,20 @@ def _gathered(powers, values):
         yield slice(lo, lo + step), np.take(powers, values[lo:lo + step], 1)
 
 
-def _newton(rows, start, stop, keep=None):
+def _newton(rows, top):
     """Newton's recurrence p_n = -(n a_n + sum_i a_i p_(n-i)) mod l on every
-    row for start <= n < stop, from the cached p_(start-1), p_(start-2), ...
-    (zero below p_1): {n: p_n} for n in keep, or for every n."""
-    ell, _powers, coeffs, psums = rows
+    row (zero below p_1): yields p_1, p_2, .., p_top."""
+    ell, _powers, coeffs = rows
     zero = np.zeros(coeffs.shape[1:], dtype=np.int64)
-    recent = [psums[start - 1 - i] if start > i else zero
-              for i in range(1, len(coeffs) + 1)]
-    out = {}
-    for n in range(start, stop):
+    recent = [zero] * len(coeffs)
+    for n in range(1, top + 1):
         p = n * coeffs[n - 1] if n <= len(coeffs) else zero.copy()
         for a, x in zip(coeffs, recent):
             p += a * x
         np.negative(p, out=p)
         p %= ell
-        if keep is None or n in keep:
-            out[n] = p
+        yield p
         recent = [p] + recent[:-1]
-    return out
 
 
 def _crt(residues, ell):
@@ -162,17 +155,17 @@ def breakdown_work(q, order, E, deg, degree):
 
 def _sieve_limit(m, sieve_limit):
     return min(default_cutoff(m.field.q), 12) if sieve_limit is None \
-        else sieve_limit
+        else max(sieve_limit, 0)
 
 
 def check_run_work(m, degrees, sieve_limit=None):
     """Refuse a run of counts mod m over a sequence of degrees whose
-    explicit counts, those above sieve_limit (routed as counts() does; 0
+    explicit counts, those above sieve_limit (routed as run_counts does; 0
     sends every degree), would together pass MAX_EXPLICIT_WORK.  Judged from
     q, the unit-group order and deg m alone: no counter is built, no prime
     searched, and the sum stops at the first degree past the limit.  The
     degrees may repeat (runs merged in order) and need only be iterable."""
-    floor = max(_sieve_limit(m, sieve_limit), 0)
+    floor = _sieve_limit(m, sieve_limit)
     q, order, deg = m.field.q, unit_group(m).order, m.degree
     work, first, below, last = 0, None, None, None
     for n in degrees:
@@ -188,15 +181,37 @@ def check_run_work(m, degrees, sieve_limit=None):
                     "%d; %s" % (format_poly(m), first, MAX_EXPLICIT_WORK, n,
                                 "the run is accepted up to degree %d" % below
                                 if below is not None else
-                                "degree %d alone passes it" % n))
+                                "degree %d alone passes it; the largest "
+                                "degree for this modulus is %d"
+                                % (n, max_explicit_degree(q, order, deg))))
 
 
-def run_counts(m, degrees, **kw):
-    """(n, counts(m, n, **kw)) for every n in degrees, lazily, after
-    check_run_work has accepted the run as a whole: every run of counts goes
-    through here."""
-    check_run_work(m, degrees, kw.get("sieve_limit"))
-    return ((n, counts(m, n, **kw)) for n in degrees)
+def run_counts(m, degrees, *, monic=True, sieve_limit=None):
+    """(N, (counts, source)) for every N in degrees, in order: the count of
+    degree-N irreducibles in every unit class mod m and its engine, the
+    sieve for N <= sieve_limit (default min(default_cutoff(q), 12)), else
+    one run of the explicit counter, made on first read.  The one place that
+    chooses the engine; check_run_work prices the run first, a range lazily.
+
+    monic=False counts all irreducibles with a nonzero leading coefficient.
+    f -> lc(f)^-1 f maps the lc = lam ones bijectively onto the monic ones
+    and class c onto lam^-1 c, so pi~(N; m, c) = sum_lam pi(N; m, lam^-1 c)."""
+    if not isinstance(degrees, range):
+        degrees = list(degrees)
+    check_run_work(m, degrees, sieve_limit)
+    floor = _sieve_limit(m, sieve_limit)
+
+    def run():
+        wanted = [n for n in degrees if n > floor]
+        found = explicit_counter(m).run(wanted) if wanted else {}
+        for n in degrees:
+            out, source = (found[n], "explicit") if n > floor else \
+                (sieve_count(m, n).counts, "sieve")
+            if not monic:
+                out = {c: sum(out[c.scale(m.field.inv(lam)) % m]
+                              for lam in m.field.units()) for c in out}
+            yield n, (out, source)
+    return run()
 
 
 @dataclass
@@ -210,9 +225,9 @@ class ExplicitCount:
 class ExplicitCounter:
     """Caches the per-modulus data across degrees: unit group, characters,
     their values V[chi, a] (chi(a) = zeta_E^V), the stack of split primes
-    with cached power sums, the Ztilde raw sums of the --breakdown audit
-    and, on first use, the L-polynomials in Q(zeta_E).  V is one product
-    over the group's log grid.  Safe to share between threads."""
+    with the L-coefficients on each, the Ztilde raw sums of the --breakdown
+    audit and, on first use, the L-polynomials in Q(zeta_E).  V is one
+    product over the group's log grid.  Safe to share between threads."""
 
     def __init__(self, m):
         if m.degree < 1:
@@ -229,7 +244,7 @@ class ExplicitCounter:
                         @ G.dlog_array.T % self.E).astype(np.int32)
         self._lock = threading.RLock()
         # (ell (P, 1), powers (P, E): omega^e mod l, coeffs (deg m - 1, P,
-        # M'): a_1, a_2, .. of every L-polynomial, psums (H, P, M'): p_1..p_H)
+        # M'): a_1, a_2, .. of every L-polynomial)
         self._stack = self._new_rows(0)
         self._lpolys = None
         self._raw = {}
@@ -264,9 +279,8 @@ class ExplicitCounter:
             return self._lpolys
 
     def _new_rows(self, P):
-        """The stack over the first P split primes, no power sums cached.
-        Every L-polynomial must have a_0 = 1 and a vanishing degree-M
-        character sum mod every prime."""
+        """The stack over the first P split primes; each L-polynomial must have
+        a_0 = 1 and a vanishing degree-M character sum mod every prime."""
         ell, omega = np.array([split_prime(self.E, i) for i in range(P)],
                               dtype=np.int64).reshape(P, 2).T[..., None]
         powers = np.ones((P, self.E), dtype=np.int64)
@@ -286,35 +300,24 @@ class ExplicitCounter:
                 "does not vanish for %r"
                 % (ell[j, 0], len(classes) - 1, self.chars[ci + 1]))
         sums[:, :, 0] = 0
-        return ell, powers, sums[1:-1], sums[:0]
+        return ell, powers, sums[1:-1]
 
-    def _rows(self, degree, bound):
-        """The first k + 1 rows of the stack, the product of the first k
-        past 2 bound, with power sums cached toward the degree."""
+    def _rows(self, bound):
+        """The first k + 1 rows, the product of the first k past 2 bound."""
         k, product = 0, 1
         while product <= 2 * bound:
             product *= split_prime(self.E, k)[0]
             k += 1
         with self._lock:
-            P = len(self._stack[0])
-            if P <= k:
-                self._stack = self._new_rows(max(k + 1, 2 * P))
-            ell, powers, coeffs, psums = rows = self._stack
-            # doubling keeps the copies linear over a run of degrees
-            cap = _HORIZON // ell.size // self.group.order
-            if len(psums) < min(degree, cap):
-                found = _newton(rows, len(psums) + 1,
-                                min(max(degree, 2 * len(psums)), cap) + 1)
-                self._stack = rows = rows[:3] + (np.concatenate(
-                    [psums] + [found[n][None] for n in sorted(found)]),)
-        return tuple(x[:k + 1] for x in rows[:2]) + \
-            tuple(x[:, :k + 1] for x in rows[2:])
+            if len(self._stack[0]) <= k:
+                self._stack = self._new_rows(k + 1)
+            ell, powers, coeffs = self._stack
+        return ell[:k + 1], powers[:k + 1], coeffs[:, :k + 1]
 
     def count(self, degree, breakdown=False):
         if degree < 1:
             raise UsageError("degree must be >= 1")
-        G = self.group
-        q = self.field.q
+        G, q = self.group, self.field.q
         work = explicit_work(q, G.order, self.modulus.degree, degree)
         if work > MAX_EXPLICIT_WORK:
             raise UsageError(
@@ -333,27 +336,46 @@ class ExplicitCounter:
                     " about %.1e cost units; the supported limit is %.1e"
                     % (degree, format_poly(self.modulus), G.order, work,
                        MAX_EXACT_WORK))
-        scale = degree * G.order
-        ell, powers, _coeffs, psums = rows = \
-            self._rows(degree, scale * q ** degree)
-        moebius = [(k, mobius(k)) for k in divisors(degree) if mobius(k)]
-        wanted = {degree // k for k, _mu in moebius}
-        found = {n: psums[n - 1] for n in wanted if n <= len(psums)}
-        if degree > len(psums):
-            found.update(_newton(rows, len(psums) + 1, degree + 1, wanted))
-        # X[:, chi] = N A_conj(chi)(N) mod l, summing psi(chi^-k, N/k); then
-        # N M' pi(N; a) = sum_chi chi(a) X[:, chi]
-        X = 0
-        for k, mu in moebius:
-            n = degree // k
-            psi = -found[n] % ell
-            s = self.s(n)
-            psi[:, 0] = [(pow(q, n, l) - s) % l for l in ell.ravel().tolist()]
-            X = X + mu * psi[:, G.character_power_index(-k)]
-        X %= ell
-        totals = 0
+        counts = self.run([degree])[degree]
+        audit = self._audit(degree, counts) if breakdown else None
+        return ExplicitCount(self.modulus, degree, counts, audit)
+
+    def run(self, degrees):
+        """{N: counts} for every N in degrees (N >= 1 within the work limit,
+        as count() and run_counts check), each on the rows its bound needs.
+        One Newton walk to the largest N adds each p_n to the Mobius sums of
+        the N with N/n squarefree; one gather of omega^V serves every N."""
+        G, q = self.group, self.field.q
+        bounds = {N: N * G.order * q ** N for N in degrees}
+        ell, powers, _coeffs = rows = self._rows(max(bounds.values()))
+        # X[N][:, chi] = N A_conj(chi)(N) mod l, summing psi(chi^-k, N/k) and
+        # reduced where read; then N M' pi(N; a) = sum_chi chi(a) X[N][:, chi]
+        X, terms = {}, {}
+        for N, bound in bounds.items():
+            X[N] = np.zeros((len(self._rows(bound)[0]), G.order), np.int64)
+            for k in filter(mobius, divisors(N)):
+                terms.setdefault(N // k, []).append((N, k))
+        for n, p in enumerate(_newton(rows, max(bounds)), 1):
+            if n in terms:
+                psi = -p % ell
+                s = self.s(n)
+                psi[:, 0] = [(pow(q, n, l) - s) % l
+                             for l in ell.ravel().tolist()]
+                for N, k in terms[n]:
+                    x = X[N]
+                    x += mobius(k) * psi[:len(x), G.character_power_index(-k)]
+        sums = dict.fromkeys(X, 0)
         for chis, table in _gathered(powers, self._values):
-            totals = totals + np.einsum("pc,pca->pa", X[:, chis], table)
+            for N, x in X.items():
+                sums[N] = sums[N] + np.einsum(
+                    "pc,pca->pa", x[:, chis] % ell[:len(x)], table[:len(x)])
+        for N, t in sums.items():  # in place: frees each array in turn
+            sums[N] = self._checked(N, t, ell[:len(t)])
+        return sums
+
+    def _checked(self, degree, totals, ell):
+        """The counts of degree N by the CRT from N M' pi(N; a) mod ell."""
+        G, scale = self.group, degree * self.group.order
         counts = {}
         for u, (total, agrees) in zip(G.units, _crt(totals % ell, ell)):
             if not agrees:
@@ -367,7 +389,7 @@ class ExplicitCounter:
                     "explicit count pi(%d; %s, %s) = %s is not a nonnegative "
                     "integer" % (degree, self.modulus, u,
                                  Fraction(total, scale)))
-        primes = gauss_irreducible_count(q, degree) - sum(
+        primes = gauss_irreducible_count(self.field.q, degree) - sum(
             1 for p, _e in self.factorization.factors if p.degree == degree)
         total = sum(counts.values())
         if total != primes:
@@ -375,9 +397,7 @@ class ExplicitCounter:
                 "explicit counts of degree %d mod %s sum to %d, not to the %d "
                 "primes prime to the modulus"
                 % (degree, self.modulus, total, primes))
-        out_audit = self._audit(degree, counts) if breakdown else None
-        return ExplicitCount(modulus=self.modulus, degree=degree,
-                             counts=counts, breakdown=out_audit)
+        return counts
 
     def _audit(self, degree, counts):
         """(class literal, d) -> {chi label: Ztilde(d)_{a,chi} psi(chi, N/d)}
@@ -423,26 +443,9 @@ def explicit_counter(m):
     return counter
 
 
-def counts(m, degree, *, monic=True, sieve_limit=None):
-    """(counts, source): the count of degree-N irreducibles in every unit
-    class c mod m, and the engine that produced it, "sieve" or "explicit".
-
-    The one place that chooses the engine: the sieve for N <= sieve_limit,
-    the explicit formula beyond.  The default limit is
-    min(default_cutoff(q), 12).
-
-    monic=False counts all irreducibles with a nonzero leading coefficient.
-    f -> lc(f)^-1 f maps the lc = lam ones bijectively onto the monic ones
-    and class c onto lam^-1 c, so pi~(N; m, c) = sum_lam pi(N; m, lam^-1 c)."""
-    if degree <= _sieve_limit(m, sieve_limit):
-        out, source = sieve_count(m, degree).counts, "sieve"
-    else:
-        out, source = explicit_counter(m).count(degree).counts, "explicit"
-    if not monic:
-        field = m.field
-        out = {c: sum(out[c.scale(field.inv(lam)) % m] for lam in field.units())
-               for c in out}
-    return out, source
+def counts(m, degree, **kw):
+    """(counts, source) of degree N: a run of one (see run_counts)."""
+    return next(run_counts(m, [degree], **kw))[1]
 
 
 def cumulative_counts(m, max_degree, **kw):
@@ -488,13 +491,11 @@ def bias_report(m, class_a, class_b, degrees, expected_sign=None):
     G = unit_group(m)
     if not (G.contains(a) and G.contains(b)):
         raise UsageError("classes must be units mod the modulus")
-    rows = []
-    violations = []
+    rows, violations = [], []
     for N, (found, _source) in run:
         diff = found[a] - found[b]
         rows.append((N, found[a], found[b], diff))
-        if expected_sign is not None:
-            if (diff > 0) - (diff < 0) != expected_sign:
-                violations.append(N)
+        if expected_sign not in (None, (diff > 0) - (diff < 0)):
+            violations.append(N)
     return BiasReport(modulus=m, class_a=a, class_b=b, rows=rows,
                       violations=violations)

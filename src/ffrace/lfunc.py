@@ -187,7 +187,7 @@ def find_conjugate_relations(m):
     counter = explicit_counter(m)
     chars = counter.chars
     q, d = m.field.q, m.degree - 1
-    rows = counter._rows(0, 0)  # the first prime alone
+    rows = counter._rows(0)  # the first prime alone
     ell, powers, coeffs = int(rows[0][0, 0]), rows[1][0], rows[2][:, 0]
     if ell * ell <= 4 ** (d + 1) * q ** d:
         raise IntegrityError(
@@ -203,8 +203,7 @@ def find_conjugate_relations(m):
     # coefficient or L(1) is 0 when it is 0 at every conjugate, so the exact
     # degree is the largest over the conjugates and the multiplicity the
     # smallest
-    newton = _newton(rows, 1, d + 1)
-    psums = np.array([newton[n][0] for n in range(1, d + 1)],
+    psums = np.array([p[0] for p in _newton(rows, d)],
                      dtype=np.int64).reshape(d, len(chars))
     coeffs = np.concatenate([np.ones((1, len(chars)), np.int64), coeffs])
     degree = d - np.argmax(coeffs[::-1] != 0, axis=0)  # a_0 = 1

@@ -197,7 +197,7 @@ def test_runs_past_work_limit_fail_fast(capsys, monkeypatch, argv):
     assert "accepted up to degree" in err
 
 
-def test_run_limit_names_the_largest_top_degree():
+def test_run_limit_names_the_largest_top_degree(capsys):
     m = parse_poly(parse_field("F2"), "T^3+T+1")
     with pytest.raises(UsageError) as refused:
         explicit.check_run_work(m, range(1, 4001))
@@ -207,10 +207,30 @@ def test_run_limit_names_the_largest_top_degree():
     explicit.check_run_work(m, range(1, top + 1))
     with pytest.raises(UsageError):
         explicit.check_run_work(m, range(1, top + 2))
-    # bias sends every degree to the explicit formula
-    with pytest.raises(UsageError, match="degree 10000000 "
-                       "alone passes it"):
+    # bias sends every degree to the explicit formula; a lone degree past
+    # the limit is told the largest degree that count-explicit accepts
+    alone = "alone passes it; the largest degree for this modulus is %d" \
+        % explicit.max_explicit_degree(2, 7, 3)
+    with pytest.raises(UsageError, match="degree 10000000 " + alone):
         explicit.check_run_work(m, [10 ** 7], 0)
+    # count is a run of one degree
+    code, _, err = run(capsys, "count", "--field", "F2", "--modulus",
+                       "T^3+T+1", "--degree", "1000000")
+    assert code == 1 and "degree 1000000 " + alone in err, err
+
+
+def test_sieve_only_runs_build_no_explicit_counter(capsys, monkeypatch):
+    m = parse_poly(parse_field("F2"), "T^3+T+1")
+    cert = gl2.certify_ties(m, gl2.Mat2(m.field, 1, 1, 1, 0), 1, 1)
+
+    def refuse(m):
+        raise AssertionError("explicit counter built")
+    monkeypatch.setattr(explicit, "ExplicitCounter", refuse)
+    monkeypatch.setattr(explicit, "_counters", {})
+    code, out, err = run(capsys, "count", "--field", "F2", "--modulus",
+                         "T^3+T+1", "--degree", "20")
+    assert code == 0 and "sieve" in out and "explicit" not in out, err
+    assert gl2.verify_certificate_empirically(cert, 12, sieve_limit=12)
 
 
 def test_ties_gl2_prices_its_certificates_together(capsys, monkeypatch):

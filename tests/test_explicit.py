@@ -1,3 +1,4 @@
+import heapq
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -9,12 +10,12 @@ from cyclo_oracle import from_json, zeta
 from explicit_oracle import (mobius_helpers, pi_g_decomposition, zmatrix,
                              zmatrix_inverse)
 from group_oracle import char_pow, unit_pow, value_exponent
-from ffrace import explicit
+from ffrace import explicit, gl2
 from ffrace.characters import all_characters, unit_group
 from ffrace.cyclo import CycloNum
 from ffrace.errors import IntegrityError, UsageError
 from ffrace.explicit import (ExplicitCounter, bias_report, explicit_counter,
-                             s_value)
+                             run_counts, s_value)
 from ffrace.field import field_make
 from ffrace.lfunc import l_polynomial
 from ffrace.numth import divisors, mobius
@@ -298,6 +299,50 @@ def test_bias_expected_sign_mapping_is_usage_error():
                     expected_sign={9: 1, 12: 1})
 
 
+def test_one_shot_degrees_are_read_once():
+    # the run is priced and counted from one reading of a generator
+    m = P(F2, "T^3+T+1")
+    rep = bias_report(m, P(F2, "T"), P(F2, "1"), (n for n in range(9, 15)))
+    assert rep.rows == bias_report(m, P(F2, "T"), P(F2, "1"),
+                                   range(9, 15)).rows
+    assert [r[0] for r in rep.rows] == list(range(9, 15))
+    assert [n for n, _found in run_counts(m, iter([13, 14]))] == [13, 14]
+
+
+def test_run_matches_its_single_counts(monkeypatch):
+    # unsorted degrees with repeats, the top one needing more split primes
+    # than the rest: one cold Newton walk, rows in input order, and each row
+    # equal to a single count on a fresh counter
+    walks = []
+    newton = explicit._newton
+
+    def counted(rows, top):
+        walks.append(top)
+        return newton(rows, top)
+    monkeypatch.setattr(explicit, "_newton", counted)
+    m4 = P(F3, "T^4+T+2")
+    certs = [gl2.certify_ties(m4, B, lam, e)
+             for B, lam in gl2.stabilizer_search(m4)
+             for e in range(gl2.stabilizer_period(m4, B))]
+    merged = list(heapq.merge(*(gl2.certificate_degrees(c, 55)
+                                for c in certs)))
+    for m, degrees, kw in ((P(F2, "T^3+T+1"), [200, 13, 60, 13],
+                            {"sieve_limit": 0}),
+                           (m4, merged, {})):
+        monkeypatch.setattr(explicit, "_counters", {})
+        walks.clear()
+        run = list(run_counts(m, degrees, **kw))
+        assert walks == [max(degrees)]
+        assert [n for n, _found in run] == degrees
+        order = unit_group(m).order
+        primes = sorted({n: len(explicit_counter(m)._rows(
+            n * order * m.field.q ** n)[0]) for n in degrees}.values())
+        assert primes[-2] < primes[-1]
+        single = {n: ExplicitCounter(m).count(n).counts for n in degrees}
+        for n, (found, _source) in run:
+            assert found == single[n]
+
+
 def test_counts_cached_counter_reused():
     m = P(F2, "T^3+T+1")
     assert explicit_counter(m) is explicit_counter(P(F2, "T^3+T+1"))
@@ -320,8 +365,8 @@ def test_trivial_unit_group_modulus():
 
 
 def test_concurrent_cold_counter_matches_serial():
-    # power sums are extended lazily on first use; threads racing on a cold
-    # counter must not corrupt them
+    # the prime stack is extended lazily on first use; threads racing on a
+    # cold counter must not corrupt it
     m = P(F3, "T^3+2T+2")
     degrees = range(13, 61)
     serial = [ExplicitCounter(m).count(n).counts for n in degrees]
@@ -357,8 +402,7 @@ def _race(fn, jobs):
 
 def test_concurrent_counts_while_the_prime_stack_grows():
     # each degree needs more split primes than the last few (N M' q^N grows),
-    # so threads on a cold counter extend the rows and the cached power sums
-    # while others read them
+    # so threads on a cold counter extend the rows while others read them
     m = P(F3, "T^3+2T+2")
     degrees = range(13, 201)
     serial = [ExplicitCounter(m).count(n).counts for n in degrees]

@@ -289,6 +289,6 @@ def test_relations_refuse_a_split_prime_below_the_bound(monkeypatch):
     monkeypatch.setitem(explicit._split, 63, [])
     monkeypatch.setattr(explicit, "_counters", {})
     m = P(F2, "T^6+T+1")
-    assert explicit.explicit_counter(m)._rows(0, 0)[0].tolist() == [[127]]
+    assert explicit.explicit_counter(m)._rows(0)[0].tolist() == [[127]]
     with pytest.raises(IntegrityError, match="below the bound"):
         find_conjugate_relations(m)
