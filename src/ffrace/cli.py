@@ -8,6 +8,7 @@ import argparse
 import json
 import random
 import sys
+from functools import lru_cache
 
 from .characters import parse_character, unit_group
 from .errors import IntegrityError, UsageError
@@ -284,7 +285,11 @@ def _cmd_bias(args):
     return text + tail + "\n"
 
 
+@lru_cache(maxsize=1)
 def build_parser():
+    """The parser, built once per process and shared by every main() call
+    (argparse keeps no state between parses); each command runs
+    _cmd_<command>, looked up when it runs."""
     parser = _Parser(prog="ffrace",
                      description="Exact prime races in F_q[T]: sieve counts, "
                                  "L-function explicit formula, GL2 tie "
@@ -298,7 +303,6 @@ def build_parser():
                    help="count all nonzero-lc polynomials, not just monic")
     p.add_argument("--cumulative", action="store_true",
                    help="running sums for N=1..degree")
-    p.set_defaults(fn=_cmd_count)
 
     p = subs.add_parser("count-explicit",
                         help="exact counts from the explicit formula")
@@ -306,7 +310,6 @@ def build_parser():
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--breakdown", action="store_true",
                    help="emit per-divisor, per-character terms for audit")
-    p.set_defaults(fn=_cmd_count_explicit)
 
     p = subs.add_parser("lpoly", help="L-polynomial of a character")
     _common(p)
@@ -314,12 +317,10 @@ def build_parser():
                    help="character exponents, e.g. '1' or '1,0'")
     p.add_argument("--horizon", type=int, default=0,
                    help="also emit power sums c_n up to this n")
-    p.set_defaults(fn=_cmd_lpoly)
 
     p = subs.add_parser("relations",
                         help="Galois conjugate relations among inverse zeros")
     _common(p)
-    p.set_defaults(fn=_cmd_relations)
 
     p = subs.add_parser("ties-gl2", help="GL2 stabilizers and tie certificates")
     _common(p)
@@ -332,7 +333,6 @@ def build_parser():
                         "period)")
     p.add_argument("--verify-to", type=int, default=0,
                    help="empirically verify each certificate up to this degree")
-    p.set_defaults(fn=_cmd_ties_gl2)
 
     p = subs.add_parser("ties-empirical", help="detect tie patterns by degree")
     _common(p)
@@ -340,7 +340,6 @@ def build_parser():
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--period", type=int, default=None,
                    help="candidate period (default: lcm of GL2 periods)")
-    p.set_defaults(fn=_cmd_ties_empirical)
 
     p = subs.add_parser("table", help="reproduce a reference table")
     _output(p)
@@ -348,7 +347,6 @@ def build_parser():
                    help="which table to emit")
     p.add_argument("--lo", type=int, default=None)
     p.add_argument("--hi", type=int, default=None)
-    p.set_defaults(fn=_cmd_table)
 
     p = subs.add_parser("cumulative",
                         help="cumulative counts and cumulative ties")
@@ -356,7 +354,6 @@ def build_parser():
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--ties", action="store_true",
                    help="emit the cumulative ties instead of the table")
-    p.set_defaults(fn=_cmd_cumulative)
 
     p = subs.add_parser("bias", help="exact differences between two classes")
     _common(p)
@@ -366,7 +363,6 @@ def build_parser():
                    help="'lo:hi[:step]' inclusive, or comma list")
     p.add_argument("--expect", choices=("pos", "neg", "zero"), default=None,
                    help="expected sign of pi_a - pi_b; violations are flagged")
-    p.set_defaults(fn=_cmd_bias)
     return parser
 
 
@@ -379,7 +375,7 @@ def main(argv=None):
     if digits is not None:
         sys.set_int_max_str_digits(0)
     try:
-        text = args.fn(args)
+        text = globals()["_cmd_" + args.command.replace("-", "_")](args)
         _emit(args, text)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -30,6 +30,7 @@ decomposition and the Mobius helper sums live in tests/explicit_oracle.py.
 """
 
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import log2, prod
@@ -202,11 +203,16 @@ def run_counts(m, degrees, *, monic=True, sieve_limit=None):
     floor = _sieve_limit(m, sieve_limit)
 
     def run():
-        wanted = [n for n in degrees if n > floor]
-        found = explicit_counter(m).run(wanted) if wanted else {}
+        # reads left per explicit degree: the last read frees its counts
+        reads = Counter(n for n in degrees if n > floor)
+        found = explicit_counter(m).run(reads) if reads else {}
         for n in degrees:
-            out, source = (found[n], "explicit") if n > floor else \
-                (sieve_count(m, n).counts, "sieve")
+            if n > floor:
+                reads[n] -= 1
+                out = found[n] if reads[n] else found.pop(n)
+                source = "explicit"
+            else:
+                out, source = sieve_count(m, n).counts, "sieve"
             if not monic:
                 out = {c: sum(out[c.scale(m.field.inv(lam)) % m]
                               for lam in m.field.units()) for c in out}

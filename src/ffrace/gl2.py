@@ -344,9 +344,24 @@ def verify_certificate_empirically(cert, n_max, sieve_limit=None):
 def first_failed_certificate(certs, n_max):
     """The first of certs, all mod one modulus, whose empirical check to
     n_max fails, or None.  Their runs are priced together first: each is
-    within the run limit where all of them may not be."""
-    if certs:
-        check_run_work(certs[0].modulus, heapq.merge(
-            *(certificate_degrees(c, n_max) for c in certs)))
-    return next((c for c in certs
-                 if not verify_certificate_empirically(c, n_max)), None)
+    within the run limit where all of them may not be.  Then each distinct
+    degree is counted once, in one run of monic and one of non-monic
+    counts, and every certificate reads those."""
+    if not certs:
+        return None
+    m = certs[0].modulus
+    check_run_work(m, heapq.merge(
+        *(certificate_degrees(c, n_max) for c in certs)))
+    found = {}
+    for monic in {c.monic_certified for c in certs}:
+        degrees = sorted({N for c in certs if c.monic_certified == monic
+                          for N in certificate_degrees(c, n_max)})
+        found[monic] = {N: counts for N, (counts, _source)
+                        in run_counts(m, degrees, monic=monic)}
+
+    def fails(c):
+        counts = found[c.monic_certified]
+        return any(counts[N][x] != counts[N][img]
+                   for N in certificate_degrees(c, n_max)
+                   for x, img in c.orbit_map.items())
+    return next((c for c in certs if fails(c)), None)

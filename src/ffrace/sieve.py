@@ -8,11 +8,12 @@ monic H of degree N - d, the one multiple of g with H above T^d is f = H T^d
 + r, r = -(H T^d mod g), and its index is enc(H - T^(N-d)) q^d + enc(r),
 plain integer arithmetic.  r is F_p-linear in the base-p digits of H, so it
 is a table over a low block of digits, shifted once per value of the high
-digits.  Sums of encodings are digit-wise mod p: XOR when p = 2, otherwise
-fold[spread[a] + spread[b]] through two small tables.  f mod m is F_p-linear
-in the digits of f in the same way, so the survivors are reduced a chunk of
-digits at a time, by lookups in tables over the chunk's digit patterns, and
-tallied per unit class.  Every call cross-checks its total against the
+digits, for all irreducibles of one degree together.  Sums of encodings are
+digit-wise mod p: XOR when p = 2, otherwise fold[spread[a] + spread[b]]
+through two small tables.  f mod m is F_p-linear in the digits of f in the
+same way, so the survivors are reduced a chunk of digits at a time, by
+lookups in tables over the chunk's digit patterns, and tallied per unit
+class.  Every call cross-checks its total against the
 closed-form count of irreducibles.
 """
 
@@ -33,8 +34,8 @@ from .polyring import Poly, factorize
 DEFAULT_CUTOFF = {2: 24, 3: 14, 5: 9}
 # Hard cap on enumeration size (bitmap of q^N bools).
 _MAX_ENUM = 1 << 26
-# log2 of the largest table over a block of base-p digits (a residue chunk,
-# the H values marked at once); encodings per block of residue reduction.
+# log2 of the largest table over a block of base-p digits (a residue chunk);
+# encodings per block of residue reduction, and indices per write of _strike.
 _CHUNK_BITS = 16
 _BLOCK = 1 << 16
 
@@ -73,66 +74,82 @@ def _basis_residues(field, gs, d, e):
     # -c x^l as elements of F_q, shape (k, p)
     scalars = p ** np.arange(k)[:, None] * (-np.arange(p) % p)
     steps = np.empty((len(gs), e * k, p), dtype=np.int64)
+    shifted = np.zeros_like(w0)                     # T r, before the carry
     w = w0
     for j in range(e):
         steps[:, j * k:(j + 1) * k] = \
             mul[scalars[None, :, :, None], w[:, None, None, :]] @ place
-        w = add[np.pad(w[:, :-1], ((0, 0), (1, 0))), mul[w[:, -1:], w0]]
+        shifted[:, 1:] = w[:, :-1]
+        w = add[shifted, mul[w[:, -1:], w0]]
     return steps, mul[p - 1][w] @ place
 
 
 def _span(start, steps, sums):
-    """table[h] = start (+) the sum of steps[t][digit t of h] over every
-    vector h of len(steps) base-p digits (index h, digit 0 lowest); sums is
-    None for p = 2 (XOR), else the (spread, fold) pair of the encodings."""
-    table = np.array([start], dtype=np.int64)
-    for mults in steps:
+    """table[i, h] = start[i] (+) the sum of steps[i, t, digit t of h] over
+    every vector h of steps.shape[1] base-p digits (index h, digit 0 lowest),
+    for every row i; sums is None for p = 2 (XOR), else the (spread, fold)
+    pair of the encodings."""
+    table = np.asarray(start, dtype=np.int64)[:, None]
+    for t in range(steps.shape[1]):
+        mults = steps[:, t, :, None]
         if sums is None:
-            table = np.bitwise_xor.outer(mults, table).ravel()
+            table = mults ^ table[:, None, :]
         else:
             spread, fold = sums
-            table = fold[np.add.outer(spread[mults], spread[table])].ravel()
+            table = fold[spread[mults] + spread[table][:, None, :]]
+        table = table.reshape(len(steps), -1)
     return table
 
 
 def _strike(bitmap, field, gs, d, degree):
     """Mark every multiple of degree `degree` of the monic irreducibles gs of
-    degree d.
+    degree d, all of gs together.
 
     f = H T^d + r is a multiple of g exactly when r = -(H T^d mod g), for
     every monic H of degree e = degree - d; f's bitmap index is then
     enc(H - T^e) q^d + enc(r).  r is F_p-linear in the base-p digits of H:
-    its values over a low block of digits are one table, shifted once per
-    value of the high digits (a scalar XOR when p = 2, a spread/fold sum
-    otherwise)."""
+    its values over a low block of digits are one table per g, shifted once
+    per value of the high digits (XOR when p = 2, a spread/fold sum
+    otherwise).  One write covers one value of the high digits: the rows of
+    the low block times every g, H-major, so it sweeps one stretch of the
+    bitmap in order.  It holds at most _BLOCK indices: even with no low
+    digits, len(gs) < q^d <= 2^13 under _MAX_ENUM."""
     q, p = field.q, field.p
     e = degree - d
     steps, const = _basis_residues(field, gs, d, e)
-    low = min(e * field.k, int(_CHUNK_BITS / math.log2(p)))
+    low = 0
+    while low < e * field.k and p ** (low + 1) * len(gs) <= _BLOCK:
+        low += 1
     size = p ** low
     stride = size * q ** d
-    offsets = np.arange(size, dtype=np.int64) * q ** d
-    buf = np.empty(size, dtype=np.int64)
+    offsets = np.arange(size, dtype=np.int64)[:, None] * q ** d
     sums = None if p == 2 else _spread_fold(p, d * field.k)
-    if sums is not None:
+    lo = _span(np.zeros(len(gs), dtype=np.int64), steps[:, :low], sums)
+    hi = _span(const, steps[:, low:], sums).T      # (high values, g)
+    # r is broadcast over the write one row at a time, so a row holds reps
+    # low values: reps * len(gs) >= 512 indices where the block allows
+    reps = 1
+    while reps < size and reps * len(gs) < 512:
+        reps *= p
+    shape = (size // reps, reps * len(gs))          # H-major
+    if sums is None:
+        lo = np.bitwise_or(lo.T, offsets, order="C").reshape(shape)
+    else:
         spread, fold = sums
-        spread_buf = np.empty(size, dtype=np.int32)
-        res_buf = np.empty(size, dtype=np.int32)
-    for i in range(len(gs)):
-        lo = _span(0, steps[i, :low], sums)
+        lo, hi = spread[lo].T.reshape(shape), spread[hi]
+        offsets = np.broadcast_to(offsets, (size, len(gs))).reshape(shape)
+        spread_buf = np.empty(shape, dtype=np.int32)
+        res_buf = np.empty(shape, dtype=np.int32)
+    buf = np.empty(shape, dtype=np.int64)
+    for b, r in enumerate(hi):
+        r = np.tile(r, reps)
         if sums is None:
-            lo |= offsets
+            np.bitwise_xor(lo, r, out=buf)
         else:
-            lo = spread[lo]
-        hi = _span(int(const[i]), steps[i, low:], sums).tolist()
-        for b, r in enumerate(hi):
-            if sums is None:
-                np.bitwise_xor(lo, r, out=buf)
-            else:
-                np.add(lo, spread[r], out=spread_buf)
-                np.take(fold, spread_buf, out=res_buf)
-                np.add(res_buf, offsets, out=buf)
-            bitmap[b * stride:(b + 1) * stride][buf] = True
+            np.add(lo, r, out=spread_buf)
+            np.take(fold, spread_buf, out=res_buf)
+            np.add(res_buf, offsets, out=buf)
+        bitmap[b * stride:(b + 1) * stride][buf] = True
 
 
 @lru_cache(maxsize=64)
@@ -174,7 +191,7 @@ def _residues_mod(m, idx, degree):
     n_digits = (degree + 1) * field.k
     steps = np.array([[(Poly.from_index(field, c * p ** t) % m).encode()
                        for c in range(p)] for t in range(n_digits)])
-    tables = [_span(0, steps[lo:lo + width], sums)
+    tables = [_span([0], steps[None, lo:lo + width], sums)[0]
               for lo in range(0, n_digits, width)]
     if sums is not None:
         spread, fold = sums
@@ -220,8 +237,10 @@ def sieve_count(m, degree):
         raise UsageError("degree must be >= 1")
     G = unit_group(m)  # refuses a constant modulus
     tally = _class_tally(m, degree)
-    counts = {u: int(tally[u.encode()]) for u in G.units}
-    excluded = int(tally.sum()) - sum(counts.values())
+    # units are sorted by encoding: one gather reads every class
+    found = tally[np.flatnonzero(G.unit_index >= 0)]
+    counts = dict(zip(G.units, found.tolist()))
+    excluded = int(tally.sum() - found.sum())
     expected = sum(1 for p, _ in factorize(m).factors if p.degree == degree)
     if excluded != expected:
         raise IntegrityError(

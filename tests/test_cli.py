@@ -463,6 +463,26 @@ def test_options_no_command_reads_are_rejected(capsys):
         assert "--format" in usage and "--out" in usage, sub
 
 
+def test_commands_in_one_process_carry_no_state(capsys, tmp_path):
+    # main() reuses one parser: no option of one call may reach the next
+    gl2_args = ("ties-gl2", "--field", "F2", "--modulus", "T^3+T+1",
+                "--format", "json")
+    code, out, _ = run(capsys, *gl2_args, "--residue", "1")
+    certs = json.loads(out)
+    assert code == 0 and len(certs) == 3
+    assert {c["residue_requested"] for c in certs} == {1}
+    code, out, _ = run(capsys, *gl2_args)
+    certs = json.loads(out)
+    assert code == 0 and len(certs) == 15
+    assert {c["residue_requested"] for c in certs} == set(range(7))
+    out_file = tmp_path / "t.csv"
+    code, out, _ = run(capsys, "table", "p2T2", "--format", "csv",
+                       "--out", str(out_file))
+    assert code == 0 and out == "" and out_file.read_text()
+    code, out, _ = run(capsys, "table", "p2T2", "--format", "csv")
+    assert code == 0 and out == out_file.read_text()
+
+
 def test_out_unwritable_path_exits_1(capsys, tmp_path):
     path = tmp_path / "missing" / "t.csv"
     code, out, err = run(capsys, "table", "p2T2", "--format", "csv",

@@ -343,6 +343,29 @@ def test_run_matches_its_single_counts(monkeypatch):
             assert found == single[n]
 
 
+def test_run_frees_each_degree_at_its_last_read(monkeypatch):
+    # the run's result holds a degree's counts until its last read, so a
+    # repeated degree reads the same counts twice
+    m = P(F2, "T^3+T+1")
+    degrees = [20, 13, 20, 15, 13]
+    single = {n: ExplicitCounter(m).count(n).counts for n in degrees}
+    held = []
+    run = ExplicitCounter.run
+
+    def keep(self, wanted):
+        held.append(run(self, wanted))
+        return held[-1]
+
+    monkeypatch.setattr(ExplicitCounter, "run", keep)
+    monkeypatch.setattr(explicit, "_counters", {})
+    for i, (n, (found, source)) in enumerate(
+            run_counts(m, degrees, sieve_limit=0)):
+        assert (n, source) == (degrees[i], "explicit")
+        assert found == single[n]
+        assert set(held[0]) == set(degrees[i + 1:])
+    assert len(held) == 1
+
+
 def test_counts_cached_counter_reused():
     m = P(F2, "T^3+T+1")
     assert explicit_counter(m) is explicit_counter(P(F2, "T^3+T+1"))

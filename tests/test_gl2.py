@@ -5,10 +5,11 @@ import pytest
 from ffrace import gl2
 from ffrace.characters import MAX_GROUP_ORDER, unit_group
 from ffrace.errors import IntegrityError, UsageError
+from ffrace.explicit import ExplicitCounter
 from ffrace.field import field_make, parse_field
 from ffrace.gl2 import (Mat2, all_invertible, certify_ties,
-                        find_certificate_violation, slash_action,
-                        stabilizer_period, stabilizer_search,
+                        find_certificate_violation, first_failed_certificate,
+                        slash_action, stabilizer_period, stabilizer_search,
                         verify_certificate_empirically)
 from ffrace.polyring import Poly, enumerate_monic, format_poly, is_irreducible, \
     parse_poly
@@ -305,6 +306,49 @@ def test_violation_reporting():
     viol = find_certificate_violation(bad, 12)
     assert viol is not None
     assert find_certificate_violation(cert, 12) is None
+
+
+def test_certificates_share_one_run_per_kind_of_count(monkeypatch):
+    # every distinct degree is counted once: one explicit run for the monic
+    # certificates and one for the non-monic ones, however many there are
+    runs = []
+    run = ExplicitCounter.run
+
+    def counted(self, degrees):
+        runs.append(list(degrees))
+        return run(self, degrees)
+
+    monkeypatch.setattr(ExplicitCounter, "run", counted)
+    for field, mstr, n_max, kinds in ((F2, "T^3+T+1", 60, 1),
+                                      (F3, "T^3+2T+2", 18, 2)):
+        m = P(field, mstr)
+        certs = [certify_ties(m, B, lam, e) for B, lam in stabilizer_search(m)
+                 for e in range(stabilizer_period(m, B))]
+        assert len({c.monic_certified for c in certs}) == kinds
+        runs.clear()
+        assert first_failed_certificate(certs, n_max) is None
+        assert len(runs) == kinds, mstr
+        for degrees in runs:
+            assert len(degrees) == len(set(degrees))
+        # past the default sieve limit, 12
+        assert {frozenset(degrees) for degrees in runs} == {
+            frozenset(n for c in certs if c.monic_certified == monic
+                      for n in gl2.certificate_degrees(c, n_max) if n > 12)
+            for monic in {c.monic_certified for c in certs}}
+
+
+def test_first_failed_certificate_in_list_order():
+    m = P(F2, "T^2+T+1")
+    good = certify_ties(m, Mat2(F2, 0, 1, 1, 0), 1, 1)
+    bad = []
+    for _ in range(2):    # the e = 1 map claimed at residue 0, as above
+        cert = certify_ties(m, Mat2(F2, 0, 1, 1, 0), 1, 0)
+        cert.orbit_map, cert.orbits = good.orbit_map, good.orbits
+        bad.append(cert)
+    assert first_failed_certificate([good, *bad], 30) is bad[0]
+    assert first_failed_certificate([bad[1], good, bad[0]], 30) is bad[1]
+    assert first_failed_certificate([good], 30) is None
+    assert first_failed_certificate([], 30) is None
 
 
 def test_residue_at_group_order_limit_is_usage_error():

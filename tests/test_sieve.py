@@ -111,9 +111,13 @@ def test_gauss_row_sums_full_spec_bounds():
 def test_enumeration_matches_product_oracle_across_blocks():
     # at the top degree the multiples of the degree-1 irreducibles have more
     # H digits than one block holds (3^12 H values at F3 N = 13, 2^19 at F2
-    # N = 20, 4^9 at F4 N = 10, 5^7 at F5 N = 8, 7^6 at F7 N = 7)
+    # N = 20, 4^9 at F4 N = 10, 5^7 at F5 N = 8, 7^6 at F7 N = 7), and over
+    # the extension fields every degree d's H values times irreducibles pass
+    # sieve._BLOCK = 2^16, so its strike takes several writes (at N = 6,
+    # 8 * 8^5, 28 * 8^4 and 168 * 8^3 over F8; 9 * 9^5, 36 * 9^4 and
+    # 240 * 9^3 over F9)
     for name, top in (("F3", 13), ("F2", 20), ("F4", 10), ("F5", 8),
-                      ("F7", 7)):
+                      ("F7", 7), ("F8", 6), ("F9", 6)):
         field = parse_field(name)
         ref = {}
         for N in range(1, top + 1):
