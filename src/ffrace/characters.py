@@ -16,13 +16,14 @@ of its dlog vector, all_characters(G)[ci] at position ci.  So b -> b^n and
 chi -> chi^k are index maps, power_index(n) and character_power_index(k).
 """
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd, lcm
 
 import numpy as np
 
 from .errors import UsageError
+from .field import field_tables
 from .numth import prime_factors
 from .polyring import Poly, enumerate_monic, factorize, format_poly, powmod
 
@@ -211,6 +212,20 @@ class UnitGroup:
         """The index of chars[ci]^k in all_characters order for every ci:
         chars[ci] has the exponents of the logs of units[unit_at[ci]]."""
         return self._positions(k)[self.unit_at]
+
+    @cached_property
+    def scalar_index(self):
+        """scalar_index[c - 1, i] = the unit index of c units[i], for every c
+        in F_q^x (read-only; built on first use, by the non-monic fold)."""
+        q, M = self.field.q, self.deg
+        place = q ** np.arange(M)
+        # units are sorted by encoding; deg c u < deg m, so the scaled
+        # coefficient rows need no reduction
+        digits = np.flatnonzero(self.unit_index >= 0)[:, None] // place % q
+        index = self.unit_index[field_tables(self.field)[1][1:, digits]
+                                @ place]
+        index.setflags(write=False)
+        return index
 
     def contains(self, u):
         code = u.encode()

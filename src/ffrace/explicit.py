@@ -196,13 +196,16 @@ def run_counts(m, degrees, *, monic=True, sieve_limit=None):
 
     monic=False counts all irreducibles with a nonzero leading coefficient.
     f -> lc(f)^-1 f maps the lc = lam ones bijectively onto the monic ones
-    and class c onto lam^-1 c, so pi~(N; m, c) = sum_lam pi(N; m, lam^-1 c)."""
+    and class c onto lam^-1 c, so pi~(N; m, c) = sum_lam pi(N; m, lam^-1 c),
+    a sum over the scalar multiples of c: one gather-sum through the unit
+    group's scalar_index."""
     if not isinstance(degrees, range):
         degrees = list(degrees)
     check_run_work(m, degrees, sieve_limit)
     floor = _sieve_limit(m, sieve_limit)
 
     def run():
+        G = None if monic else unit_group(m)
         # reads left per explicit degree: the last read frees its counts
         reads = Counter(n for n in degrees if n > floor)
         found = explicit_counter(m).run(reads) if reads else {}
@@ -214,8 +217,11 @@ def run_counts(m, degrees, *, monic=True, sieve_limit=None):
             else:
                 out, source = sieve_count(m, n).counts, "sieve"
             if not monic:
-                out = {c: sum(out[c.scale(m.field.inv(lam)) % m]
-                              for lam in m.field.units()) for c in out}
+                # out is in canonical class order, that of G.units; object
+                # entries keep counts past int64 exact
+                vals = np.array(list(out.values()), dtype=object)
+                out = dict(zip(G.units, vals[G.scalar_index].sum(
+                    axis=0).tolist()))
             yield n, (out, source)
     return run()
 

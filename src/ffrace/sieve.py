@@ -2,19 +2,25 @@
 degree, by exhaustive enumeration.
 
 Polynomials are enumerated through their integer encodings (base-q digit
-vectors, each F_q digit a vector of base-p digits).  Composites of degree N
-are marked in division form: for an irreducible g of degree d <= N/2 and a
-monic H of degree N - d, the one multiple of g with H above T^d is f = H T^d
-+ r, r = -(H T^d mod g), and its index is enc(H - T^(N-d)) q^d + enc(r),
-plain integer arithmetic.  r is F_p-linear in the base-p digits of H, so it
-is a table over a low block of digits, shifted once per value of the high
-digits, for all irreducibles of one degree together.  Sums of encodings are
-digit-wise mod p: XOR when p = 2, otherwise fold[spread[a] + spread[b]]
-through two small tables.  f mod m is F_p-linear in the digits of f in the
-same way, so the survivors are reduced a chunk of digits at a time, by
-lookups in tables over the chunk's digit patterns, and tallied per unit
-class.  Every call cross-checks its total against the
-closed-form count of irreducibles.
+vectors, each F_q digit a vector of base-p digits), one bool per monic f of
+degree N, cleared where f has a factor of degree <= N/2.  From q^N = 2^16
+on, one dense pass first clears the multiples of every irreducible of
+degree <= D (the wheel of a wheel sieve; D = 3 over F2, 1 over F3, F4 and
+F5, none from F7 up): f mod g is F_p-linear in the digits of f, the
+residues of all these g share one packed encoding, and a table over it
+says whether any is zero.  The higher degrees are struck in division form:
+for an irreducible g of degree d and a monic H of degree N - d, the one
+multiple of g with H above T^d is f = H T^d + r, r = -(H T^d mod g), and
+its index is enc(H - T^(N-d)) q^d + enc(r), plain integer arithmetic.  r
+is F_p-linear in the base-p digits of H, so it is a table over a low block
+of digits, shifted once per value of the high digits, for all irreducibles
+of one degree together.  Both passes take the residues of the digits from
+one recurrence, r -> T r mod g.  Sums of encodings are digit-wise mod p:
+XOR when p = 2, otherwise fold[spread[a] + spread[b]] through two small
+tables.  f mod m is F_p-linear in the digits of f in the same way, so the
+survivors are reduced a chunk of digits at a time, by lookups in tables
+over the chunk's digit patterns, and tallied per unit class.  Every call
+cross-checks its total against the closed-form count of irreducibles.
 """
 
 import math
@@ -35,7 +41,8 @@ DEFAULT_CUTOFF = {2: 24, 3: 14, 5: 9}
 # Hard cap on enumeration size (bitmap of q^N bools).
 _MAX_ENUM = 1 << 26
 # log2 of the largest table over a block of base-p digits (a residue chunk);
-# encodings per block of residue reduction, and indices per write of _strike.
+# encodings per block of residue reduction, indices per write of _strike,
+# and the largest block and table of _presieve.
 _CHUNK_BITS = 16
 _BLOCK = 1 << 16
 
@@ -46,10 +53,11 @@ def default_cutoff(q):
 
 @lru_cache(maxsize=8)
 def _spread_fold(p, width):
-    """Digit-wise mod-p sums of encodings of `width` base-p digits, odd p:
+    """Digit-wise mod-p sums of encodings of `width` base-p digits:
     spread[a] rewrites the digits of a in base 2p - 1, so spread[a] +
     spread[b] carries nothing, and fold[s] reduces every base-(2p - 1)
-    digit of s mod p.  Hence fold[spread[a] + spread[b]] = a (+) b."""
+    digit of s mod p.  Hence fold[spread[a] + spread[b]] = a (+) b (XOR
+    when p = 2, where only _presieve spreads)."""
     spread = np.zeros(1, dtype=np.int32)
     fold = np.zeros(1, dtype=np.int32)
     for t in range(width):
@@ -62,26 +70,28 @@ def _spread_fold(p, width):
     return spread, fold
 
 
-def _basis_residues(field, gs, d, e):
-    """For the monic irreducibles gs (encodings) of one degree d: steps[i, t,
-    c] encodes -c x^l T^(j+d) mod gs[i] for digit t = j*k + l of an
-    encoding of degree < e, and const[i] encodes -T^(d+e) mod gs[i].  The
-    powers of T come from r -> T r mod g, for all of gs at once."""
+def _basis_residues(field, gs, d, low, n, sign=-1):
+    """For the monic polynomials gs (encodings) of one degree d: steps[i, t,
+    c] encodes sign c x^l T^(low+j) mod gs[i] for digit t = j*k + l of an
+    encoding of degree < n, and const[i] encodes sign T^(low+n) mod gs[i].
+    The powers of T come from r -> T r mod g, for all of gs at once."""
     q, p, k = field.q, field.p, field.k
     add, mul = field_tables(field)
     place = q ** np.arange(d)
     w0 = mul[p - 1][(gs[:, None] // place) % q]     # T^d = -(g - T^d) mod g
-    # -c x^l as elements of F_q, shape (k, p)
-    scalars = p ** np.arange(k)[:, None] * (-np.arange(p) % p)
-    steps = np.empty((len(gs), e * k, p), dtype=np.int64)
+    # sign c x^l as elements of F_q, shape (k, p)
+    scalars = p ** np.arange(k)[:, None] * (sign * np.arange(p) % p)
+    steps = np.empty((len(gs), n * k, p), dtype=np.int64)
     shifted = np.zeros_like(w0)                     # T r, before the carry
-    w = w0
-    for j in range(e):
-        steps[:, j * k:(j + 1) * k] = \
-            mul[scalars[None, :, :, None], w[:, None, None, :]] @ place
+    w = np.zeros_like(w0)
+    w[:, 0] = 1                                     # T^(low + j) from j = -low
+    for j in range(-low, n):
+        if j >= 0:
+            steps[:, j * k:(j + 1) * k] = \
+                mul[scalars[None, :, :, None], w[:, None, None, :]] @ place
         shifted[:, 1:] = w[:, :-1]
         w = add[shifted, mul[w[:, -1:], w0]]
-    return steps, mul[p - 1][w] @ place
+    return steps, mul[sign % p][w] @ place
 
 
 def _span(start, steps, sums):
@@ -102,7 +112,7 @@ def _span(start, steps, sums):
 
 
 def _strike(bitmap, field, gs, d, degree):
-    """Mark every multiple of degree `degree` of the monic irreducibles gs of
+    """Clear every multiple of degree `degree` of the monic irreducibles gs of
     degree d, all of gs together.
 
     f = H T^d + r is a multiple of g exactly when r = -(H T^d mod g), for
@@ -116,7 +126,7 @@ def _strike(bitmap, field, gs, d, degree):
     digits, len(gs) < q^d <= 2^13 under _MAX_ENUM."""
     q, p = field.q, field.p
     e = degree - d
-    steps, const = _basis_residues(field, gs, d, e)
+    steps, const = _basis_residues(field, gs, d, d, e)
     low = 0
     while low < e * field.k and p ** (low + 1) * len(gs) <= _BLOCK:
         low += 1
@@ -149,7 +159,63 @@ def _strike(bitmap, field, gs, d, degree):
             np.add(lo, r, out=spread_buf)
             np.take(fold, spread_buf, out=res_buf)
             np.add(res_buf, offsets, out=buf)
-        bitmap[b * stride:(b + 1) * stride][buf] = True
+        bitmap[b * stride:(b + 1) * stride][buf] = False
+
+
+def _dense_degree(field, degree):
+    """The largest D <= degree/2 whose slots fit _presieve's table of at most
+    _BLOCK entries, (2p - 1)^W for W base-p digits of slots; 0 (strike every
+    degree) where q^degree < _BLOCK, too few indices to repay the tables."""
+    q, p, k = field.q, field.p, field.k
+    D = width = 0
+    if q ** degree >= _BLOCK:
+        while D < degree // 2:
+            width += (D + 1) * k * gauss_irreducible_count(q, D + 1)
+            if (2 * p - 1) ** width > _BLOCK:
+                break
+            D += 1
+    return D
+
+
+def _presieve(bitmap, field, groups, degree):
+    """Fill bitmap: True at the index of every monic f of the given degree
+    that no irreducible of groups (groups[d - 1]: the encodings of degree d)
+    divides.  The wheel of a wheel sieve, in one dense pass.
+
+    -(f mod g) is F_p-linear in the base-p digits of f's bitmap index, plus
+    -(T^degree mod g).  Each g owns a slot of deg g base-q digits in one
+    packed encoding, so the residues of every g add as one encoding, digit-
+    wise mod p.  A block of p^L indices is a table over its L low digits
+    plus one packed value over the high digits.  In spread form (base 2p - 1
+    digits, see _spread_fold) that sum carries nothing, so one boolean table
+    over spread sums says whether no slot is zero, and a block is one gather
+    from that table, offset by the block's high value."""
+    p, k = field.p, field.k
+    packed = const = width = 0
+    slots = []                          # (lowest digit, digits) of each g
+    for d, gs in enumerate(groups, 1):
+        steps, c = _basis_residues(field, gs, d, 0, degree)
+        place = p ** (width + d * k * np.arange(len(gs)))
+        packed = packed + np.tensordot(place, steps, axes=1)
+        const += int(place @ c)
+        slots += [(width + d * k * i, d * k) for i in range(len(gs))]
+        width += len(gs) * d * k
+    # not cached: up to _BLOCK entries, read by this pass alone
+    spread, fold = sums = _spread_fold.__wrapped__(p, width)
+    sums = None if p == 2 else sums
+    low = 0
+    while p ** (low + 1) <= _BLOCK:
+        low += 1
+    lo = spread[_span([0], packed[None, :low], sums)[0]].astype(np.intp)
+    hi = spread[_span([const], packed[None, low:], sums)[0]]
+    alive = np.ones(len(fold), dtype=bool)
+    for start, w in slots:
+        alive &= fold // p ** start % p ** w != 0
+    block = p ** low
+    for b, h in enumerate(hi.tolist()):
+        # every index of alive[h:] is in range; "raise" would buffer out
+        np.take(alive[h:], lo, out=bitmap[b * block:(b + 1) * block],
+                mode="wrap")
 
 
 @lru_cache(maxsize=64)
@@ -163,10 +229,17 @@ def irreducible_indices(field, degree):
         raise UsageError(
             "degree %d over F%d is beyond enumeration scale; "
             "use the explicit formula" % (degree, q))
-    bitmap = np.zeros(size, dtype=bool)
-    for d in range(1, degree // 2 + 1):
+    # bitmap[i]: no irreducible of the degrees done so far divides f_i
+    D = _dense_degree(field, degree)
+    if D:
+        bitmap = np.empty(size, dtype=bool)
+        _presieve(bitmap, field,
+                  [irreducible_indices(field, d) for d in range(1, D + 1)],
+                  degree)
+    else:
+        bitmap = np.ones(size, dtype=bool)
+    for d in range(D + 1, degree // 2 + 1):
         _strike(bitmap, field, irreducible_indices(field, d), d, degree)
-    np.logical_not(bitmap, out=bitmap)
     out = np.flatnonzero(bitmap).astype(np.int64, copy=False)
     out += size
     out.flags.writeable = False
@@ -189,9 +262,9 @@ def _residues_mod(m, idx, degree):
     sums = None if p == 2 else _spread_fold(p, m.degree * field.k)
     width = max(1, int(_CHUNK_BITS / math.log2(p)))
     n_digits = (degree + 1) * field.k
-    steps = np.array([[(Poly.from_index(field, c * p ** t) % m).encode()
-                       for c in range(p)] for t in range(n_digits)])
-    tables = [_span([0], steps[None, lo:lo + width], sums)[0]
+    steps, _ = _basis_residues(field, np.array([m.monic().encode()]),
+                               m.degree, 0, degree + 1, sign=1)
+    tables = [_span([0], steps[:, lo:lo + width], sums)[0]
               for lo in range(0, n_digits, width)]
     if sums is not None:
         spread, fold = sums

@@ -173,6 +173,17 @@ def test_power_indices_match_oracle():
                 power_indices(grp, n), (grp, n)
 
 
+def test_scalar_index_matches_poly_scaling():
+    # over prime and extension fields, with a repeated factor (T^2/F5)
+    for field, mstr in (("F3", "T^3+2T+2"), ("F4", "T^2+T+2"),
+                        ("F5", "T^2"), ("F9", "T^2+1"), ("F2", "T^3+T+1")):
+        grp = G(parse_field(field), mstr)
+        assert grp.scalar_index.shape == (grp.field.q - 1, grp.order)
+        for c in grp.field.units():
+            assert [grp.units[i] for i in grp.scalar_index[c - 1]] == \
+                [u.scale(c) for u in grp.units], (field, mstr, c)
+
+
 def test_parse_character():
     g = G(F3, "T^2+1")
     assert parse_character(g, "3").exps == (3,)

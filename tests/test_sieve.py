@@ -109,15 +109,24 @@ def test_gauss_row_sums_full_spec_bounds():
 
 
 def test_enumeration_matches_product_oracle_across_blocks():
-    # at the top degree the multiples of the degree-1 irreducibles have more
-    # H digits than one block holds (3^12 H values at F3 N = 13, 2^19 at F2
-    # N = 20, 4^9 at F4 N = 10, 5^7 at F5 N = 8, 7^6 at F7 N = 7), and over
-    # the extension fields every degree d's H values times irreducibles pass
-    # sieve._BLOCK = 2^16, so its strike takes several writes (at N = 6,
-    # 8 * 8^5, 28 * 8^4 and 168 * 8^3 over F8; 9 * 9^5, 36 * 9^4 and
-    # 240 * 9^3 over F9)
+    # from q^N = sieve._BLOCK = 2^16 on, one dense pass clears the multiples
+    # of every irreducible of degree <= D: D = 3 over F2 from N = 16, D = 1
+    # over F3 from N = 11, F4 from N = 8 and F5 from N = 7, several blocks
+    # each at the top degree below.  From F7 up the degree-1 slots alone
+    # need a table past _BLOCK, so every degree is struck, F16 N = 4
+    # (q^N = 2^16) included.  The struck degrees' multiples have more H
+    # digits than one block holds at the top (3^11 H values at F3 N = 13
+    # for degree 2, 2^16 at F2 N = 20 for degree 4, 4^8 at F4 N = 10, 5^6 at
+    # F5 N = 8, 7^6 at F7 N = 7), and over the extension fields every
+    # degree d's H values times irreducibles pass _BLOCK, so its strike
+    # takes several writes (at N = 6, 8 * 8^5, 28 * 8^4 and 168 * 8^3 over
+    # F8; 9 * 9^5, 36 * 9^4 and 240 * 9^3 over F9)
+    assert [sieve._dense_degree(parse_field(name), N) for name, N in
+            (("F2", 15), ("F2", 16), ("F3", 10), ("F3", 11), ("F4", 7),
+             ("F4", 8), ("F5", 6), ("F5", 7), ("F7", 7), ("F16", 4))] == \
+        [0, 3, 0, 1, 0, 1, 0, 1, 0, 0]
     for name, top in (("F3", 13), ("F2", 20), ("F4", 10), ("F5", 8),
-                      ("F7", 7), ("F8", 6), ("F9", 6)):
+                      ("F7", 7), ("F8", 6), ("F9", 6), ("F16", 4)):
         field = parse_field(name)
         ref = {}
         for N in range(1, top + 1):
@@ -138,6 +147,23 @@ def test_dropped_marks_fail_the_gauss_count(monkeypatch):
     monkeypatch.setattr(sieve, "_strike", drop_first)
     with pytest.raises(IntegrityError, match="degree 6 over F3"):
         irreducible_indices.__wrapped__(field, 6)
+
+
+def test_dropped_dense_slot_fails_the_gauss_count(monkeypatch):
+    # F3 N = 11 is past the dense pass's gate: it clears degree 1 alone
+    field = F3
+    for d in range(1, 6):
+        irreducible_indices(field, d)      # cached before the patch
+    presieve, calls = sieve._presieve, []
+
+    def drop_first(bitmap, field, groups, degree):
+        calls.append(len(groups))
+        presieve(bitmap, field, [groups[0][1:]] + groups[1:], degree)
+
+    monkeypatch.setattr(sieve, "_presieve", drop_first)
+    with pytest.raises(IntegrityError, match="degree 11 over F3"):
+        irreducible_indices.__wrapped__(field, 11)
+    assert calls == [1]
 
 
 def test_spread_fold_sums_digitwise():
