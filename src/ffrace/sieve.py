@@ -2,25 +2,36 @@
 degree, by exhaustive enumeration.
 
 Polynomials are enumerated through their integer encodings (base-q digit
-vectors, each F_q digit a vector of base-p digits), one bool per monic f of
-degree N, cleared where f has a factor of degree <= N/2.  From q^N = 2^16
-on, one dense pass first clears the multiples of every irreducible of
-degree <= D (the wheel of a wheel sieve; D = 3 over F2, 1 over F3, F4 and
-F5, none from F7 up): f mod g is F_p-linear in the digits of f, the
-residues of all these g share one packed encoding, and a table over it
-says whether any is zero.  The higher degrees are struck in division form:
-for an irreducible g of degree d and a monic H of degree N - d, the one
-multiple of g with H above T^d is f = H T^d + r, r = -(H T^d mod g), and
-its index is enc(H - T^(N-d)) q^d + enc(r), plain integer arithmetic.  r
-is F_p-linear in the base-p digits of H, so it is a table over a low block
-of digits, shifted once per value of the high digits, for all irreducibles
-of one degree together.  Both passes take the residues of the digits from
-one recurrence, r -> T r mod g.  Sums of encodings are digit-wise mod p:
-XOR when p = 2, otherwise fold[spread[a] + spread[b]] through two small
-tables.  f mod m is F_p-linear in the digits of f in the same way, so the
-survivors are reduced a chunk of digits at a time, by lookups in tables
-over the chunk's digit patterns, and tallied per unit class.  Every call
-cross-checks its total against the closed-form count of irreducibles.
+vectors, each F_q digit a vector of base-p digits).  The monic f of degree
+N are sieved one segment of consecutive encodings at a time, a segmented
+sieve of Eratosthenes (Bays and Hudson, "The segmented sieve of
+Eratosthenes and primes in arithmetic progressions to 10^12", BIT 17,
+1977): one reused bool per f of the segment, cleared where f has a factor
+of degree <= N/2.  The survivors of each segment are appended to an int32
+array allocated once at the closed-form (Gauss) count of irreducibles,
+which is checked as the array fills and again at the end.  A segment holds
+about 2^20 encodings, so the working set is the output and tables of at
+most _BLOCK entries, not q^N bytes.
+
+From q^N = 2^16 on, each segment starts with one dense pass over the
+multiples of every irreducible of degree <= D (the wheel of a wheel sieve;
+D = 3 over F2, 1 over F3, F4 and F5, none from F7 up): f mod g is F_p-linear
+in the digits of f, the residues of all these g share one packed encoding,
+and a table over it says whether any is zero.  The higher degrees are
+struck in division form: for an irreducible g of degree d and a monic H of
+degree N - d, the one multiple of g with H above T^d is f = H T^d + r,
+r = -(H T^d mod g), and its index is enc(H - T^(N-d)) q^d + enc(r), plain
+integer arithmetic.  r is F_p-linear in the base-p digits of H, so it is a
+table over a low block of digits, shifted once per value of the high
+digits, for all irreducibles of one degree together.  A segment is a whole
+number of the dense pass's blocks and of every degree's shifts.  Both
+passes take the residues of the digits from T^j mod g, walked once per
+field and degree by r -> T r mod g and cached.  Sums of encodings are
+digit-wise mod p: XOR when p = 2, otherwise fold[spread[a] + spread[b]]
+through two small tables.  f mod m is F_p-linear in the digits of f in the
+same way, so the irreducibles are reduced a chunk of digits at a time, by
+lookups in tables over the chunk's digit patterns, and tallied per residue
+a block at a time.
 """
 
 import math
@@ -38,17 +49,32 @@ from .polyring import Poly, factorize
 # Largest degree the sieve is routed to: `count` sieves up to the full cutoff,
 # every other caller of explicit.counts up to min(cutoff, 12).
 DEFAULT_CUTOFF = {2: 24, 3: 14, 5: 9}
-# Hard cap on enumeration size (bitmap of q^N bools).
+# Hard cap on enumeration size, q^N.  It keeps every encoding of degree N
+# below 2 q^N <= 2^27, so the output is int32, and it bounds the run time:
+# with the lower degrees cached, F2 N = 24 takes about 0.15 s in process
+# on a 2-core Xeon, F2 N = 26 and F3 N = 16 (at the cap) 0.6-0.7 s.
 _MAX_ENUM = 1 << 26
 # log2 of the largest table over a block of base-p digits (a residue chunk);
-# encodings per block of residue reduction, indices per write of _strike,
-# and the largest block and table of _presieve.
+# encodings per tally of residues, indices per write of _strike, and the
+# largest block and table of the dense pass.
 _CHUNK_BITS = 16
 _BLOCK = 1 << 16
+# Encodings per sieve segment: the largest power of p up to this, raised to
+# a multiple of every strike write's stretch and of the dense block (all
+# powers of p), or q^N if that is smaller.
+_SEGMENT = 1 << 20
 
 
 def default_cutoff(q):
     return DEFAULT_CUTOFF.get(q, max(1, int(24 / math.log2(q))))
+
+
+def _low_digits(p, count, digits, limit):
+    """The largest L <= digits with count * p^L <= limit."""
+    low = 0
+    while low < digits and count * p ** (low + 1) <= limit:
+        low += 1
+    return low
 
 
 @lru_cache(maxsize=8)
@@ -57,7 +83,7 @@ def _spread_fold(p, width):
     spread[a] rewrites the digits of a in base 2p - 1, so spread[a] +
     spread[b] carries nothing, and fold[s] reduces every base-(2p - 1)
     digit of s mod p.  Hence fold[spread[a] + spread[b]] = a (+) b (XOR
-    when p = 2, where only _presieve spreads)."""
+    when p = 2, where only the dense pass spreads)."""
     spread = np.zeros(1, dtype=np.int32)
     fold = np.zeros(1, dtype=np.int32)
     for t in range(width):
@@ -70,28 +96,52 @@ def _spread_fold(p, width):
     return spread, fold
 
 
-def _basis_residues(field, gs, d, low, n, sign=-1):
-    """For the monic polynomials gs (encodings) of one degree d: steps[i, t,
-    c] encodes sign c x^l T^(low+j) mod gs[i] for digit t = j*k + l of an
-    encoding of degree < n, and const[i] encodes sign T^(low+n) mod gs[i].
-    The powers of T come from r -> T r mod g, for all of gs at once."""
-    q, p, k = field.q, field.p, field.k
+def _power_encodings(field, gs, d, n):
+    """powers[i, j] encodes T^j mod gs[i] for j = 0..n, for the monic
+    polynomials gs (encodings) of one degree d, from r -> T r mod g for all
+    of gs at once."""
+    q, p = field.q, field.p
     add, mul = field_tables(field)
     place = q ** np.arange(d)
     w0 = mul[p - 1][(gs[:, None] // place) % q]     # T^d = -(g - T^d) mod g
-    # sign c x^l as elements of F_q, shape (k, p)
-    scalars = p ** np.arange(k)[:, None] * (sign * np.arange(p) % p)
-    steps = np.empty((len(gs), n * k, p), dtype=np.int64)
+    powers = np.empty((len(gs), n + 1), dtype=np.int64)
     shifted = np.zeros_like(w0)                     # T r, before the carry
     w = np.zeros_like(w0)
-    w[:, 0] = 1                                     # T^(low + j) from j = -low
-    for j in range(-low, n):
-        if j >= 0:
-            steps[:, j * k:(j + 1) * k] = \
-                mul[scalars[None, :, :, None], w[:, None, None, :]] @ place
+    w[:, 0] = 1
+    for j in range(n + 1):
+        powers[:, j] = w @ place
         shifted[:, 1:] = w[:, :-1]
         w = add[shifted, mul[w[:, -1:], w0]]
-    return steps, mul[sign % p][w] @ place
+    return powers
+
+
+@lru_cache(maxsize=64)
+def _irreducible_powers(field, d):
+    """Read-only encodings of T^j mod g for every monic irreducible g of
+    degree d (rows, in order) and every j up to the largest degree under
+    _MAX_ENUM.  uint16: the sieve divides by degrees d with q^d <= 2^13."""
+    top = _low_digits(field.q, 1, _MAX_ENUM, _MAX_ENUM)
+    powers = _power_encodings(field, irreducible_indices(field, d), d,
+                              top).astype(np.uint16)
+    powers.flags.writeable = False
+    return powers
+
+
+def _basis_residues(field, powers, d, sign=-1):
+    """For rows of powers[i, j] = enc(T^(low+j) mod g_i), j = 0..n (g_i of
+    degree d): steps[i, t, c] encodes sign c x^l T^(low+j) mod g_i for digit
+    t = j*k + l of an encoding of degree < n, and const[i] encodes
+    sign T^(low+n) mod g_i."""
+    q, p, k = field.q, field.p, field.k
+    _, mul = field_tables(field)
+    place = q ** np.arange(d)
+    digits = powers[..., None] // place % q
+    # sign c x^l as elements of F_q, shape (k, p)
+    scalars = p ** np.arange(k)[:, None] * (sign * np.arange(p) % p)
+    steps = mul[scalars[:, :, None], digits[:, :-1, None, None, :]] @ place
+    const = mul[sign % p][digits[:, -1]] @ place
+    return (steps.reshape(len(powers), -1, p).astype(np.int32),
+            const.astype(np.int32))
 
 
 def _span(start, steps, sums):
@@ -99,7 +149,7 @@ def _span(start, steps, sums):
     every vector h of steps.shape[1] base-p digits (index h, digit 0 lowest),
     for every row i; sums is None for p = 2 (XOR), else the (spread, fold)
     pair of the encodings."""
-    table = np.asarray(start, dtype=np.int64)[:, None]
+    table = np.asarray(start, dtype=np.int32)[:, None]
     for t in range(steps.shape[1]):
         mults = steps[:, t, :, None]
         if sums is None:
@@ -111,61 +161,68 @@ def _span(start, steps, sums):
     return table
 
 
-def _strike(bitmap, field, gs, d, degree):
-    """Clear every multiple of degree `degree` of the monic irreducibles gs of
-    degree d, all of gs together.
+def _strike_low(field, d, degree):
+    """Low digits of H per row of a strike table of degree d: the most with
+    p^low times the irreducibles of degree d within _BLOCK indices (even
+    with none, gauss_irreducible_count(q, d) < q^d <= 2^13)."""
+    return _low_digits(field.p, gauss_irreducible_count(field.q, d),
+                       (degree - d) * field.k, _BLOCK)
+
+
+def _strike_tables(field, powers, d, degree):
+    """The tables that strike every multiple of degree `degree` of the monic
+    irreducibles of degree d, all together (powers: their rows of
+    _irreducible_powers).
 
     f = H T^d + r is a multiple of g exactly when r = -(H T^d mod g), for
-    every monic H of degree e = degree - d; f's bitmap index is then
+    every monic H of degree e = degree - d; f's index is then
     enc(H - T^e) q^d + enc(r).  r is F_p-linear in the base-p digits of H:
-    its values over a low block of digits are one table per g, shifted once
-    per value of the high digits (XOR when p = 2, a spread/fold sum
-    otherwise).  One write covers one value of the high digits: the rows of
-    the low block times every g, H-major, so it sweeps one stretch of the
-    bitmap in order.  It holds at most _BLOCK indices: even with no low
-    digits, len(gs) < q^d <= 2^13 under _MAX_ENUM."""
+    its values over a low block of digits are one table per g, lo (int32,
+    one row per g), shifted once per value b of the high digits by hi[b]
+    (one entry per g).  The write of b covers the indices [b stride,
+    (b + 1) stride) in g-major order.  Returns (stride, lo, hi, offsets,
+    sums): offsets enc(H low) q^d per low value where p is odd (XOR adds it
+    into lo when p = 2), sums the spread/fold pair or None."""
     q, p = field.q, field.p
-    e = degree - d
-    steps, const = _basis_residues(field, gs, d, d, e)
-    low = 0
-    while low < e * field.k and p ** (low + 1) * len(gs) <= _BLOCK:
-        low += 1
-    size = p ** low
-    stride = size * q ** d
-    offsets = np.arange(size, dtype=np.int64)[:, None] * q ** d
+    steps, const = _basis_residues(field, powers[:, d:degree + 1], d)
+    low = _strike_low(field, d, degree)
     sums = None if p == 2 else _spread_fold(p, d * field.k)
-    lo = _span(np.zeros(len(gs), dtype=np.int64), steps[:, :low], sums)
-    hi = _span(const, steps[:, low:], sums).T      # (high values, g)
-    # r is broadcast over the write one row at a time, so a row holds reps
-    # low values: reps * len(gs) >= 512 indices where the block allows
-    reps = 1
-    while reps < size and reps * len(gs) < 512:
-        reps *= p
-    shape = (size // reps, reps * len(gs))          # H-major
+    lo = _span(np.zeros(len(powers)), steps[:, :low], sums)
+    hi = _span(const, steps[:, low:], sums).T[:, :, None]
+    offsets = np.arange(p ** low, dtype=np.int32) * q ** d
     if sums is None:
-        lo = np.bitwise_or(lo.T, offsets, order="C").reshape(shape)
+        lo |= offsets
     else:
-        spread, fold = sums
-        lo, hi = spread[lo].T.reshape(shape), spread[hi]
-        offsets = np.broadcast_to(offsets, (size, len(gs))).reshape(shape)
-        spread_buf = np.empty(shape, dtype=np.int32)
-        res_buf = np.empty(shape, dtype=np.int32)
-    buf = np.empty(shape, dtype=np.int64)
-    for b, r in enumerate(hi):
-        r = np.tile(r, reps)
+        spread = sums[0]
+        lo, hi = spread[lo], spread[hi]
+    return p ** low * q ** d, lo, hi, offsets, sums
+
+
+def _strike(seg, base, tables):
+    """Clear in seg, the bool segment of the encodings from base on, the
+    writes of one degree's _strike_tables that fall in it."""
+    stride, lo, hi, offsets, sums = tables
+    # intp: fancy indices of another dtype are converted on every write
+    buf = np.empty(lo.shape, dtype=np.intp)
+    if sums is not None:
+        fold = sums[1]
+        spread_buf = np.empty(lo.shape, dtype=np.int32)
+        res_buf = np.empty(lo.shape, dtype=np.int32)
+    for b in range(base // stride, (base + len(seg)) // stride):
         if sums is None:
-            np.bitwise_xor(lo, r, out=buf)
+            np.bitwise_xor(lo, hi[b], out=buf)
         else:
-            np.add(lo, r, out=spread_buf)
+            np.add(lo, hi[b], out=spread_buf)
             np.take(fold, spread_buf, out=res_buf)
             np.add(res_buf, offsets, out=buf)
-        bitmap[b * stride:(b + 1) * stride][buf] = False
+        seg[b * stride - base:(b + 1) * stride - base][buf] = False
 
 
 def _dense_degree(field, degree):
-    """The largest D <= degree/2 whose slots fit _presieve's table of at most
-    _BLOCK entries, (2p - 1)^W for W base-p digits of slots; 0 (strike every
-    degree) where q^degree < _BLOCK, too few indices to repay the tables."""
+    """The largest D <= degree/2 whose slots fit the dense pass's table of at
+    most _BLOCK entries, (2p - 1)^W for W base-p digits of slots; 0 (strike
+    every degree) where q^degree < _BLOCK, too few indices to repay the
+    tables."""
     q, p, k = field.q, field.p, field.k
     D = width = 0
     if q ** degree >= _BLOCK:
@@ -177,100 +234,138 @@ def _dense_degree(field, degree):
     return D
 
 
-def _presieve(bitmap, field, groups, degree):
-    """Fill bitmap: True at the index of every monic f of the given degree
-    that no irreducible of groups (groups[d - 1]: the encodings of degree d)
-    divides.  The wheel of a wheel sieve, in one dense pass.
+def _presieve_tables(field, powers, degree):
+    """The tables of the dense pass that leaves True at the index of every
+    monic f of the given degree that no irreducible of degree <= D divides
+    (powers[d - 1]: the rows of _irreducible_powers of degree d).  The
+    wheel of a wheel sieve.
 
-    -(f mod g) is F_p-linear in the base-p digits of f's bitmap index, plus
+    -(f mod g) is F_p-linear in the base-p digits of f's index, plus
     -(T^degree mod g).  Each g owns a slot of deg g base-q digits in one
     packed encoding, so the residues of every g add as one encoding, digit-
     wise mod p.  A block of p^L indices is a table over its L low digits
     plus one packed value over the high digits.  In spread form (base 2p - 1
     digits, see _spread_fold) that sum carries nothing, so one boolean table
     over spread sums says whether no slot is zero, and a block is one gather
-    from that table, offset by the block's high value."""
+    from that table, offset by the block's high value.  Returns (block, lo,
+    hi, alive)."""
     p, k = field.p, field.k
     packed = const = width = 0
     slots = []                          # (lowest digit, digits) of each g
-    for d, gs in enumerate(groups, 1):
-        steps, c = _basis_residues(field, gs, d, 0, degree)
-        place = p ** (width + d * k * np.arange(len(gs)))
+    for d, rows in enumerate(powers, 1):
+        steps, c = _basis_residues(field, rows[:, :degree + 1], d)
+        place = p ** (width + d * k * np.arange(len(rows)))
         packed = packed + np.tensordot(place, steps, axes=1)
         const += int(place @ c)
-        slots += [(width + d * k * i, d * k) for i in range(len(gs))]
-        width += len(gs) * d * k
-    # not cached: up to _BLOCK entries, read by this pass alone
+        slots += [(width + d * k * i, d * k) for i in range(len(rows))]
+        width += len(rows) * d * k
+    # not cached: up to _BLOCK entries, read by this enumeration alone
     spread, fold = sums = _spread_fold.__wrapped__(p, width)
     sums = None if p == 2 else sums
-    low = 0
-    while p ** (low + 1) <= _BLOCK:
-        low += 1
+    low = _low_digits(p, 1, degree * k, _BLOCK)
     lo = spread[_span([0], packed[None, :low], sums)[0]].astype(np.intp)
-    hi = spread[_span([const], packed[None, low:], sums)[0]]
+    hi = spread[_span([const], packed[None, low:], sums)[0]].tolist()
     alive = np.ones(len(fold), dtype=bool)
     for start, w in slots:
         alive &= fold // p ** start % p ** w != 0
-    block = p ** low
-    for b, h in enumerate(hi.tolist()):
-        # every index of alive[h:] is in range; "raise" would buffer out
-        np.take(alive[h:], lo, out=bitmap[b * block:(b + 1) * block],
-                mode="wrap")
+    return p ** low, lo, hi, alive
+
+
+def _presieve(seg, base, tables):
+    """Fill seg, the bool segment of the encodings from base on, with the
+    dense pass's blocks that fall in it."""
+    block, lo, hi, alive = tables
+    for b in range(base // block, (base + len(seg)) // block):
+        # every index of alive[hi[b]:] is in range; "raise" would buffer out
+        np.take(alive[hi[b]:], lo,
+                out=seg[b * block - base:(b + 1) * block - base], mode="wrap")
+
+
+def _passes(field, D, degree):
+    """(fill, tables) of each pass over a segment, in order: the dense pass
+    over degrees 1..D if D, then one strike per degree up to degree/2, each
+    one's tables built as it is reached."""
+    if D:
+        yield _presieve, _presieve_tables(
+            field, [_irreducible_powers(field, d) for d in range(1, D + 1)],
+            degree)
+    for d in range(D + 1, degree // 2 + 1):
+        yield _strike, _strike_tables(field, _irreducible_powers(field, d), d,
+                                      degree)
 
 
 @lru_cache(maxsize=64)
 def irreducible_indices(field, degree):
-    """Sorted encodings of all monic irreducibles of the given degree."""
+    """Sorted encodings (read-only int32) of all monic irreducibles of the
+    given degree."""
     if degree < 1:
         raise UsageError("degree must be >= 1")
-    q = field.q
+    q, p, k = field.q, field.p, field.k
     size = q ** degree
     if size > _MAX_ENUM:
         raise UsageError(
             "degree %d over F%d is beyond enumeration scale; "
             "use the explicit formula" % (degree, q))
-    # bitmap[i]: no irreducible of the degrees done so far divides f_i
     D = _dense_degree(field, degree)
+    strides = [p ** _strike_low(field, d, degree) * q ** d
+               for d in range(D + 1, degree // 2 + 1)]
     if D:
-        bitmap = np.empty(size, dtype=bool)
-        _presieve(bitmap, field,
-                  [irreducible_indices(field, d) for d in range(1, D + 1)],
-                  degree)
-    else:
-        bitmap = np.ones(size, dtype=bool)
-    for d in range(D + 1, degree // 2 + 1):
-        _strike(bitmap, field, irreducible_indices(field, d), d, degree)
-    out = np.flatnonzero(bitmap).astype(np.int64, copy=False)
-    out += size
-    out.flags.writeable = False
-    if len(out) != gauss_irreducible_count(q, degree):
+        strides.append(p ** _low_digits(p, 1, degree * k, _BLOCK))
+    span = min(size, max([p ** _low_digits(p, 1, degree * k, _SEGMENT)]
+                         + strides))
+    passes = _passes(field, D, degree)
+    if span < size:
+        passes = list(passes)           # every segment reads every pass
+    out = np.empty(gauss_irreducible_count(q, degree), dtype=np.int32)
+    seg = np.empty(span, dtype=bool)
+    filled = 0
+    for base in range(0, size, span):
+        if not D:
+            seg.fill(True)
+        for fill, tables in passes:
+            fill(seg, base, tables)
+            del tables      # one segment: one pass's tables at a time
+        # a block at a time: the int64 indices of one block, not a segment
+        for start in range(0, span, _BLOCK):
+            found = np.flatnonzero(seg[start:start + _BLOCK])
+            if filled + len(found) > len(out):
+                raise IntegrityError(
+                    "irreducible count at degree %d over F%d exceeds the "
+                    "Mobius closed form %d" % (degree, q, len(out)))
+            found += size + base + start
+            out[filled:filled + len(found)] = found
+            filled += len(found)
+    if filled < len(out):
         raise IntegrityError(
-            "irreducible count at degree %d over F%d disagrees with the "
-            "Mobius closed form" % (degree, q))
+            "irreducible count at degree %d over F%d falls short of the "
+            "Mobius closed form: %d of %d" % (degree, q, filled, len(out)))
+    out.flags.writeable = False
     return out
 
 
-def _residues_mod(m, idx, degree):
-    """Encodings of f mod m for every encoded f in idx (deg f <= degree).
+def _tally_mod(m, idx, degree):
+    """tally[r]: how many of the encoded f in idx (deg f <= degree) reduce
+    mod m to the residue encoded r.
 
     Digit t = i*k + j of the base-p encoding is the x^j-coordinate of the T^i
     coefficient.  A chunk's table holds the residues of all its digit
     patterns; lookups are added digit-wise mod p (XOR when p = 2, spread/fold
-    otherwise), a block of idx at a time."""
+    otherwise), and the residues are tallied a block of idx at a time."""
     field = m.field
     p = field.p
     sums = None if p == 2 else _spread_fold(p, m.degree * field.k)
     width = max(1, int(_CHUNK_BITS / math.log2(p)))
     n_digits = (degree + 1) * field.k
-    steps, _ = _basis_residues(field, np.array([m.monic().encode()]),
-                               m.degree, 0, degree + 1, sign=1)
+    powers = _power_encodings(field, np.array([m.monic().encode()]),
+                              m.degree, degree + 1)
+    steps, _ = _basis_residues(field, powers, m.degree, sign=1)
     tables = [_span([0], steps[:, lo:lo + width], sums)[0]
               for lo in range(0, n_digits, width)]
     if sums is not None:
         spread, fold = sums
         tables[1:] = [spread[table] for table in tables[1:]]
     chunk = p ** width
-    res = np.empty(len(idx), dtype=np.int64)
+    tally = np.zeros(field.q ** m.degree, dtype=np.int64)
     for start in range(0, len(idx), _BLOCK):
         digits = idx[start:start + _BLOCK]
         acc = tables[0][digits % chunk]
@@ -280,8 +375,8 @@ def _residues_mod(m, idx, degree):
                 acc ^= table[digits % chunk]
             else:
                 acc = fold[spread[acc] + table[digits % chunk]]
-        res[start:start + _BLOCK] = acc
-    return res
+        tally += np.bincount(acc, minlength=len(tally))
+    return tally
 
 
 @dataclass
@@ -297,9 +392,7 @@ class CountTable:
 def _class_tally(m, degree):
     """Read-only count of the monic irreducibles of the given degree per
     residue mod m (indexed by the residue's encoding)."""
-    idx = irreducible_indices(m.field, degree)
-    tally = np.bincount(_residues_mod(m, idx, degree),
-                        minlength=m.field.q ** m.degree)
+    tally = _tally_mod(m, irreducible_indices(m.field, degree), degree)
     tally.flags.writeable = False
     return tally
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from ffrace.explicit import counts, cumulative_counts
 from ffrace.field import field_make, parse_field
 from ffrace.numth import gauss_irreducible_count
 from ffrace.polyring import Poly, factorize, parse_poly
-from ffrace.sieve import (sieve_count, _residues_mod, _spread_fold,
+from ffrace.sieve import (sieve_count, _spread_fold, _tally_mod,
                           irreducible_indices)
 
 from sieve_oracle import (digit_add, irreducible_indices_by_products,
@@ -135,16 +136,72 @@ def test_enumeration_matches_product_oracle_across_blocks():
                 (name, N)
 
 
+def test_enumeration_across_segments_matches_product_oracle(monkeypatch):
+    # At the default _BLOCK a strike write or dense block spans 2^16 or
+    # more encodings, all of q^N at these sizes, so the segment and the
+    # block both go down: segments of p^6 raised to writes of 2^8 indices
+    # or fewer.  The top degrees below then take 5 (F5 N = 7) to 729
+    # (F9 N = 6) segments, F2 and F3 with a dense pass of 2^8 and 3^5
+    monkeypatch.setattr(sieve, "_BLOCK", 1 << 8)
+    segments = []
+
+    def spy(name):
+        fill = getattr(sieve, name)
+
+        def record(seg, base, tables):
+            segments.append((name, base))
+            fill(seg, base, tables)
+        monkeypatch.setattr(sieve, name, record)
+
+    spy("_presieve")
+    spy("_strike")
+    for name, top, spans in (("F2", 16, 32), ("F3", 10, 81),
+                             ("F4", 8, 64), ("F5", 7, 5), ("F8", 6, 512),
+                             ("F9", 6, 729)):
+        field = parse_field(name)
+        monkeypatch.setattr(sieve, "_SEGMENT", field.p ** 6)
+        for d in range(1, top // 2 + 1):
+            irreducible_indices(field, d)  # the top degree's segments alone
+        ref = {}
+        for N in range(1, top + 1):
+            ref[N] = irreducible_indices_by_products(field, N, ref.__getitem__)
+            segments.clear()
+            assert np.array_equal(irreducible_indices.__wrapped__(field, N),
+                                  ref[N]), (name, N)
+        assert len({base for _, base in segments}) == spans, name
+        assert ("_presieve", 0) in segments or field.q > 3
+
+
+def test_enumeration_peak_memory_stays_below_a_bitmap():
+    # a bitmap of every f of degree N would hold q^N bytes by itself; the
+    # segmented sieve holds the int32 output (2.8 and 5.6 MB here), one
+    # segment of 2^20 bools and the strike tables
+    for name, N in (("F2", 24), ("F4", 12)):
+        field = parse_field(name)
+        for d in range(1, N // 2 + 1):
+            irreducible_indices(field, d)
+            sieve._irreducible_powers(field, d)
+        tracemalloc.start()
+        try:
+            out = irreducible_indices.__wrapped__(field, N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) == gauss_irreducible_count(field.q, N)
+        assert peak < field.q ** N, (name, peak)
+
+
 def test_dropped_marks_fail_the_gauss_count(monkeypatch):
     field = F3
     for d in range(1, 4):
         irreducible_indices(field, d)      # cached before the patch
-    strike = sieve._strike
+    strike_tables = sieve._strike_tables
 
-    def drop_first(bitmap, field, gs, d, degree):
-        strike(bitmap, field, gs[1:] if d == 1 else gs, d, degree)
+    def drop_first(field, powers, d, degree):
+        return strike_tables(field, powers[1:] if d == 1 else powers, d,
+                             degree)
 
-    monkeypatch.setattr(sieve, "_strike", drop_first)
+    monkeypatch.setattr(sieve, "_strike_tables", drop_first)
     with pytest.raises(IntegrityError, match="degree 6 over F3"):
         irreducible_indices.__wrapped__(field, 6)
 
@@ -154,16 +211,53 @@ def test_dropped_dense_slot_fails_the_gauss_count(monkeypatch):
     field = F3
     for d in range(1, 6):
         irreducible_indices(field, d)      # cached before the patch
-    presieve, calls = sieve._presieve, []
+    presieve_tables, calls = sieve._presieve_tables, []
 
-    def drop_first(bitmap, field, groups, degree):
-        calls.append(len(groups))
-        presieve(bitmap, field, [groups[0][1:]] + groups[1:], degree)
+    def drop_first(field, powers, degree):
+        calls.append(len(powers))
+        return presieve_tables(field, [powers[0][1:]] + powers[1:], degree)
 
-    monkeypatch.setattr(sieve, "_presieve", drop_first)
+    monkeypatch.setattr(sieve, "_presieve_tables", drop_first)
     with pytest.raises(IntegrityError, match="degree 11 over F3"):
         irreducible_indices.__wrapped__(field, 11)
     assert calls == [1]
+
+
+def test_surplus_survivors_raise_before_the_output_overflows(monkeypatch):
+    # F3 N = 13 (3^13 encodings) takes three segments of 3^12.  With the
+    # strikes of degrees 2 to 6 dropped, only the dense pass's degree 1 is
+    # cleared: the first segment alone holds more survivors than the
+    # preallocated array, and the check raises there, before the slice
+    # assignment would fail
+    field = F3
+    for d in range(1, 7):
+        irreducible_indices(field, d)      # cached before the patch
+    bases = []
+    monkeypatch.setattr(sieve, "_strike",
+                        lambda seg, base, tables: bases.append(base))
+    with pytest.raises(IntegrityError,
+                       match="degree 13 over F3 exceeds the Mobius"):
+        irreducible_indices.__wrapped__(field, 13)
+    assert bases == [0] * 5
+
+
+def test_extra_mark_leaves_the_output_short(monkeypatch):
+    field = F3
+    for d in range(1, 4):
+        irreducible_indices(field, d)      # cached before the patch
+    victim = int(irreducible_indices(field, 6)[7]) - 3 ** 6
+    strike = sieve._strike
+
+    def strike_one_more(seg, base, tables):
+        strike(seg, base, tables)
+        if base <= victim < base + len(seg):
+            seg[victim - base] = False
+
+    monkeypatch.setattr(sieve, "_strike", strike_one_more)
+    with pytest.raises(IntegrityError,
+                       match="degree 6 over F3 falls short of the Mobius "
+                             "closed form: 115 of 116"):
+        irreducible_indices.__wrapped__(field, 6)
 
 
 def test_spread_fold_sums_digitwise():
@@ -178,12 +272,12 @@ def test_spread_fold_sums_digitwise():
 
 
 def test_vectorized_residues_vs_divmod():
-    import numpy as np
     rng = random.Random(17)
     F9 = parse_field("F9")
     # the first two fit in one chunk table and one block of encodings; the
     # rest span several of each (70,000 encodings, more than one block),
-    # over F_p and F_p^k, with repeated factors and with m = T
+    # over F_p and F_p^k, with repeated factors and with m = T.  Encodings
+    # are drawn from a pool of 1,500, so divmod runs once per pool member
     cases = ((F2, "T^3+T+1", 14, 10_000), (F3, "T^3+2T+2", 8, 10_000),
              (F2, "T^8+T^4+T^3+T+1", 24, 70_000),
              (F3, "T^5+2T+1", 14, 70_000), (F5, "T^3+T+1", 9, 70_000),
@@ -191,12 +285,14 @@ def test_vectorized_residues_vs_divmod():
              (F2, "T^8+T^4+1", 24, 70_000), (F2, "T", 24, 70_000))
     for field, mstr, N, size in cases:
         m = P(field, mstr)
-        idx = [rng.randrange(0, field.q ** (N + 1)) for _ in range(size)]
-        res = _residues_mod(m, np.array(idx, dtype=np.int64), N)
-        assert len(res) == size
-        for i in rng.sample(range(size), 500):
-            f = Poly.from_index(field, idx[i])
-            assert int(res[i]) == (f % m).encode(), (mstr, idx[i])
+        pool = [rng.randrange(0, field.q ** (N + 1)) for _ in range(1500)]
+        residues = np.array([(Poly.from_index(field, f) % m).encode()
+                             for f in pool])
+        picks = np.array([rng.randrange(len(pool)) for _ in range(size)])
+        tally = _tally_mod(m, np.array(pool, dtype=np.int32)[picks], N)
+        assert np.array_equal(
+            tally, np.bincount(residues[picks], minlength=field.q ** m.degree)
+        ), mstr
 
 
 def nonmonic_by_sieve(m, N):
