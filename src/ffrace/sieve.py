@@ -23,8 +23,16 @@ degree N - d, the one multiple of g with H above T^d is f = H T^d + r,
 r = -(H T^d mod g), and its index is enc(H - T^(N-d)) q^d + enc(r), plain
 integer arithmetic.  r is F_p-linear in the base-p digits of H, so it is a
 table over a low block of digits, shifted once per value of the high
-digits, for all irreducibles of one degree together.  A segment is a whole
-number of the dense pass's blocks and of every degree's shifts.  Both
+digits, for all irreducibles of one degree together.  When p = 2 (F2, F4)
+after a dense pass, a strike of several writes keeps only the multiples
+f = g Q whose cofactor Q survives the wheel, the rule of a wheel sieve
+(Pritchard, Acta Inf. 17, 1982): every other f has a factor of degree
+<= D, so the dense pass has cleared it.  The residues of f mod the wheel's
+irreducibles are F_2-linear in the digits of H too, and its low digits
+reach every residue, so each irreducible keeps the same share of low
+values: 0.14 over F2, 0.32 over F4, a little more where the low block
+spans only a prefix of the wheel's slots.  A segment is a whole number of
+the dense pass's blocks and of every degree's shifts.  Both
 passes take the residues of the digits from T^j mod g, walked once per
 field and degree by r -> T r mod g and cached.  Sums of encodings are
 digit-wise mod p: XOR when p = 2, otherwise fold[spread[a] + spread[b]]
@@ -51,8 +59,9 @@ from .polyring import Poly, factorize
 DEFAULT_CUTOFF = {2: 24, 3: 14, 5: 9}
 # Hard cap on enumeration size, q^N.  It keeps every encoding of degree N
 # below 2 q^N <= 2^27, so the output is int32, and it bounds the run time:
-# with the lower degrees cached, F2 N = 24 takes about 0.15 s in process
-# on a 2-core Xeon, F2 N = 26 and F3 N = 16 (at the cap) 0.6-0.7 s.
+# with the lower degrees cached, F2 N = 24 takes 0.05-0.08 s in process on
+# a 2-core Xeon, F2 N = 26 about 0.27 s and F3 N = 16 0.6 s (both at the
+# cap).
 _MAX_ENUM = 1 << 26
 # log2 of the largest table over a block of base-p digits (a residue chunk);
 # encodings per tally of residues, indices per write of _strike, and the
@@ -180,22 +189,127 @@ def _strike_tables(field, powers, d, degree):
     its values over a low block of digits are one table per g, lo (int32,
     one row per g), shifted once per value b of the high digits by hi[b]
     (one entry per g).  The write of b covers the indices [b stride,
-    (b + 1) stride) in g-major order.  Returns (stride, lo, hi, offsets,
-    sums): offsets enc(H low) q^d per low value where p is odd (XOR adds it
-    into lo when p = 2), sums the spread/fold pair or None."""
+    (b + 1) stride) in g-major order.  When p = 2 after a dense pass, lo
+    holds only the multiples whose cofactor survives the wheel
+    (_restrict), fewer entries per row than offsets.  Returns (stride, lo,
+    hi, offsets, sums): offsets enc(H low) q^d per low value where p is odd
+    (XOR adds it into lo when p = 2), sums the spread/fold pair or None."""
     q, p = field.q, field.p
     steps, const = _basis_residues(field, powers[:, d:degree + 1], d)
     low = _strike_low(field, d, degree)
+    stride = p ** low * q ** d
+    offsets = np.arange(p ** low, dtype=np.int32) * q ** d
+    wheel = _cofactor_wheel(field, degree, low, (degree - d) * field.k)
+    if wheel is not None:
+        lo, hi = _restrict(field, d, degree, wheel, steps, const, low)
+        return stride, lo, hi, offsets, None
     sums = None if p == 2 else _spread_fold(p, d * field.k)
     lo = _span(np.zeros(len(powers)), steps[:, :low], sums)
     hi = _span(const, steps[:, low:], sums).T[:, :, None]
-    offsets = np.arange(p ** low, dtype=np.int32) * q ** d
     if sums is None:
         lo |= offsets
     else:
         spread = sums[0]
         lo, hi = spread[lo], spread[hi]
-    return p ** low * q ** d, lo, hi, offsets, sums
+    return stride, lo, hi, offsets, sums
+
+
+@lru_cache(maxsize=8)
+def _wheel_words(field, D, degree):
+    """(bits, const, slots) of the dense pass over degrees <= D at the given
+    degree, for p = 2 (see _wheel_slots): bits[t] (read-only int32) is the
+    packed word of index digit t, const that of T^degree."""
+    packed, const, slots = _wheel_slots(
+        field, [_irreducible_powers(field, j) for j in range(1, D + 1)],
+        degree)
+    bits = packed[:, 1].astype(np.int32)
+    bits.flags.writeable = False
+    return bits, const, tuple(slots)
+
+
+def _cofactor_wheel(field, degree, low, digits):
+    """(bits, const, alive) of the wheel a strike restricts to, for p = 2
+    after a dense pass, or None: the longest prefix of the dense pass's
+    slots whose digits fit in the strike's `low` digits of H, the low bits
+    of the packed word.  bits[t] is the word of index digit t, const that
+    of T^degree, and alive[w] says whether no slot of the word w is zero.
+    None where the marks the wheel saves per irreducible, over all p^digits
+    values of H, are not more than the p^low entries of its table."""
+    D = _dense_degree(field, degree)
+    if field.p != 2 or not D:
+        return None
+    bits, const, slots = _wheel_words(field, D, degree)
+    slots = [(start, w) for start, w in slots if start + w <= low]
+    width = sum(w for _, w in slots)
+    words = np.arange(1 << width)
+    alive = np.ones(1 << width, dtype=bool)
+    for start, w in slots:
+        alive &= words >> start & (1 << w) - 1 != 0
+    saved = ((1 << width) - int(alive.sum())) << (digits - width)
+    if 1 << low >= saved:
+        return None
+    mask = (1 << width) - 1
+    return bits & mask, const & mask, alive
+
+
+def _words(bits, x):
+    """The XOR of bits[t] over every set bit t of x (p = 2)."""
+    out = np.zeros(np.shape(x), dtype=np.int32)
+    for t, word in enumerate(bits):
+        out ^= (x >> t & 1) * word
+    return out
+
+
+def _restrict(field, d, degree, wheel, steps, const, low):
+    """The p = 2 strike tables (lo, hi) of _strike_tables (steps, const:
+    the residues of H's digits and of T^degree mod each g) cut to the
+    multiples f = g Q whose cofactor Q survives the wheel, the rule of a
+    wheel sieve (Pritchard, Acta Inf. 17, 1982): g has degree d > D, so f
+    has a factor in the wheel exactly when Q does, and the dense pass has
+    cleared every such f.
+
+    The wheel word of f is F_2-linear in the digits of f's index, so it is
+    A[g, s] ^ B[g, b] over the low value s and high value b of H.  The
+    first `width` digits of H already span the wheel's digits: Q's low part
+    runs over every residue mod the wheel, and g is a unit mod it.  So
+    s -> A[g, s] is a bijection for s < 2^width, which is checked, and
+    every row keeps the same m low values S_g = {s : alive[A[g, s]]}, which
+    are read through its inverse.  With A[g, s0] = B[g, b], the survivors of
+    write b are S_g ^ s0; lo (offsets included) is XOR-linear in s, so the
+    write is lo[g, S_g] ^ hi[b, g] ^ lo[g, s0].  Returns lo[g, S_g] and that
+    shift."""
+    bits, base, alive = wheel
+    n, dk, place = len(steps), d * field.k, field.q ** d
+    width = len(alive).bit_length() - 1
+    # each digit of H moves r by its step and f's index by its own digit
+    wsteps = _words(bits[:dk], steps)
+    wsteps[:, :, 1] ^= bits[dk:]
+    zeros, g = np.zeros(n), np.arange(n)[:, None]
+
+    def tables(first, last):
+        """lo and A over the digits [first, last) of H."""
+        values = np.arange(1 << last - first, dtype=np.int32) << first
+        return (_span(zeros, steps[:, first:last], None) | values * place,
+                _span(zeros, wsteps[:, first:last], None))
+
+    lo_low, words_low = tables(0, width)
+    lo_high, words_high = tables(width, low)
+    preimage = np.zeros(words_low.shape,
+                        dtype=np.min_scalar_type(len(alive) - 1))
+    preimage[g, words_low] = np.arange(len(alive))
+    onto = words_low[g, preimage] == np.arange(len(alive))
+    if not onto.all():
+        raise IntegrityError(
+            "wheel restriction of the degree-%d strike at degree %d over F%d "
+            "is not rectangular: the low digits of irreducible %d reach %d of "
+            "%d wheel words" % (d, degree, field.q, onto.all(axis=1).argmin(),
+                                onto.sum(axis=1).min(), len(alive)))
+    s = preimage[g[:, :, None], words_high[:, :, None] ^ np.flatnonzero(alive)]
+    lo = (lo_high[:, :, None] ^ lo_low[g[:, :, None], s]).reshape(n, -1)
+    hi = _span(const, steps[:, low:], None)
+    words_hi = _span(_words(bits[:dk], const) ^ base, wsteps[:, low:], None)
+    shift = hi ^ lo_low[g, preimage[g, words_hi]]
+    return lo, shift.T[:, :, None]
 
 
 def _strike(seg, base, tables):
@@ -234,6 +348,26 @@ def _dense_degree(field, degree):
     return D
 
 
+def _wheel_slots(field, powers, degree):
+    """(packed, const, slots) of the irreducibles of degree <= D
+    (powers[d - 1]: the rows of _irreducible_powers of degree d) for an
+    index of the given degree: packed[t, c] encodes -(c x^l T^j mod g) for
+    digit t = j*k + l and every g at once, each g in a slot of deg g base-q
+    digits of one packed encoding, const the same of T^degree, and slots
+    the (lowest digit, digits) of each g, in order."""
+    p, k = field.p, field.k
+    packed = const = width = 0
+    slots = []
+    for d, rows in enumerate(powers, 1):
+        steps, c = _basis_residues(field, rows[:, :degree + 1], d)
+        place = p ** (width + d * k * np.arange(len(rows)))
+        packed = packed + np.tensordot(place, steps, axes=1)
+        const += int(place @ c)
+        slots += [(width + d * k * i, d * k) for i in range(len(rows))]
+        width += len(rows) * d * k
+    return packed, const, slots
+
+
 def _presieve_tables(field, powers, degree):
     """The tables of the dense pass that leaves True at the index of every
     monic f of the given degree that no irreducible of degree <= D divides
@@ -242,25 +376,18 @@ def _presieve_tables(field, powers, degree):
 
     -(f mod g) is F_p-linear in the base-p digits of f's index, plus
     -(T^degree mod g).  Each g owns a slot of deg g base-q digits in one
-    packed encoding, so the residues of every g add as one encoding, digit-
-    wise mod p.  A block of p^L indices is a table over its L low digits
-    plus one packed value over the high digits.  In spread form (base 2p - 1
-    digits, see _spread_fold) that sum carries nothing, so one boolean table
-    over spread sums says whether no slot is zero, and a block is one gather
-    from that table, offset by the block's high value.  Returns (block, lo,
-    hi, alive)."""
+    packed encoding (_wheel_slots), so the residues of every g add as one
+    encoding, digit-wise mod p.  A block of p^L indices is a table over its
+    L low digits plus one packed value over the high digits.  In spread
+    form (base 2p - 1 digits, see _spread_fold) that sum carries nothing,
+    so one boolean table over spread sums says whether no slot is zero, and
+    a block is one gather from that table, offset by the block's high
+    value.  Returns (block, lo, hi, alive)."""
     p, k = field.p, field.k
-    packed = const = width = 0
-    slots = []                          # (lowest digit, digits) of each g
-    for d, rows in enumerate(powers, 1):
-        steps, c = _basis_residues(field, rows[:, :degree + 1], d)
-        place = p ** (width + d * k * np.arange(len(rows)))
-        packed = packed + np.tensordot(place, steps, axes=1)
-        const += int(place @ c)
-        slots += [(width + d * k * i, d * k) for i in range(len(rows))]
-        width += len(rows) * d * k
+    packed, const, slots = _wheel_slots(field, powers, degree)
     # not cached: up to _BLOCK entries, read by this enumeration alone
-    spread, fold = sums = _spread_fold.__wrapped__(p, width)
+    spread, fold = sums = _spread_fold.__wrapped__(
+        p, sum(w for _, w in slots))
     sums = None if p == 2 else sums
     low = _low_digits(p, 1, degree * k, _BLOCK)
     lo = spread[_span([0], packed[None, :low], sums)[0]].astype(np.intp)

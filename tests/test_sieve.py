@@ -109,7 +109,23 @@ def test_gauss_row_sums_full_spec_bounds():
                 gauss_irreducible_count(field.q, N)
 
 
-def test_enumeration_matches_product_oracle_across_blocks():
+def spy_strikes(monkeypatch, record):
+    """Patch sieve._strike to append (restricted, marks, unrestricted marks)
+    of every call to record: a restricted table (wheel-cut, p = 2) has
+    fewer entries per irreducible than low values (offsets), and each write
+    in the segment marks every entry once."""
+    strike = sieve._strike
+
+    def spy(seg, base, tables):
+        stride, lo, _hi, offsets, _sums = tables
+        writes = (base + len(seg)) // stride - base // stride
+        record.append((lo.shape[1] < len(offsets), lo.size * writes,
+                       lo.shape[0] * len(offsets) * writes))
+        strike(seg, base, tables)
+    monkeypatch.setattr(sieve, "_strike", spy)
+
+
+def test_enumeration_matches_product_oracle_across_blocks(monkeypatch):
     # from q^N = sieve._BLOCK = 2^16 on, one dense pass clears the multiples
     # of every irreducible of degree <= D: D = 3 over F2 from N = 16, D = 1
     # over F3 from N = 11, F4 from N = 8 and F5 from N = 7, several blocks
@@ -121,19 +137,36 @@ def test_enumeration_matches_product_oracle_across_blocks():
     # F5 N = 8, 7^6 at F7 N = 7), and over the extension fields every
     # degree d's H values times irreducibles pass _BLOCK, so its strike
     # takes several writes (at N = 6, 8 * 8^5, 28 * 8^4 and 168 * 8^3 over
-    # F8; 9 * 9^5, 36 * 9^4 and 240 * 9^3 over F9)
+    # F8; 9 * 9^5, 36 * 9^4 and 240 * 9^3 over F9).  Over F2 and F4 after
+    # the dense pass, the strikes of two writes or more keep only the
+    # multiples whose cofactor survives the wheel: 0.14 of them over F2
+    # (every slot of degree <= 3) and 0.32 over F4 (every linear slot)
     assert [sieve._dense_degree(parse_field(name), N) for name, N in
             (("F2", 15), ("F2", 16), ("F3", 10), ("F3", 11), ("F4", 7),
              ("F4", 8), ("F5", 6), ("F5", 7), ("F7", 7), ("F16", 4))] == \
         [0, 3, 0, 1, 0, 1, 0, 1, 0, 0]
+    strikes, restricted = [], set()
+    spy_strikes(monkeypatch, strikes)
     for name, top in (("F3", 13), ("F2", 20), ("F4", 10), ("F5", 8),
                       ("F7", 7), ("F8", 6), ("F9", 6), ("F16", 4)):
         field = parse_field(name)
         ref = {}
         for N in range(1, top + 1):
             ref[N] = irreducible_indices_by_products(field, N, ref.__getitem__)
-            assert np.array_equal(irreducible_indices(field, N), ref[N]), \
-                (name, N)
+            strikes.clear()
+            assert np.array_equal(irreducible_indices.__wrapped__(field, N),
+                                  ref[N]), (name, N)
+            if any(cut for cut, _, _ in strikes):
+                restricted.add(name)
+        if name == "F2":
+            # N = 20: every degree 4..10 takes 2 or 4 writes, all cut
+            cut = [(marks, full) for is_cut, marks, full in strikes if is_cut]
+            assert len(cut) == 7
+            assert sum(m for m, _ in cut) <= 0.25 * sum(f for _, f in cut)
+            assert sum(f for _, f in cut) == sum(
+                gauss_irreducible_count(2, d) * 2 ** (20 - d)
+                for d in range(4, 11))
+    assert restricted == {"F2", "F4"}
 
 
 def test_enumeration_across_segments_matches_product_oracle(monkeypatch):
@@ -141,9 +174,15 @@ def test_enumeration_across_segments_matches_product_oracle(monkeypatch):
     # more encodings, all of q^N at these sizes, so the segment and the
     # block both go down: segments of p^6 raised to writes of 2^8 indices
     # or fewer.  The top degrees below then take 5 (F5 N = 7) to 729
-    # (F9 N = 6) segments, F2 and F3 with a dense pass of 2^8 and 3^5
-    monkeypatch.setattr(sieve, "_BLOCK", 1 << 8)
-    segments = []
+    # (F9 N = 6) segments, F2 and F3 with a dense pass of 2^8 and 3^5.
+    # The F2 dense pass clears degrees 1 and 2 (4 bits of wheel word); the
+    # strikes of degrees 7 and 8 have 3 low digits of H, which span the
+    # slots of T and T + 1 alone, so they keep the multiples whose cofactor
+    # survives those two.  At 2^8 the F4 dense pass's table (3^8 entries)
+    # does not fit, so F4 runs again at a block of 2^13 (2 segments of
+    # 2^15): its degree-4 strike has 7 low digits, 3 coefficients and a
+    # half, which span three of its four linear slots
+    segments, strikes = [], []
 
     def spy(name):
         fill = getattr(sieve, name)
@@ -153,23 +192,30 @@ def test_enumeration_across_segments_matches_product_oracle(monkeypatch):
             fill(seg, base, tables)
         monkeypatch.setattr(sieve, name, record)
 
+    spy_strikes(monkeypatch, strikes)
     spy("_presieve")
     spy("_strike")
-    for name, top, spans in (("F2", 16, 32), ("F3", 10, 81),
-                             ("F4", 8, 64), ("F5", 7, 5), ("F8", 6, 512),
-                             ("F9", 6, 729)):
+    for name, top, block, spans, cut in (
+            ("F2", 16, 1 << 8, 32, True), ("F3", 10, 1 << 8, 81, False),
+            ("F4", 8, 1 << 8, 64, False), ("F4", 8, 1 << 13, 2, True),
+            ("F5", 7, 1 << 8, 5, False), ("F8", 6, 1 << 8, 512, False),
+            ("F9", 6, 1 << 8, 729, False)):
         field = parse_field(name)
+        monkeypatch.setattr(sieve, "_BLOCK", block)
         monkeypatch.setattr(sieve, "_SEGMENT", field.p ** 6)
         for d in range(1, top // 2 + 1):
             irreducible_indices(field, d)  # the top degree's segments alone
-        ref = {}
+        ref, restricted = {}, False
         for N in range(1, top + 1):
             ref[N] = irreducible_indices_by_products(field, N, ref.__getitem__)
             segments.clear()
+            strikes.clear()
             assert np.array_equal(irreducible_indices.__wrapped__(field, N),
                                   ref[N]), (name, N)
+            restricted |= any(is_cut for is_cut, _, _ in strikes)
         assert len({base for _, base in segments}) == spans, name
         assert ("_presieve", 0) in segments or field.q > 3
+        assert restricted == cut, (name, block)
 
 
 def test_enumeration_peak_memory_stays_below_a_bitmap():
@@ -221,6 +267,59 @@ def test_dropped_dense_slot_fails_the_gauss_count(monkeypatch):
     with pytest.raises(IntegrityError, match="degree 11 over F3"):
         irreducible_indices.__wrapped__(field, 11)
     assert calls == [1]
+
+
+def test_wheel_restriction_checks_every_row_spans_the_wheel(monkeypatch):
+    # F2 N = 20 strikes degree 4 in 4 writes, cut to the cofactors that
+    # survive the wheel.  With the second irreducible's row replaced by the
+    # residues of T^4 + T = T (T + 1) (T^2 + T + 1), every multiple of it
+    # has those three slots zero, so its low digits reach 1/16 of the
+    # 1024 wheel words, not all of them, and its row would keep no index
+    field = F2
+    for d in range(1, 11):
+        irreducible_indices(field, d)      # cached before the patch
+    powers = sieve._irreducible_powers
+
+    def reducible_row(field, d):
+        rows = powers(field, d)
+        if d == 4:
+            rows = rows.copy()
+            rows[1] = sieve._power_encodings(
+                field, np.array([0b10010]), 4, rows.shape[1] - 1)[0]
+        return rows
+
+    monkeypatch.setattr(sieve, "_irreducible_powers", reducible_row)
+    with pytest.raises(IntegrityError,
+                       match="degree-4 strike at degree 20 over F2 is not "
+                             "rectangular: the low digits of irreducible 1 "
+                             "reach 64 of 1024"):
+        irreducible_indices.__wrapped__(field, 20)
+
+
+def test_dead_live_wheel_word_fails_the_gauss_count(monkeypatch):
+    # A wheel that marks one live cofactor word dead skips real multiples:
+    # the composites of that word survive every strike of F2 N = 20 (all
+    # of degrees 4..10 are cut), and the surplus must raise
+    field = F2
+    for d in range(1, 11):
+        irreducible_indices(field, d)      # cached before the patch
+    cofactor_wheel, cut = sieve._cofactor_wheel, []
+
+    def one_word_dead(field, degree, low, digits):
+        wheel = cofactor_wheel(field, degree, low, digits)
+        if wheel is not None:
+            bits, const, alive = wheel
+            alive = alive.copy()
+            alive[np.flatnonzero(alive)[0]] = False
+            wheel = bits, const, alive
+            cut.append(len(alive))
+        return wheel
+
+    monkeypatch.setattr(sieve, "_cofactor_wheel", one_word_dead)
+    with pytest.raises(IntegrityError,
+                       match="degree 20 over F2 exceeds the Mobius"):
+        irreducible_indices.__wrapped__(field, 20)
+    assert cut == [1024] * 6 + [128]
 
 
 def test_surplus_survivors_raise_before_the_output_overflows(monkeypatch):
