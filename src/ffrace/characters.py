@@ -24,13 +24,9 @@ import numpy as np
 
 from .errors import UsageError
 from .field import field_tables
+from .limits import MAX_GROUP_ORDER, check
 from .numth import prime_factors
 from .polyring import Poly, enumerate_monic, factorize, format_poly, powmod
-
-# Largest supported unit-group order Phi(m).  The group builds in near-linear
-# time and the explicit count runs modulo split primes (order 1023, N = 80:
-# 0.4 s); a higher cap waits for every other path to be measured there.
-MAX_GROUP_ORDER = 1024
 
 
 def group_order(m):
@@ -63,10 +59,8 @@ class UnitGroup:
         if modulus.degree < 1:
             raise UsageError("modulus must have degree >= 1")
         order = group_order(modulus)
-        if order > MAX_GROUP_ORDER:
-            raise UsageError(
-                "unit group mod %s has order %d; the supported limit is %d"
-                % (format_poly(modulus), order, MAX_GROUP_ORDER))
+        check(MAX_GROUP_ORDER, "unit group mod %s" % format_poly(modulus),
+              order)
         self.modulus = modulus
         self.field = modulus.field
         self.deg = modulus.degree

@@ -15,10 +15,11 @@ from .errors import IntegrityError, UsageError
 from .explicit import bias_report, counts, cumulative_counts, \
     explicit_counter
 from .field import parse_field
-from .gl2 import MAX_CERTIFICATES, certify_ties, first_failed_certificate, \
-    stabilizer_period, stabilizer_search
-from .lfunc import check_horizon, find_conjugate_relations, l_polynomial, \
+from .gl2 import certify_ties, first_failed_certificate, stabilizer_period, \
+    stabilizer_search
+from .lfunc import find_conjugate_relations, l_polynomial, power_sum_work, \
     power_sums, weil_bound_violations
+from .limits import MAX_CERTIFICATES, MAX_EXACT_WORK, check
 from .polyring import format_poly, parse_poly
 from .report import TABLES, check_cumulative_ties, detect_tie_patterns, \
     emit_table, render_table
@@ -127,8 +128,11 @@ def _cmd_lpoly(args):
     _field, m = _need_modulus(args)
     horizon = args.horizon
     G = unit_group(m)  # refuses a group past MAX_GROUP_ORDER first
-    if horizon:
-        check_horizon(G, horizon)
+    if horizon:  # before any L-polynomial is built
+        q, E, d = m.field.q, G.exponent, m.degree - 1
+        check(MAX_EXACT_WORK, "power sums to n = %d mod %s"
+              % (horizon, format_poly(m)), power_sum_work(q, E, d, horizon),
+              "n", lambda n: power_sum_work(q, E, d, n))
     chi = parse_character(G, args.char)
     if chi.is_trivial:
         raise UsageError("the trivial character has no L-polynomial")
@@ -173,12 +177,9 @@ def _cmd_ties_gl2(args):
     if args.residue is None:
         jobs = [(B, lam, e) for B, lam in stabs
                 for e in range(stabilizer_period(m, B))]
-        if len(jobs) > MAX_CERTIFICATES:
-            raise UsageError(
-                "ties-gl2 mod %s: all residues of %d stabilizers need %d "
-                "certificates; the supported limit is %d (pass --residue to "
-                "build one per stabilizer)"
-                % (format_poly(m), len(stabs), len(jobs), MAX_CERTIFICATES))
+        check(MAX_CERTIFICATES, "ties-gl2 mod %s, every residue of %d "
+              "stabilizers (--residue builds one each)"
+              % (format_poly(m), len(stabs)), len(jobs))
     else:
         jobs = [(B, lam, args.residue) for B, lam in stabs]
     rng = random.Random(args.seed)

@@ -15,9 +15,9 @@ Primes l < 2^25 are stacked until the product of all but the last exceeds
 2 N M' q^N; the Chinese remainder theorem gives the integer in the
 symmetric range, and the last prime must agree.  Every count must be a
 nonnegative integer and the counts must sum to the number of degree-N
-primes prime to m; a failure is raised, never rounded away.  A count
-whose Newton walk would pass MAX_EXPLICIT_WORK is refused before any prime
-is searched, and so is a run of counts whose walks would pass it together.
+primes prime to m; a failure is raised, never rounded away.  A run of
+counts (a single count is a run of one) whose Newton walks would pass
+limits.MAX_EXPLICIT_WORK together is refused before any prime is searched.
 
 The conjugate-relation search (lfunc.find_conjugate_relations) reads the
 first row of the stack.  The L-polynomials in Q(zeta_E) are built on first
@@ -41,19 +41,13 @@ import numpy as np
 from .characters import all_characters, unit_group
 from .cyclo import CycloNum
 from .errors import IntegrityError, UsageError
-from .lfunc import MAX_EXACT_WORK, l_polynomial, power_sum_work
+from .lfunc import l_polynomial, power_sum_work
+from .limits import MAX_EXACT_WORK, MAX_EXPLICIT_WORK, check
 from .numth import (divisors, euler_phi, gauss_irreducible_count, is_prime,
-                    largest_within, mobius, prime_factors)
+                    mobius, prime_factors)
 from .polyring import Poly, factorize, format_poly
 from .sieve import default_cutoff, sieve_count
 
-# Cost units (passes over one row entry) a cold explicit count may take: N
-# steps of Newton's recurrence over P x M' entries, P the split primes past
-# 2 N M' q^N, each deg m - 1 multiply-adds and about four passes more (copy,
-# n a_n, negation, reduction mod l).  Cold CLI counts at the limit, 2-core
-# Xeon: 5.8 s mod T^3+T+1/F2 (N = 46257) and T^4+T+2/F3 (10050), 7.2 s at
-# order 1023 (2577) and mod T+1/F2 (149975), 8.9 s mod T+1/F3 (84233).
-MAX_EXPLICIT_WORK = 36 * 10 ** 8
 # Split primes lie below 2^PRIME_BITS: an entry times a weight is below
 # 2^50, a sum of 4096 of them below 2^62.
 PRIME_BITS = 25
@@ -73,7 +67,7 @@ def split_prime(E, i):
         found = _split.setdefault(E, [])
         l = found[-1][0] - E if found else (2 ** PRIME_BITS - 2) // E * E + 1
         while len(found) <= i:
-            if l <= E + 1:
+            if l <= E + 1:  # past any count within the limits (README)
                 raise UsageError("the explicit formula needs more than the %d "
                                  "primes l = 1 mod %d below 2^%d"
                                  % (len(found), E, PRIME_BITS))
@@ -130,19 +124,15 @@ def s_value(factorization, n):
 
 
 def explicit_work(q, order, deg, degree):
-    """The cost units of a cold degree-N count (see MAX_EXPLICIT_WORK)."""
+    """Cost units (see limits.MAX_EXPLICIT_WORK) of a cold degree-N count:
+    N Newton steps over P x M' row entries, P the split primes past
+    2 N M' q^N, each deg m - 1 multiply-adds and four passes more."""
     bits = log2(2 * degree * order) + degree * log2(q)
     return degree * (int(bits) // PRIME_BITS + 2) * order * (deg + 3)
 
 
-def max_explicit_degree(q, order, deg):
-    """The largest degree within MAX_EXPLICIT_WORK."""
-    return largest_within(
-        lambda n: explicit_work(q, order, deg, n) <= MAX_EXPLICIT_WORK)
-
-
 def breakdown_work(q, order, E, deg, degree):
-    """Cost units of the --breakdown audit (see lfunc.MAX_EXACT_WORK): the
+    """Cost units of the --breakdown audit (see limits.MAX_EXACT_WORK): the
     exact power sums of the order - 1 nontrivial characters to the degree,
     then order^2 terms per squarefree divisor of it.  A term takes phi(E)^2
     coordinate products and writes phi(E) coordinates of at most
@@ -162,10 +152,11 @@ def _sieve_limit(m, sieve_limit):
 def check_run_work(m, degrees, sieve_limit=None):
     """Refuse a run of counts mod m over a sequence of degrees whose
     explicit counts, those above sieve_limit (routed as run_counts does; 0
-    sends every degree), would together pass MAX_EXPLICIT_WORK.  Judged from
-    q, the unit-group order and deg m alone: no counter is built, no prime
-    searched, and the sum stops at the first degree past the limit.  The
-    degrees may repeat (runs merged in order) and need only be iterable."""
+    sends every degree), would together pass limits.MAX_EXPLICIT_WORK.
+    Judged from q, the unit-group order and deg m alone: no counter is
+    built, no prime searched, and the sum stops at the first degree past the
+    limit.  The degrees may repeat (runs merged in order) and need only be
+    iterable."""
     floor = _sieve_limit(m, sieve_limit)
     q, order, deg = m.field.q, unit_group(m).order, m.degree
     work, first, below, last = 0, None, None, None
@@ -175,16 +166,16 @@ def check_run_work(m, degrees, sieve_limit=None):
             first = n if first is None else first
         if n > floor:
             work += explicit_work(q, order, deg, n)
-            if work > MAX_EXPLICIT_WORK:
-                raise UsageError(
-                    "explicit counts mod %s from degree %d: past the "
-                    "supported limit of %.1e cost units together at degree "
-                    "%d; %s" % (format_poly(m), first, MAX_EXPLICIT_WORK, n,
-                                "the run is accepted up to degree %d" % below
-                                if below is not None else
-                                "degree %d alone passes it; the largest "
-                                "degree for this modulus is %d"
-                                % (n, max_explicit_degree(q, order, deg))))
+            if work > MAX_EXPLICIT_WORK.value:
+                break
+    else:
+        return
+    if below is None:  # the first degree, alone
+        check(MAX_EXPLICIT_WORK, "explicit count of degree %d mod %s"
+              % (n, format_poly(m)), explicit_work(q, order, deg, n),
+              "degree", lambda t: explicit_work(q, order, deg, t))
+    check(MAX_EXPLICIT_WORK, "explicit counts mod %s from degree %d to %d"
+          % (format_poly(m), first, n), work, "top degree", top=below)
 
 
 def run_counts(m, degrees, *, monic=True, sieve_limit=None):
@@ -329,25 +320,15 @@ class ExplicitCounter:
     def count(self, degree, breakdown=False):
         if degree < 1:
             raise UsageError("degree must be >= 1")
-        G, q = self.group, self.field.q
-        work = explicit_work(q, G.order, self.modulus.degree, degree)
-        if work > MAX_EXPLICIT_WORK:
-            raise UsageError(
-                "explicit count of degree %d mod %s: about %.1e cost units; "
-                "the supported limit is %.1e, degree %d for this modulus"
-                % (degree, format_poly(self.modulus), work, MAX_EXPLICIT_WORK,
-                   max_explicit_degree(q, G.order, self.modulus.degree)))
+        m, G = self.modulus, self.group
+        check_run_work(m, [degree], 0)  # priced as a run of one
         if breakdown:
-            # after the count's own limit, which keeps the degree small
-            # enough to factor by trial division
-            work = breakdown_work(q, G.order, self.E, self.modulus.degree,
-                                  degree)
-            if work > MAX_EXACT_WORK:
-                raise UsageError(
-                    "--breakdown of degree %d mod %s (unit group of order %d):"
-                    " about %.1e cost units; the supported limit is %.1e"
-                    % (degree, format_poly(self.modulus), G.order, work,
-                       MAX_EXACT_WORK))
+            # after the run's limit, which keeps the degree small enough to
+            # factor by trial division; not monotone in N, so no largest N
+            check(MAX_EXACT_WORK, "--breakdown of degree %d mod %s (unit "
+                  "group of order %d)" % (degree, format_poly(m), G.order),
+                  breakdown_work(self.field.q, G.order, self.E, m.degree,
+                                 degree))
         counts = self.run([degree])[degree]
         audit = self._audit(degree, counts) if breakdown else None
         return ExplicitCount(self.modulus, degree, counts, audit)
@@ -388,27 +369,30 @@ class ExplicitCounter:
     def _checked(self, degree, totals, ell):
         """The counts of degree N by the CRT from N M' pi(N; a) mod ell."""
         G, scale = self.group, degree * self.group.order
+        m = format_poly(self.modulus)
         counts = {}
         for u, (total, agrees) in zip(G.units, _crt(totals % ell, ell)):
             if not agrees:
                 raise IntegrityError(
-                    "explicit count pi(%d; %s, %s): the redundant prime %d "
-                    "disagrees with the other %d"
-                    % (degree, self.modulus, u, ell[-1, 0], len(ell) - 1))
+                    "explicit count pi(%d; %s, %s) over %r: the redundant "
+                    "prime %d disagrees with the other %d"
+                    % (degree, m, format_poly(u), self.field, ell[-1, 0],
+                       len(ell) - 1))
             counts[u], rest = divmod(total, scale)
             if rest or total < 0:
                 raise IntegrityError(
-                    "explicit count pi(%d; %s, %s) = %s is not a nonnegative "
-                    "integer" % (degree, self.modulus, u,
-                                 Fraction(total, scale)))
+                    "explicit count pi(%d; %s, %s) over %r = %s is not a "
+                    "nonnegative integer" % (degree, m, format_poly(u),
+                                             self.field,
+                                             Fraction(total, scale)))
         primes = gauss_irreducible_count(self.field.q, degree) - sum(
             1 for p, _e in self.factorization.factors if p.degree == degree)
         total = sum(counts.values())
         if total != primes:
             raise IntegrityError(
-                "explicit counts of degree %d mod %s sum to %d, not to the %d "
-                "primes prime to the modulus"
-                % (degree, self.modulus, total, primes))
+                "explicit counts of degree %d mod %s over %r sum to %d, not "
+                "to the %d primes prime to the modulus"
+                % (degree, m, self.field, total, primes))
         return counts
 
     def _audit(self, degree, counts):
@@ -439,8 +423,9 @@ class ExplicitCounter:
         for u, total in zip(G.units, sums):
             if total != degree * counts[u]:
                 raise IntegrityError(
-                    "breakdown of pi(%d; %s, %s) sums to %r, not to N*pi"
-                    % (degree, self.modulus, u, total))
+                    "breakdown of pi(%d; %s, %s) over %r sums to %r, not to "
+                    "N*pi" % (degree, format_poly(self.modulus),
+                              format_poly(u), self.field, total))
         return audit
 
 

@@ -11,10 +11,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import UsageError
+from .limits import MAX_Q, check
 from .numth import prime_factors
 from .polyring import Poly, enumerate_monic, is_irreducible
-
-MAX_Q = 256
 
 
 @lru_cache(maxsize=None)
@@ -34,8 +33,7 @@ class FieldSpec:
         if k < 1:
             raise UsageError("extension degree must be >= 1")
         q = p ** k
-        if q > MAX_Q:
-            raise UsageError("q = %d exceeds supported bound %d" % (q, MAX_Q))
+        check(MAX_Q, "field F%d" % q, q)
         if prime_factors(p) != (p,):
             raise UsageError("p = %r is not prime" % (p,))
         self.p = p
@@ -149,8 +147,7 @@ def parse_field(text):
     q = int(s[1:])
     if q < 2:
         raise UsageError("bad field size %d" % q)
-    if q > MAX_Q:
-        raise UsageError("q = %d exceeds supported bound %d" % (q, MAX_Q))
+    check(MAX_Q, "field F%d" % q, q)  # before q is factored
     primes = prime_factors(q)
     if len(primes) != 1:
         raise UsageError("%d is not a prime power" % q)

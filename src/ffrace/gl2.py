@@ -23,19 +23,12 @@ from math import gcd
 
 import numpy as np
 
-from .characters import MAX_GROUP_ORDER, unit_group
+from .characters import unit_group
 from .errors import IntegrityError, UsageError
 from .explicit import check_run_work, run_counts
 from .field import field_tables
+from .limits import MAX_RESIDUE, MAX_STABILIZER_Q, check
 from .polyring import Poly, format_poly, powmod
-
-# Largest q for which stabilizer_search scans GL2(F_q): it tries all ~q^4
-# matrices, 2-3 s at q = 16 on a 2-core Xeon and hours at q = 256.
-MAX_STABILIZER_Q = 16
-# Most certificates `ties-gl2` builds for all residues of all stabilizers:
-# the 878 of T^2+1/F9 take about 1.1 s (cold CLI) on a 2-core Xeon, the
-# 25,886 of T^2+T+2/F13 about 23 s in one process.
-MAX_CERTIFICATES = 1024
 
 
 @dataclass(frozen=True)
@@ -105,11 +98,8 @@ def stabilizer_search(m):
     deterministic order."""
     if m.degree < 1:
         raise UsageError("modulus must have degree >= 1")
-    q = m.field.q
-    if q > MAX_STABILIZER_Q:
-        raise UsageError("stabilizer search scans all of GL2(F_q), about "
-                         "q^4 matrices, for q = %d; the supported limit is "
-                         "q = %d" % (q, MAX_STABILIZER_Q))
+    check(MAX_STABILIZER_Q, "stabilizer search over GL2(%r)" % m.field,
+          m.field.q)
     out = []
     M = m.degree
     for B in all_invertible(m.field):
@@ -174,11 +164,8 @@ def certify_ties(m, B, lam, e, rng=None):
     the slash action."""
     if e < 0:
         raise UsageError("residue must be >= 0")
-    if e >= MAX_GROUP_ORDER:
-        # the period divides the unit-group exponent, which is at most
-        # MAX_GROUP_ORDER, so every residue class has a smaller representative
-        raise UsageError("residue %d: the supported limit is %d"
-                         % (e, MAX_GROUP_ORDER - 1))
+    where = "%r mod %s over %r" % (B, format_poly(m), m.field)
+    check(MAX_RESIDUE, "certificate of " + where, e)
     M = m.degree
     if slash_action(m, M, B) != m.scale(lam):
         raise UsageError("(B, lambda) does not stabilize the modulus")
@@ -190,8 +177,8 @@ def certify_ties(m, B, lam, e, rng=None):
     # equal basis images at e and e + N0 prove the period for every class
     basis = _basis_images(m, B, e_used)
     if _basis_images(m, B, e_used + period) != basis:
-        raise IntegrityError("period claim failed for %r mod %s at residue %d"
-                             % (B, format_poly(m), e_used))
+        raise IntegrityError("period claim failed for %s at residue %d"
+                             % (where, e_used))
     # the image of every class at once: coefficient rows times basis images
     q = m.field.q
     add, mul = field_tables(m.field)
@@ -202,10 +189,10 @@ def certify_ties(m, B, lam, e, rng=None):
     perm = G.unit_index[images]
     off = np.flatnonzero(perm < 0)
     if len(off):
-        raise IntegrityError("class map left the unit classes at %s"
-                             % G.units[off[0]])
+        raise IntegrityError("class map of %s left the unit classes at %s"
+                             % (where, format_poly(G.units[off[0]])))
     if np.bincount(perm, minlength=G.order).max() > 1:
-        raise IntegrityError("class map is not a permutation")
+        raise IntegrityError("class map of %s is not a permutation" % where)
     # the benchmark draws its residues from the same rng, so its inputs
     # depend on this draw: one rng.sample above order 64, nothing below
     drawn = range(G.order)
@@ -217,8 +204,9 @@ def certify_ties(m, B, lam, e, rng=None):
     wrong = np.flatnonzero(_rational_slash(coeffs[drawn], e0, B, m, period)
                            != images[drawn])
     if len(wrong):
-        raise IntegrityError("linear class map disagrees with the slash "
-                             "action at %s" % G.units[drawn[wrong[0]]])
+        raise IntegrityError("linear class map of %s disagrees with the "
+                             "slash action at %s"
+                             % (where, format_poly(G.units[drawn[wrong[0]]])))
     perm = perm.tolist()
     orbit_map = {c: G.units[j] for c, j in zip(G.units, perm)}
     orbits = tuple(tuple(G.units[j] for j in cyc) for cyc in _cycles(perm))
@@ -324,40 +312,27 @@ def certificate_degrees(cert, n_max):
                  cert.period)
 
 
-def find_certificate_violation(cert, n_max, sieve_limit=None):
-    """First (N, class, image) whose certified equality fails against
-    explicit.counts (sieve_limit is passed on to it) at the certificate's
-    degrees, or None."""
-    for N, (found, _source) in run_counts(
-            cert.modulus, certificate_degrees(cert, n_max),
-            monic=cert.monic_certified, sieve_limit=sieve_limit):
-        for c, img in cert.orbit_map.items():
-            if found[c] != found[img]:
-                return N, c, img
-    return None
-
-
 def verify_certificate_empirically(cert, n_max, sieve_limit=None):
-    return find_certificate_violation(cert, n_max, sieve_limit) is None
+    return first_failed_certificate([cert], n_max, sieve_limit) is None
 
 
-def first_failed_certificate(certs, n_max):
+def first_failed_certificate(certs, n_max, sieve_limit=None):
     """The first of certs, all mod one modulus, whose empirical check to
     n_max fails, or None.  Their runs are priced together first: each is
     within the run limit where all of them may not be.  Then each distinct
     degree is counted once, in one run of monic and one of non-monic
-    counts, and every certificate reads those."""
+    counts (to run_counts' sieve_limit), and every certificate reads those."""
     if not certs:
         return None
     m = certs[0].modulus
     check_run_work(m, heapq.merge(
-        *(certificate_degrees(c, n_max) for c in certs)))
+        *(certificate_degrees(c, n_max) for c in certs)), sieve_limit)
     found = {}
     for monic in {c.monic_certified for c in certs}:
         degrees = sorted({N for c in certs if c.monic_certified == monic
                           for N in certificate_degrees(c, n_max)})
-        found[monic] = {N: counts for N, (counts, _source)
-                        in run_counts(m, degrees, monic=monic)}
+        found[monic] = {N: counts for N, (counts, _source) in run_counts(
+            m, degrees, monic=monic, sieve_limit=sieve_limit)}
 
     def fails(c):
         counts = found[c.monic_certified]

@@ -16,21 +16,12 @@ import numpy as np
 from .characters import unit_group
 from .cyclo import CycloNum
 from .errors import IntegrityError, UsageError
-from .numth import euler_phi, largest_within
+from .limits import MAX_RELATIONS_EXPONENT, check
+from .numth import euler_phi
 from .polyring import format_poly
 
-# The exponent relations supports.  The search is not the limit (E = 255
-# takes 1.1 s on a 2-core Xeon); its output is, with 65,024 rows there.
-MAX_RELATIONS_EXPONENT = 128
 # How far |alpha| may sit from 1 or sqrt(q) in the floating Weil diagnostic.
 WEIL_TOL = 1e-9
-# Cost units of exact work in Q(zeta_E) that `lpoly --horizon` and the
-# --breakdown audit may take: one unit is one product of two power-basis
-# coordinates, or one byte of a coordinate written.  Cold CLI runs go at
-# 1.3-2.3e7 units a second on a 2-core Xeon; at the limit, --horizon 3516 at
-# order 80 (T^4+T+2/F3) takes 3.7 s, 265 MB and prints 49 MB, --horizon 15
-# at order 1023 1.7 s, --breakdown at order 80, N = 73 3.5 s and 131 MB.
-MAX_EXACT_WORK = 5 * 10 ** 7
 
 
 class LPolynomial:
@@ -112,28 +103,12 @@ def l_polynomial(m, chi):
 
 
 def power_sum_work(q, E, d, n):
-    """Cost units (see MAX_EXACT_WORK) of the exact power sums p_1..p_n of
-    an L-polynomial of degree d over F_q in Q(zeta_E): n Newton steps, each d
-    products of phi(E)^2 coordinate pairs writing phi(E) coordinates of at
-    most n log2(q) / 2 bits."""
+    """Cost units (see limits.MAX_EXACT_WORK) of the exact power sums
+    p_1..p_n of an L-polynomial of degree d over F_q in Q(zeta_E): n Newton
+    steps, each d products of phi(E)^2 coordinate pairs writing phi(E)
+    coordinates of at most n log2(q) / 2 bits."""
     phi = euler_phi(E)
     return n * phi * (d * phi + n * log2(q) / 16)
-
-
-def check_horizon(G, n):
-    """Refuse exact power sums to n for the characters of the unit group G
-    past MAX_EXACT_WORK, from q, its exponent and deg m alone, before any
-    L-polynomial is built."""
-    m = G.modulus
-    q, E, d = m.field.q, G.exponent, m.degree - 1
-    work = power_sum_work(q, E, d, n)
-    if work > MAX_EXACT_WORK:
-        top = largest_within(
-            lambda h: power_sum_work(q, E, d, h) <= MAX_EXACT_WORK)
-        raise UsageError(
-            "power sums to n = %d mod %s: about %.1e cost units; the "
-            "supported limit is %.1e, n = %d for this modulus"
-            % (n, format_poly(m), work, MAX_EXACT_WORK, top))
 
 
 def power_sums(lpoly, n_max):
@@ -180,10 +155,7 @@ def find_conjugate_relations(m):
     exact."""
     from .explicit import _newton, explicit_counter  # explicit imports this
     E = unit_group(m).exponent
-    if E > MAX_RELATIONS_EXPONENT:
-        raise UsageError("relations mod %s: unit-group exponent %d; the "
-                         "supported limit is %d"
-                         % (format_poly(m), E, MAX_RELATIONS_EXPONENT))
+    check(MAX_RELATIONS_EXPONENT, "relations mod %s" % format_poly(m), E)
     counter = explicit_counter(m)
     chars = counter.chars
     q, d = m.field.q, m.degree - 1

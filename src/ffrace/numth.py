@@ -49,16 +49,6 @@ def euler_phi(n: int) -> int:
     return out
 
 
-def largest_within(ok, hi=1 << 40):
-    """The largest n in [1, hi) with ok(n), by bisection, for ok true at 1
-    and monotone: true up to some n, false beyond."""
-    lo = 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if ok(mid) else (lo, mid)
-    return lo
-
-
 def is_prime(n: int) -> bool:
     """Miller-Rabin on the bases 2, 3, 5, 7: exact below 3,215,031,751,
     the least strong pseudoprime to all four."""

@@ -5,10 +5,11 @@ import json
 from dataclasses import dataclass
 from math import lcm
 
-from .characters import MAX_GROUP_ORDER, unit_group
+from .characters import unit_group
 from .errors import UsageError
 from .explicit import cumulative_counts, run_counts
 from .gl2 import stabilizer_period, stabilizer_search
+from .limits import MAX_PERIOD, check
 from .polyring import Poly, format_poly, parse_poly
 from .field import parse_field
 
@@ -65,10 +66,7 @@ def detect_tie_patterns(m, lo, hi, period=None):
         period = default_period(m)
     if period < 1:
         raise UsageError("period must be >= 1")
-    if period > MAX_GROUP_ORDER:
-        # every period the program derives divides the unit-group exponent
-        raise UsageError("period %d: the supported limit is %d"
-                         % (period, MAX_GROUP_ORDER))
+    check(MAX_PERIOD, "tie patterns mod %s" % format_poly(m), period)
     G = unit_group(m)
     found, sources = {}, {}
     for n, (counted, source) in run:

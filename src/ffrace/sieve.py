@@ -51,18 +51,13 @@ import numpy as np
 from .characters import unit_group
 from .errors import IntegrityError, UsageError
 from .field import field_tables
+from .limits import MAX_ENUM, check
 from .numth import gauss_irreducible_count
-from .polyring import Poly, factorize
+from .polyring import Poly, factorize, format_poly
 
 # Largest degree the sieve is routed to: `count` sieves up to the full cutoff,
 # every other caller of explicit.counts up to min(cutoff, 12).
 DEFAULT_CUTOFF = {2: 24, 3: 14, 5: 9}
-# Hard cap on enumeration size, q^N.  It keeps every encoding of degree N
-# below 2 q^N <= 2^27, so the output is int32, and it bounds the run time:
-# with the lower degrees cached, F2 N = 24 takes 0.05-0.08 s in process on
-# a 2-core Xeon, F2 N = 26 about 0.27 s and F3 N = 16 0.6 s (both at the
-# cap).
-_MAX_ENUM = 1 << 26
 # log2 of the largest table over a block of base-p digits (a residue chunk);
 # encodings per tally of residues, indices per write of _strike, and the
 # largest block and table of the dense pass.
@@ -127,9 +122,9 @@ def _power_encodings(field, gs, d, n):
 @lru_cache(maxsize=64)
 def _irreducible_powers(field, d):
     """Read-only encodings of T^j mod g for every monic irreducible g of
-    degree d (rows, in order) and every j up to the largest degree under
-    _MAX_ENUM.  uint16: the sieve divides by degrees d with q^d <= 2^13."""
-    top = _low_digits(field.q, 1, _MAX_ENUM, _MAX_ENUM)
+    degree d (rows, in order) and every j up to the largest degree within
+    MAX_ENUM.  uint16: the sieve divides by degrees d with q^d <= 2^13."""
+    top = _low_digits(field.q, 1, MAX_ENUM.value, MAX_ENUM.value)
     powers = _power_encodings(field, irreducible_indices(field, d), d,
                               top).astype(np.uint16)
     powers.flags.writeable = False
@@ -429,10 +424,9 @@ def irreducible_indices(field, degree):
         raise UsageError("degree must be >= 1")
     q, p, k = field.q, field.p, field.k
     size = q ** degree
-    if size > _MAX_ENUM:
-        raise UsageError(
-            "degree %d over F%d is beyond enumeration scale; "
-            "use the explicit formula" % (degree, q))
+    check(MAX_ENUM, "sieve of degree %d over F%d (larger degrees are for "
+          "the explicit formula)" % (degree, q), size, "degree",
+          lambda n: q ** n)
     D = _dense_degree(field, degree)
     strides = [p ** _strike_low(field, d, degree) * q ** d
                for d in range(D + 1, degree // 2 + 1)]
@@ -537,8 +531,8 @@ def sieve_count(m, degree):
     expected = sum(1 for p, _ in factorize(m).factors if p.degree == degree)
     if excluded != expected:
         raise IntegrityError(
-            "class accounting failed at degree %d mod %s: %d irreducibles "
-            "landed outside the unit classes, expected %d"
-            % (degree, m, excluded, expected))
+            "class accounting failed at degree %d mod %s over %r: %d "
+            "irreducibles landed outside the unit classes, expected %d"
+            % (degree, format_poly(m), m.field, excluded, expected))
     return CountTable(modulus=m, degree=degree, counts=counts,
                       excluded=excluded)

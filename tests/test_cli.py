@@ -2,6 +2,7 @@ import heapq
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -11,12 +12,14 @@ import pytest
 import ffrace
 from ffrace import cli as cli_mod, explicit, gl2, lfunc
 from ffrace.cli import main
-from ffrace.errors import UsageError
+from ffrace.errors import IntegrityError, UsageError
 from ffrace.explicit import explicit_counter
 from ffrace.field import parse_field
-from ffrace.gl2 import MAX_CERTIFICATES, MAX_STABILIZER_Q
+from ffrace.limits import (MAX_EXACT_WORK, MAX_EXPLICIT_WORK,
+                           MAX_STABILIZER_Q, largest_within)
 from ffrace.polyring import format_poly, parse_poly
 from ffrace.report import generator_power_columns
+from scale_guard import GUARDS
 
 SUBCOMMANDS = ("count", "count-explicit", "lpoly", "relations", "ties-gl2",
                "ties-empirical", "table", "cumulative", "bias")
@@ -108,6 +111,38 @@ def _refuse_work(monkeypatch):
         monkeypatch.setattr(module, name, fail)
 
 
+# a refusal in the one shape of limits.check
+REFUSAL = re.compile(r"error: [^;\n]+: [^;\n]+; the supported limit is "
+                     r"[^;\n]+(; the largest accepted [^;\n]+ is \d+)?\n")
+# the certificate limit is checked after the stabilizer search, ~2 s at
+# F13, and the stabilizer limit after F256's field tables are built, ~0.9 s
+REFUSAL_SECONDS = {
+    ("ties-gl2", "--field", "F13", "--modulus", "T^2+T+2"): 5.0,
+    ("ties-gl2", "--field", "F256", "--modulus", "T+1"): 5.0}
+
+
+def _row_id(guard):
+    """The row's command, field and options: short enough to print whole."""
+    argv = guard.argv
+    return " ".join(a for a, before in zip(argv, ("",) + argv)
+                    if "--modulus" not in (a, before) and a != "--field")
+
+
+@pytest.mark.parametrize("guard", [g for g in GUARDS if g.exit == 1],
+                         ids=_row_id)
+def test_refusal_rows(capsys, monkeypatch, guard):
+    # every refusal row of tests/scale_guard.py, in process: exit 1 before
+    # any count, prime search, audit term or L-polynomial, in the one shape
+    _refuse_work(monkeypatch)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *guard.argv)
+    assert time.perf_counter() - start \
+        < REFUSAL_SECONDS.get(guard.argv, 1.0)
+    assert code == 1 and out == "" and REFUSAL.fullmatch(err), err
+    for fragment in guard.says:
+        assert fragment in err, (fragment, err)
+
+
 def test_count_explicit_breakdown_past_order_limit_fails_fast(capsys):
     # order 255: the audit's order^2 terms per divisor pass MAX_EXACT_WORK,
     # refused before any raw sum is built
@@ -117,7 +152,7 @@ def test_count_explicit_breakdown_past_order_limit_fails_fast(capsys):
                        "--breakdown")
     assert time.perf_counter() - start < 10.0
     assert code == 1 and "order 255" in err
-    assert "limit is %.1e" % lfunc.MAX_EXACT_WORK in err
+    assert "limit is %.1e" % MAX_EXACT_WORK.value in err
     # order 80 still runs at N = 2
     code, out, _ = run(capsys, "count-explicit", "--field", "F3",
                        "--modulus", "T^4+T+2", "--degree", "2",
@@ -130,7 +165,7 @@ def test_breakdown_and_horizon_past_exact_limit_fail_fast(capsys,
     # order 80 at N = 1000 took 17 s and printed 43 MB; order 7 at N = 20000
     # and power sums to n = 100000 would hold GB of exact coordinates
     _refuse_work(monkeypatch)
-    limit = "the supported limit is %.1e" % lfunc.MAX_EXACT_WORK
+    limit = "the supported limit is %.1e" % MAX_EXACT_WORK.value
     for field, modulus, degree in (("F3", "T^4+T+2", 1000),
                                    ("F2", "T^3+T+1", 20000)):
         start = time.perf_counter()
@@ -144,11 +179,11 @@ def test_breakdown_and_horizon_past_exact_limit_fail_fast(capsys,
     code, _, err = run(capsys, "lpoly", "--field", "F3", "--modulus",
                        "T^4+T+2", "--char", "1", "--horizon", "100000")
     assert time.perf_counter() - start < 1.0
-    top = lfunc.largest_within(lambda n: lfunc.power_sum_work(3, 80, 3, n)
-                               <= lfunc.MAX_EXACT_WORK)
+    top = largest_within(lambda n: lfunc.power_sum_work(3, 80, 3, n)
+                         <= MAX_EXACT_WORK.value)
     assert code == 1 and top < 100000, err
-    assert "%s, n = %d for this modulus" % (limit, top) in err
-    assert lfunc.power_sum_work(3, 80, 3, top) <= lfunc.MAX_EXACT_WORK \
+    assert limit in err and "the largest accepted n is %d" % top in err
+    assert lfunc.power_sum_work(3, 80, 3, top) <= MAX_EXACT_WORK.value \
         < lfunc.power_sum_work(3, 80, 3, top + 1)
 
 
@@ -165,15 +200,21 @@ def test_limits_are_priced_without_factoring_large_numbers(capsys,
         code, _, err = run(capsys, "lpoly", "--field", "F2", "--modulus",
                            modulus, "--char", "1", "--horizon", "1")
         assert time.perf_counter() - start < 1.0
-        assert code == 1 and "order %d" % order in err, err
-        assert "limit is 1024" in err
+        assert code == 1 and "order %.1e" % order in err, err
+        assert "limit is order 1024" in err
     start = time.perf_counter()
     code, _, err = run(capsys, "count-explicit", "--field", "F2", "--modulus",
                        "T^3+T+1", "--degree", str(2 ** 61 - 1), "--breakdown")
     assert time.perf_counter() - start < 1.0
-    assert code == 1 and "the supported limit is %.1e, degree %d" \
-        % (explicit.MAX_EXPLICIT_WORK, explicit.max_explicit_degree(2, 7, 3)) \
-        in err, err
+    assert code == 1 and "the supported limit is %.1e cost units; the " \
+        "largest accepted degree is %d" \
+        % (MAX_EXPLICIT_WORK.value, _largest_degree(2, 7, 3)) in err, err
+
+
+def _largest_degree(q, order, deg):
+    """The largest degree of an explicit count within the work limit."""
+    return largest_within(lambda n: explicit.explicit_work(q, order, deg, n)
+                          <= MAX_EXPLICIT_WORK.value)
 
 
 @pytest.mark.parametrize("argv", [
@@ -192,9 +233,9 @@ def test_runs_past_work_limit_fail_fast(capsys, monkeypatch, argv):
     start = time.perf_counter()
     code, _, err = run(capsys, *argv, "--field", "F2", "--modulus", "T^3+T+1")
     assert time.perf_counter() - start < 1.0
-    assert code == 1 and "limit of %.1e cost units together" \
-        % explicit.MAX_EXPLICIT_WORK in err, err
-    assert "accepted up to degree" in err
+    assert code == 1 and "the supported limit is %.1e cost units" \
+        % MAX_EXPLICIT_WORK.value in err, err
+    assert "the largest accepted top degree is" in err
 
 
 def test_run_limit_names_the_largest_top_degree(capsys):
@@ -202,21 +243,21 @@ def test_run_limit_names_the_largest_top_degree(capsys):
     with pytest.raises(UsageError) as refused:
         explicit.check_run_work(m, range(1, 4001))
     message = str(refused.value)
-    assert message.startswith("explicit counts mod T^3+T+1 from degree 1: ")
-    top = int(message.rsplit("accepted up to degree ", 1)[1])
+    assert message.startswith("explicit counts mod T^3+T+1 from degree 1 ")
+    top = int(message.rsplit("the largest accepted top degree is ", 1)[1])
     explicit.check_run_work(m, range(1, top + 1))
     with pytest.raises(UsageError):
         explicit.check_run_work(m, range(1, top + 2))
     # bias sends every degree to the explicit formula; a lone degree past
     # the limit is told the largest degree that count-explicit accepts
-    alone = "alone passes it; the largest degree for this modulus is %d" \
-        % explicit.max_explicit_degree(2, 7, 3)
-    with pytest.raises(UsageError, match="degree 10000000 " + alone):
+    alone = "the largest accepted degree is %d" % _largest_degree(2, 7, 3)
+    with pytest.raises(UsageError, match="explicit count of degree 10000000 "
+                       "mod T.3.T.1: .*; " + alone):
         explicit.check_run_work(m, [10 ** 7], 0)
     # count is a run of one degree
     code, _, err = run(capsys, "count", "--field", "F2", "--modulus",
                        "T^3+T+1", "--degree", "1000000")
-    assert code == 1 and "degree 1000000 " + alone in err, err
+    assert code == 1 and "degree 1000000 " in err and alone in err, err
 
 
 def test_sieve_only_runs_build_no_explicit_counter(capsys, monkeypatch):
@@ -248,8 +289,8 @@ def test_ties_gl2_prices_its_certificates_together(capsys, monkeypatch):
     code, _, err = run(capsys, "ties-gl2", "--field", "F2", "--modulus",
                        "T^3+T+1", "--verify-to", "1800")
     assert time.perf_counter() - start < 1.0
-    assert code == 1 and "accepted up to degree" in err, err
-    top = int(err.rsplit("accepted up to degree ", 1)[1])
+    assert code == 1 and "the largest accepted top degree is" in err, err
+    top = int(err.rsplit("the largest accepted top degree is ", 1)[1])
 
     def merged(n_max):
         return heapq.merge(*(gl2.certificate_degrees(c, n_max)
@@ -266,7 +307,7 @@ def test_table_past_run_limit_fails_fast(capsys, monkeypatch):
         code, _, err = run(capsys, "table", table, "--lo", "1", "--hi",
                            "100000")
         assert time.perf_counter() - start < 1.0
-        assert code == 1 and "accepted up to degree" in err, err
+        assert code == 1 and "the largest accepted top degree is" in err, err
 
 
 def test_count_explicit_past_work_limit_fails_fast(capsys, monkeypatch):
@@ -283,12 +324,12 @@ def test_count_explicit_past_work_limit_fails_fast(capsys, monkeypatch):
                            "--modulus", modulus, "--degree", str(degree))
         assert time.perf_counter() - start < 1.0
         deg = parse_poly(parse_field("F2"), modulus).degree
-        top = explicit.max_explicit_degree(2, order, deg)
+        top = _largest_degree(2, order, deg)
         assert code == 1 and top < degree, err
-        assert "the supported limit is %.1e, degree %d for this modulus" \
-            % (explicit.MAX_EXPLICIT_WORK, top) in err
+        assert "the supported limit is %.1e cost units; the largest " \
+            "accepted degree is %d" % (MAX_EXPLICIT_WORK.value, top) in err
         assert explicit.explicit_work(2, order, deg, top) \
-            <= explicit.MAX_EXPLICIT_WORK \
+            <= MAX_EXPLICIT_WORK.value \
             < explicit.explicit_work(2, order, deg, top + 1)
 
 
@@ -409,7 +450,7 @@ def test_oversized_unit_group_fails_fast(capsys):
     code, _, err = run(capsys, "count", "--field", "F2",
                        "--modulus", "T^12+T^3+1", "--degree", "30")
     assert time.perf_counter() - start < 1.0
-    assert code == 1 and "4095" in err and "limit is 1024" in err
+    assert code == 1 and "4095" in err and "limit is order 1024" in err
 
 
 def test_relations_past_exponent_limit_fails_fast(capsys):
@@ -418,7 +459,8 @@ def test_relations_past_exponent_limit_fails_fast(capsys):
     code, _, err = run(capsys, "relations", "--field", "F2",
                        "--modulus", "T^8+T^4+T^3+T+1")
     assert time.perf_counter() - start < 10.0
-    assert code == 1 and "exponent 255" in err and "limit is 128" in err
+    assert code == 1 and "exponent 255" in err
+    assert "limit is exponent 128" in err
 
 
 def test_integrity_errors_exit_2(capsys, monkeypatch):
@@ -432,6 +474,23 @@ def test_integrity_errors_exit_2(capsys, monkeypatch):
     code, _, err = run(capsys, "relations", "--field", "F2",
                        "--modulus", "T^2")
     assert code == 2 and "consistency" in err
+
+
+def test_failed_certificate_check_exits_2(capsys, monkeypatch):
+    # --verify-to on a certificate whose class map is wrong: every class is
+    # sent to 1, whose counts differ from T's at degree 3
+    certify = cli_mod.certify_ties
+
+    def corrupted(m, *args, **kwargs):
+        cert = certify(m, *args, **kwargs)
+        cert.orbit_map = dict.fromkeys(cert.orbit_map,
+                                       parse_poly(m.field, "1"))
+        return cert
+    monkeypatch.setattr(cli_mod, "certify_ties", corrupted)
+    code, out, err = run(capsys, "ties-gl2", "--field", "F2", "--modulus",
+                         "T^3+T+1", "--residue", "1", "--verify-to", "12")
+    assert code == 2 and out == ""
+    assert "certificate failed empirical check" in err, err
 
 
 def test_seed_only_on_ties_gl2(capsys):
@@ -515,42 +574,18 @@ def test_degree_range_with_non_integer_part_is_usage_error(capsys):
         assert code == 1 and "bad degree range %r" % spec in err, spec
 
 
-def test_oversized_field_fails_before_factoring_q():
-    # q is compared with MAX_Q before it is factored
-    code, _, err = run_subprocess("count", "--field", "F1000000007",
-                                  "--modulus", "T", "--degree", "2")
-    assert code == 1
-    assert "q = 1000000007 exceeds supported bound 256" in err
-
-
-def test_ties_gl2_residue_past_limit_fails_fast():
-    code, _, err = run_subprocess("ties-gl2", "--field", "F2",
-                                  "--modulus", "T^3+T+1",
-                                  "--residue", "100000")
-    assert code == 1 and "residue 100000" in err and "limit" in err
-
-
 def test_ties_gl2_past_field_limit_fails_fast(capsys):
     # stabilizer_search scans all ~q^4 matrices of GL2(F_q): F256 is refused
     # before any matrix is built, F16 (the limit) still runs
     code, out, err = run_subprocess("ties-gl2", "--field", "F256",
                                     "--modulus", "T+1")
     assert code == 1 and out == ""
-    assert "q = 256" in err and "limit is q = %d" % MAX_STABILIZER_Q in err
+    assert "q = 256" in err
+    assert "limit is q = %d" % MAX_STABILIZER_Q.value in err
     code, out, _ = run(capsys, "ties-gl2", "--field",
-                       "F%d" % MAX_STABILIZER_Q, "--modulus", "T+1",
+                       "F%d" % MAX_STABILIZER_Q.value, "--modulus", "T+1",
                        "--residue", "0", "--format", "csv")
     assert code == 0 and len(out.splitlines()) > 1
-
-
-def test_ties_gl2_all_residues_past_certificate_limit_fails_fast():
-    # 336 stabilizers of T^2+T+2/F13 with periods summing to 25,886: refused
-    # before any certificate is built (all of them ran past 300 s)
-    code, out, err = run_subprocess("ties-gl2", "--field", "F13",
-                                    "--modulus", "T^2+T+2")
-    assert code == 1 and out == ""
-    assert "25886 certificates" in err
-    assert "limit is %d" % MAX_CERTIFICATES in err and "--residue" in err
 
 
 def test_exact_counts_past_int_str_digit_cap():

@@ -484,6 +484,16 @@ def test_consistent_corruption_fails_integrality(monkeypatch):
         ExplicitCounter(P(F3, "T^4+T+2")).count(16)
 
 
+def test_counts_off_the_gauss_count_raise(monkeypatch):
+    # exact, nonnegative counts that sum to one less than the Gauss count
+    gauss = explicit.gauss_irreducible_count
+    monkeypatch.setattr(explicit, "gauss_irreducible_count",
+                        lambda q, n: gauss(q, n) + 1)
+    with pytest.raises(IntegrityError, match="explicit counts of degree 30 "
+                       "mod T.3.T.1 over F2 sum to"):
+        ExplicitCounter(P(F2, "T^3+T+1")).count(30)
+
+
 def test_non_primitive_root_of_unity_raises(monkeypatch):
     # omega = 1 on one prime makes every character trivial there: the
     # degree-M character sums of that row no longer vanish

@@ -3,14 +3,15 @@ import random
 import pytest
 
 from ffrace import gl2
-from ffrace.characters import MAX_GROUP_ORDER, unit_group
+from ffrace.characters import unit_group
 from ffrace.errors import IntegrityError, UsageError
 from ffrace.explicit import ExplicitCounter
 from ffrace.field import field_make, parse_field
 from ffrace.gl2 import (Mat2, all_invertible, certify_ties,
-                        find_certificate_violation, first_failed_certificate,
-                        slash_action, stabilizer_period, stabilizer_search,
+                        first_failed_certificate, slash_action,
+                        stabilizer_period, stabilizer_search,
                         verify_certificate_empirically)
+from ffrace.limits import MAX_GROUP_ORDER
 from ffrace.polyring import Poly, enumerate_monic, format_poly, is_irreducible, \
     parse_poly
 from ffrace.sieve import irreducible_indices
@@ -303,9 +304,9 @@ def test_violation_reporting():
     bad = certify_ties(m, Mat2(F2, 0, 1, 1, 0), 1, 0)
     bad.orbit_map = cert.orbit_map
     bad.orbits = cert.orbits
-    viol = find_certificate_violation(bad, 12)
-    assert viol is not None
-    assert find_certificate_violation(cert, 12) is None
+    assert not verify_certificate_empirically(bad, 12)
+    assert verify_certificate_empirically(cert, 12)
+    assert verify_certificate_empirically(cert, 12, sieve_limit=12)
 
 
 def test_certificates_share_one_run_per_kind_of_count(monkeypatch):
@@ -355,9 +356,9 @@ def test_residue_at_group_order_limit_is_usage_error():
     # the period divides the unit-group exponent, at most MAX_GROUP_ORDER, so
     # a residue at the limit is refused before any slash action is built
     m = P(F2, "T^3+T+1")
-    limit = "limit is %d" % (MAX_GROUP_ORDER - 1)
+    limit = "limit is residue %d" % (MAX_GROUP_ORDER.value - 1)
     with pytest.raises(UsageError, match=limit):
-        certify_ties(m, Mat2(F2, 1, 1, 1, 0), 1, MAX_GROUP_ORDER)
+        certify_ties(m, Mat2(F2, 1, 1, 1, 0), 1, MAX_GROUP_ORDER.value)
 
 
 def test_residue_reduced_by_period_keeps_printed_residue():
@@ -429,3 +430,13 @@ def test_definition_check_catches_basis_images_one_degree_off(q, mstr,
     with pytest.raises(IntegrityError,
                        match="disagrees with the slash action"):
         certify_ties(m, B, lam, 5, rng=random.Random(11))
+
+
+def test_class_map_off_the_units_raises(monkeypatch):
+    # zero basis images pass the period check (equal at e and e + N0) and
+    # send every class to 0, which is not a unit
+    m = P(F2, "T^3+T+1")
+    monkeypatch.setattr(gl2, "_basis_images",
+                        lambda m, B, n: [Poly.zero(m.field)] * m.degree)
+    with pytest.raises(IntegrityError, match="left the unit classes at 1$"):
+        certify_ties(m, Mat2(F2, 1, 1, 1, 0), 1, 1)

@@ -5,10 +5,11 @@ import pytest
 
 from group_oracle import unit_pow
 from published_values import TABLE_BY_KEY
-from ffrace.characters import MAX_GROUP_ORDER, unit_group
+from ffrace.characters import unit_group
 from ffrace.errors import UsageError
 from ffrace.field import field_make, parse_field
 from ffrace.gl2 import certify_ties, stabilizer_search
+from ffrace.limits import MAX_PERIOD
 from ffrace.polyring import format_poly, parse_poly
 from ffrace.report import (TABLES, check_cumulative_ties, default_period,
                            detect_tie_patterns, emit_table,
@@ -198,7 +199,8 @@ def test_render_table_roundtrip():
 
 def test_detect_patterns_period_past_group_order_limit_is_usage_error():
     m = P(F2, "T^3+T+1")
-    with pytest.raises(UsageError, match="limit is %d" % MAX_GROUP_ORDER):
-        detect_tie_patterns(m, 3, 10, period=MAX_GROUP_ORDER + 1)
+    with pytest.raises(UsageError,
+                       match="limit is period %d" % MAX_PERIOD.value):
+        detect_tie_patterns(m, 3, 10, period=MAX_PERIOD.value + 1)
     with pytest.raises(UsageError):
         detect_tie_patterns(m, 3, 10, period=0)
