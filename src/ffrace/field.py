@@ -13,7 +13,7 @@ import numpy as np
 from .errors import UsageError
 from .limits import MAX_Q, check
 from .numth import prime_factors
-from .polyring import Poly, enumerate_monic, is_irreducible
+from .polyring import enumerate_monic, is_irreducible
 
 
 @lru_cache(maxsize=None)
@@ -51,24 +51,26 @@ class FieldSpec:
             self._neg = [(-a) % p for a in range(p)]
         else:
             # element e <-> the polynomial over F_p whose coefficients are
-            # the base-p digits of e, reduced mod the canonical modulus
-            Fp = field_make(p)
-            m = Poly(Fp, self.modulus_poly)
-            els = [Poly.from_index(Fp, e) for e in range(q)]
-            self._add = [[(x + y).encode() for y in els] for x in els]
-            self._neg = [(-x).encode() for x in els]
-            self._mul = [[0] * q for _ in range(q)]
-            for a, x in enumerate(els):  # commutative: each product once
-                for b, y in enumerate(els[a:], a):
-                    self._mul[a][b] = self._mul[b][a] = (x * y % m).encode()
-        self._inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self._mul[a][b] == 1:
-                    self._inv[a] = b
-                    break
-            else:
-                raise AssertionError("element %d has no inverse" % a)
+            # the base-p digits of e, reduced mod the canonical modulus:
+            # digit-wise, one row (every sum or product with one element)
+            # at a time
+            place = p ** np.arange(k)
+            digits = np.arange(q)[:, None] // place % p       # (q, k)
+            low = np.array(self.modulus_poly[:k])   # x^k = -low(x)
+            add = np.empty((q, q), dtype=np.int64)
+            mul = np.empty((q, q), dtype=np.int64)
+            for a in range(q):
+                add[a] = (digits[a] + digits) % p @ place
+                # schoolbook products, degree < 2k - 1, top ones folded
+                prod = np.zeros((q, 2 * k - 1), dtype=np.int64)
+                for i in range(k):
+                    prod[:, i:i + k] += digits[a, i] * digits
+                for t in range(2 * k - 2, k - 1, -1):
+                    prod[:, t - k:t] -= prod[:, t, None] % p * low
+                mul[a] = prod[:, :k] % p @ place
+            self._add, self._mul = add.tolist(), mul.tolist()
+            self._neg = (-digits % p @ place).tolist()
+        self._inv = [0] + [row.index(1) for row in self._mul[1:]]
 
     # --- element ops ------------------------------------------------------
     def add(self, a, b):

@@ -321,7 +321,10 @@ def first_failed_certificate(certs, n_max, sieve_limit=None):
     n_max fails, or None.  Their runs are priced together first: each is
     within the run limit where all of them may not be.  Then each distinct
     degree is counted once, in one run of monic and one of non-monic
-    counts (to run_counts' sieve_limit), and every certificate reads those."""
+    counts (to run_counts' sieve_limit), and every certificate reads those:
+    each degree's counts as one array in canonical class order (int64, or
+    object past it), each certificate's class map as the unit indices of
+    its (class, image) pairs."""
     if not certs:
         return None
     m = certs[0].modulus
@@ -331,12 +334,15 @@ def first_failed_certificate(certs, n_max, sieve_limit=None):
     for monic in {c.monic_certified for c in certs}:
         degrees = sorted({N for c in certs if c.monic_certified == monic
                           for N in certificate_degrees(c, n_max)})
-        found[monic] = {N: counts for N, (counts, _source) in run_counts(
-            m, degrees, monic=monic, sieve_limit=sieve_limit)}
+        found[monic] = {N: np.array(list(counts.values()))
+                        for N, (counts, _source) in run_counts(
+                            m, degrees, monic=monic, sieve_limit=sieve_limit)}
+    index = unit_group(m).unit_index
 
     def fails(c):
+        classes, images = index[[[x.encode() for x in c.orbit_map],
+                                 [y.encode() for y in c.orbit_map.values()]]]
         counts = found[c.monic_certified]
-        return any(counts[N][x] != counts[N][img]
-                   for N in certificate_degrees(c, n_max)
-                   for x, img in c.orbit_map.items())
+        return any((counts[N][classes] != counts[N][images]).any()
+                   for N in certificate_degrees(c, n_max))
     return next((c for c in certs if fails(c)), None)

@@ -23,7 +23,8 @@ class Limit:
 
 
 MAX_Q = Limit("field size q", 256, "q = %s",
-              "count at F256, N = 2: 0.99 s, 33 MB (q x q tables)")
+              "count at F256, N = 2: 0.25-0.38 s, 34 MB (q x q tables, "
+              "0.06-0.10 s of it in process)")
 MAX_GROUP_ORDER = Limit("unit-group order Phi(m)", 1024, "order %s",
                         "count-explicit at order 1023, N = 80: 0.4 s, 46 MB")
 MAX_EXPLICIT_WORK = Limit(
@@ -65,11 +66,16 @@ def largest_within(ok, cap=1 << 40):
     return lo
 
 
-def _amount(x):
+def _amount(x, limit=None):
+    """x as a message states it: exact below 10^7, else in two significant
+    digits, or as many more as it takes to read above `limit`."""
     if x < 10 ** 7:
         return "%d" % x
     try:
-        return "%.1e" % x
+        digits = 1
+        while limit is not None and float("%.*e" % (digits, x)) <= limit:
+            digits += 1
+        return "%.*e" % (digits, x)
     except OverflowError:       # an int past the largest float
         return "10^%.1f" % log10(x)
 
@@ -81,7 +87,8 @@ def check(limit, subject, cost, arg=None, price=None, top=None):
     if cost <= limit.value:
         return
     text = "%s: %s; the supported limit is %s" % (
-        subject, limit.unit % _amount(cost), limit.unit % _amount(limit.value))
+        subject, limit.unit % _amount(cost, limit.value),
+        limit.unit % _amount(limit.value))
     if price is not None:
         top = largest_within(lambda n: price(n) <= limit.value)
     if top is not None:

@@ -32,14 +32,27 @@ irreducibles are F_2-linear in the digits of H too, and its low digits
 reach every residue, so each irreducible keeps the same share of low
 values: 0.14 over F2, 0.32 over F4, a little more where the low block
 spans only a prefix of the wheel's slots.  A segment is a whole number of
-the dense pass's blocks and of every degree's shifts.  Both
-passes take the residues of the digits from T^j mod g, walked once per
-field and degree by r -> T r mod g and cached.  Sums of encodings are
-digit-wise mod p: XOR when p = 2, otherwise fold[spread[a] + spread[b]]
-through two small tables.  f mod m is F_p-linear in the digits of f in the
-same way, so the irreducibles are reduced a chunk of digits at a time, by
-lookups in tables over the chunk's digit patterns, and tallied per residue
-a block at a time.
+the dense pass's blocks and of every degree's shifts.  Sums of encodings
+are digit-wise mod p: XOR when p = 2, otherwise fold[spread[a] +
+spread[b]] through two small tables.  f mod m is F_p-linear in the digits
+of f in the same way, so the irreducibles are reduced a chunk of digits at
+a time, by lookups in tables over the chunk's digit patterns, and tallied
+per residue a block at a time.
+
+What is built how often:
+- once per field and degree d of irreducibles: T^j mod g for every g of
+  degree d and every j up to the largest degree the sieve takes, walked by
+  r -> T r mod g (cached with the enumerations);
+- once per field, while the degrees sieved read them (_kept): the residues
+  of every digit of H mod each g (_residues), each strike's table over its
+  low digits of H with the wheel's cut (_strike_low_tables), and the dense
+  pass's packed words of every digit, alive table and spread (_wheel).  An
+  enumeration drops every kept table its degree does not read before it
+  builds any, so another field's go at its first sieve;
+- once per degree: the dense pass's table over its low index digits and
+  each pass's shifts hi, from T^degree and the high digits;
+- once per modulus: the chunk tables of the residues mod m (_chunk_tables),
+  kept until another modulus is tallied.
 """
 
 import math
@@ -81,7 +94,6 @@ def _low_digits(p, count, digits, limit):
     return low
 
 
-@lru_cache(maxsize=8)
 def _spread_fold(p, width):
     """Digit-wise mod-p sums of encodings of `width` base-p digits:
     spread[a] rewrites the digits of a in base 2p - 1, so spread[a] +
@@ -119,33 +131,34 @@ def _power_encodings(field, gs, d, n):
     return powers
 
 
+def _top_degree(field):
+    """The largest degree whose q^N encodings are within MAX_ENUM."""
+    return _low_digits(field.q, 1, MAX_ENUM.value, MAX_ENUM.value)
+
+
 @lru_cache(maxsize=64)
 def _irreducible_powers(field, d):
     """Read-only encodings of T^j mod g for every monic irreducible g of
-    degree d (rows, in order) and every j up to the largest degree within
-    MAX_ENUM.  uint16: the sieve divides by degrees d with q^d <= 2^13."""
-    top = _low_digits(field.q, 1, MAX_ENUM.value, MAX_ENUM.value)
+    degree d (rows, in order) and every j up to _top_degree.  uint16: the
+    sieve divides by degrees d with q^d <= 2^13."""
     powers = _power_encodings(field, irreducible_indices(field, d), d,
-                              top).astype(np.uint16)
+                              _top_degree(field)).astype(np.uint16)
     powers.flags.writeable = False
     return powers
 
 
 def _basis_residues(field, powers, d, sign=-1):
-    """For rows of powers[i, j] = enc(T^(low+j) mod g_i), j = 0..n (g_i of
-    degree d): steps[i, t, c] encodes sign c x^l T^(low+j) mod g_i for digit
-    t = j*k + l of an encoding of degree < n, and const[i] encodes
-    sign T^(low+n) mod g_i."""
+    """For rows of powers[i, j] = enc(T^(low+j) mod g_i) (g_i of degree d):
+    steps[i, t, c] (int32) encodes sign c x^l T^(low+j) mod g_i for digit
+    t = j*k + l of an encoding.  steps[i, j*k, 1] is sign T^(low+j)."""
     q, p, k = field.q, field.p, field.k
     _, mul = field_tables(field)
     place = q ** np.arange(d)
     digits = powers[..., None] // place % q
     # sign c x^l as elements of F_q, shape (k, p)
     scalars = p ** np.arange(k)[:, None] * (sign * np.arange(p) % p)
-    steps = mul[scalars[:, :, None], digits[:, :-1, None, None, :]] @ place
-    const = mul[sign % p][digits[:, -1]] @ place
-    return (steps.reshape(len(powers), -1, p).astype(np.int32),
-            const.astype(np.int32))
+    steps = mul[scalars[:, :, None], digits[:, :, None, None, :]] @ place
+    return steps.reshape(len(powers), -1, p).astype(np.int32)
 
 
 def _span(start, steps, sums):
@@ -165,6 +178,27 @@ def _span(start, steps, sums):
     return table
 
 
+# The degree-independent tables of the sieve (see _passes), by key: those
+# of the degree sieved last.  Each enumeration drops every one its degree
+# does not read, another field's with them, and builds what it lacks.  No
+# lock: a key's tables are a function of the key alone and never change,
+# so threads that race on one build equal tables, and each sieves with
+# the ones it holds whoever drops them from here.
+_kept = {}
+
+
+def _kept_tables(key, build):
+    """_kept[key], built by build() if missing; every array read-only."""
+    tables = _kept.get(key)
+    if tables is None:
+        tables = build()
+        for table in tables:
+            if isinstance(table, np.ndarray):
+                table.flags.writeable = False
+        _kept[key] = tables
+    return tables
+
+
 def _strike_low(field, d, degree):
     """Low digits of H per row of a strike table of degree d: the most with
     p^low times the irreducibles of degree d within _BLOCK indices (even
@@ -173,10 +207,10 @@ def _strike_low(field, d, degree):
                        (degree - d) * field.k, _BLOCK)
 
 
-def _strike_tables(field, powers, d, degree):
+def _strike_tables(field, d, degree, wheel):
     """The tables that strike every multiple of degree `degree` of the monic
-    irreducibles of degree d, all together (powers: their rows of
-    _irreducible_powers).
+    irreducibles of degree d, all together (wheel: the dense pass's kept
+    tables, None without one).
 
     f = H T^d + r is a multiple of g exactly when r = -(H T^d mod g), for
     every monic H of degree e = degree - d; f's index is then
@@ -188,80 +222,128 @@ def _strike_tables(field, powers, d, degree):
     holds only the multiples whose cofactor survives the wheel
     (_restrict), fewer entries per row than offsets.  Returns (stride, lo,
     hi, offsets, sums): offsets enc(H low) q^d per low value where p is odd
-    (XOR adds it into lo when p = 2), sums the spread/fold pair or None."""
-    q, p = field.q, field.p
-    steps, const = _basis_residues(field, powers[:, d:degree + 1], d)
+    (XOR adds it into lo when p = 2), sums the spread/fold pair or None.
+
+    All but hi depend on d and the low digits alone (_residues and
+    _strike_low_tables), and are kept; hi is built here from T^degree and
+    the high digits."""
+    q, p, digits = field.q, field.p, (degree - d) * field.k
+    residues, strike = _strike_keys(field, _dense_degree(field, degree), d,
+                                    degree)
+    *_, low, width = strike
+    steps, = _kept_tables(residues, lambda: _residues(field, d))
+    lo, offsets, sums, cut, wsteps = _kept_tables(
+        strike, lambda: _strike_low_tables(field, d, steps, low, width,
+                                           wheel, degree))
+    hi = _span(steps[:, digits, 1], steps[:, low:digits], sums)
+    if cut is not None:
+        # the shift of _restrict: the low value whose wheel word is the
+        # one of T^degree and the high digits
+        hi ^= _words(cut, _span(wsteps[:, digits, 1], wsteps[:, low:digits],
+                                None))
+    elif sums is not None:
+        hi = sums[0][hi]
+    return p ** low * q ** d, lo, hi.T[:, :, None], offsets, sums
+
+
+def _strike_keys(field, D, d, degree):
+    """The keys of the kept tables of the strike of degree d at this
+    degree: its _residues, and its _strike_low_tables over the low digits
+    of H, cut to `width` digits of the wheel or not (None)."""
     low = _strike_low(field, d, degree)
-    stride = p ** low * q ** d
-    offsets = np.arange(p ** low, dtype=np.int32) * q ** d
-    wheel = _cofactor_wheel(field, degree, low, (degree - d) * field.k)
-    if wheel is not None:
-        lo, hi = _restrict(field, d, degree, wheel, steps, const, low)
-        return stride, lo, hi, offsets, None
-    sums = None if p == 2 else _spread_fold(p, d * field.k)
-    lo = _span(np.zeros(len(powers)), steps[:, :low], sums)
-    hi = _span(const, steps[:, low:], sums).T[:, :, None]
+    width = _cut_width(field, D, low, (degree - d) * field.k)
+    return ("residues", field, d), ("strike", field, d, low, width)
+
+
+def _residues(field, d):
+    """(steps,): the residues of every digit of H up to _top_degree mod the
+    monic irreducibles of degree d, _basis_residues of their powers of T
+    from T^d on.  uint16: below q^d <= 2^13, as the powers."""
+    return (_basis_residues(field, _irreducible_powers(field, d)[:, d:],
+                            d).astype(np.uint16),)
+
+
+def _strike_low_tables(field, d, steps, low, width, wheel, degree):
+    """(lo, offsets, sums, cut, wsteps) of the strike of degree d over `low`
+    low digits of H (see _strike_tables; steps from _residues).  Where the
+    strike keeps the cofactors that survive `width` digits of the wheel,
+    cut is the shift's basis of _restrict and wsteps the steps of the wheel
+    word of f, A and B there; else both None."""
+    p, dk = field.p, d * field.k
+    offsets = np.arange(p ** low, dtype=np.int32) * field.q ** d
+    if width is not None:
+        bits = wheel[0][:, 1] & (1 << width) - 1
+        # each digit of H moves r by its step and f's index by its own digit
+        wsteps = _words(bits[:dk], steps)
+        wsteps[:, :, 1] ^= bits[dk:]
+        lo, cut = _restrict(field, d, steps[:, :low], wsteps[:, :low],
+                            _cofactor_wheel(field, width), degree)
+        return lo, offsets, None, cut, wsteps.astype(np.uint16)
+    sums = None if p == 2 else _spread_fold(p, dk)
+    lo = _span(np.zeros(len(steps)), steps[:, :low], sums)
     if sums is None:
-        lo |= offsets
-    else:
-        spread = sums[0]
-        lo, hi = spread[lo], spread[hi]
-    return stride, lo, hi, offsets, sums
+        return lo | offsets, offsets, None, None, None
+    # spread values, below len(fold): often 16 bits
+    lo = sums[0][lo].astype(np.min_scalar_type(len(sums[1]) - 1))
+    return lo, offsets, sums, None, None
 
 
-@lru_cache(maxsize=8)
-def _wheel_words(field, D, degree):
-    """(bits, const, slots) of the dense pass over degrees <= D at the given
-    degree, for p = 2 (see _wheel_slots): bits[t] (read-only int32) is the
-    packed word of index digit t, const that of T^degree."""
-    packed, const, slots = _wheel_slots(
-        field, [_irreducible_powers(field, j) for j in range(1, D + 1)],
-        degree)
-    bits = packed[:, 1].astype(np.int32)
-    bits.flags.writeable = False
-    return bits, const, tuple(slots)
+def _slots(field, D):
+    """(lowest digit, digits) of the slot of each monic irreducible of
+    degree <= D in the dense pass's packed encoding, in order (lazily)."""
+    width = 0
+    for d in range(1, D + 1):
+        for _ in range(gauss_irreducible_count(field.q, d)):
+            yield width, d * field.k
+            width += d * field.k
 
 
-def _cofactor_wheel(field, degree, low, digits):
-    """(bits, const, alive) of the wheel a strike restricts to, for p = 2
-    after a dense pass, or None: the longest prefix of the dense pass's
-    slots whose digits fit in the strike's `low` digits of H, the low bits
-    of the packed word.  bits[t] is the word of index digit t, const that
-    of T^degree, and alive[w] says whether no slot of the word w is zero.
-    None where the marks the wheel saves per irreducible, over all p^digits
-    values of H, are not more than the p^low entries of its table."""
-    D = _dense_degree(field, degree)
+def _cut_width(field, D, low, digits):
+    """The digits of the wheel a strike with `low` of the `digits` digits
+    of H in its table keeps the surviving cofactors of, or None: p = 2
+    after a dense pass, the longest prefix of the dense pass's slots that
+    fits in the low digits (the low bits of the packed word).  None where
+    the marks the wheel saves per irreducible, over all p^digits values of
+    H, are not more than the p^low entries of its table."""
     if field.p != 2 or not D:
         return None
-    bits, const, slots = _wheel_words(field, D, degree)
-    slots = [(start, w) for start, w in slots if start + w <= low]
-    width = sum(w for _, w in slots)
+    width, live = 0, 1
+    for start, w in _slots(field, D):
+        if start + w > low:
+            break
+        width, live = start + w, live * ((1 << w) - 1)
+    saved = ((1 << width) - live) << (digits - width)
+    return width if 1 << low < saved else None
+
+
+def _cofactor_wheel(field, width):
+    """alive[w]: whether no slot of the wheel word w of `width` digits is
+    zero (p = 2; the slots of _slots within it, all of degree <= width)."""
     words = np.arange(1 << width)
     alive = np.ones(1 << width, dtype=bool)
-    for start, w in slots:
+    for start, w in _slots(field, width):
+        if start + w > width:
+            break
         alive &= words >> start & (1 << w) - 1 != 0
-    saved = ((1 << width) - int(alive.sum())) << (digits - width)
-    if 1 << low >= saved:
-        return None
-    mask = (1 << width) - 1
-    return bits & mask, const & mask, alive
+    return alive
 
 
 def _words(bits, x):
-    """The XOR of bits[t] over every set bit t of x (p = 2)."""
+    """The XOR of bits[..., t] over every set bit t of x (p = 2): one word
+    per bit, or one row of them per row of x."""
     out = np.zeros(np.shape(x), dtype=np.int32)
-    for t, word in enumerate(bits):
-        out ^= (x >> t & 1) * word
+    for t in range(bits.shape[-1]):
+        out ^= (x >> t & 1) * bits[..., t, None]
     return out
 
 
-def _restrict(field, d, degree, wheel, steps, const, low):
-    """The p = 2 strike tables (lo, hi) of _strike_tables (steps, const:
-    the residues of H's digits and of T^degree mod each g) cut to the
-    multiples f = g Q whose cofactor Q survives the wheel, the rule of a
-    wheel sieve (Pritchard, Acta Inf. 17, 1982): g has degree d > D, so f
-    has a factor in the wheel exactly when Q does, and the dense pass has
-    cleared every such f.
+def _restrict(field, d, steps, wsteps, alive, degree):
+    """The p = 2 strike table lo of _strike_tables (steps: the residues of
+    H's low digits mod each g; wsteps: what each moves the wheel word of f
+    by) cut to the multiples f = g Q whose cofactor Q survives the wheel,
+    the rule of a wheel sieve (Pritchard, Acta Inf. 17, 1982): g has degree
+    d > D, so f has a factor in the wheel exactly when Q does, and the
+    dense pass has cleared every such f.
 
     The wheel word of f is F_2-linear in the digits of f's index, so it is
     A[g, s] ^ B[g, b] over the low value s and high value b of H.  The
@@ -271,14 +353,13 @@ def _restrict(field, d, degree, wheel, steps, const, low):
     every row keeps the same m low values S_g = {s : alive[A[g, s]]}, which
     are read through its inverse.  With A[g, s0] = B[g, b], the survivors of
     write b are S_g ^ s0; lo (offsets included) is XOR-linear in s, so the
-    write is lo[g, S_g] ^ hi[b, g] ^ lo[g, s0].  Returns lo[g, S_g] and that
-    shift."""
-    bits, base, alive = wheel
-    n, dk, place = len(steps), d * field.k, field.q ** d
+    write is lo[g, S_g] ^ hi[b, g] ^ lo[g, s0].  Returns lo[g, S_g] and
+    the shift's basis: w -> lo[g, s] of the s < 2^width with A[g, s] = w is
+    XOR-linear, so cut[g, i] = its value at w = 2^i gives every degree's
+    lo[g, s0] (_words).  Nothing checked depends on the degree being
+    sieved (it only names it), so once per table is every time."""
+    n, low, place = len(steps), steps.shape[1], field.q ** d
     width = len(alive).bit_length() - 1
-    # each digit of H moves r by its step and f's index by its own digit
-    wsteps = _words(bits[:dk], steps)
-    wsteps[:, :, 1] ^= bits[dk:]
     zeros, g = np.zeros(n), np.arange(n)[:, None]
 
     def tables(first, last):
@@ -299,12 +380,10 @@ def _restrict(field, d, degree, wheel, steps, const, low):
             "is not rectangular: the low digits of irreducible %d reach %d of "
             "%d wheel words" % (d, degree, field.q, onto.all(axis=1).argmin(),
                                 onto.sum(axis=1).min(), len(alive)))
-    s = preimage[g[:, :, None], words_high[:, :, None] ^ np.flatnonzero(alive)]
-    lo = (lo_high[:, :, None] ^ lo_low[g[:, :, None], s]).reshape(n, -1)
-    hi = _span(const, steps[:, low:], None)
-    words_hi = _span(_words(bits[:dk], const) ^ base, wsteps[:, low:], None)
-    shift = hi ^ lo_low[g, preimage[g, words_hi]]
-    return lo, shift.T[:, :, None]
+    cut = lo_low[g, preimage]
+    lo = lo_high[:, :, None] ^ cut[g[:, :, None], words_high[:, :, None]
+                                   ^ np.flatnonzero(alive)]
+    return lo.reshape(n, -1), cut[:, 1 << np.arange(width)]
 
 
 def _strike(seg, base, tables):
@@ -343,54 +422,53 @@ def _dense_degree(field, degree):
     return D
 
 
-def _wheel_slots(field, powers, degree):
-    """(packed, const, slots) of the irreducibles of degree <= D
-    (powers[d - 1]: the rows of _irreducible_powers of degree d) for an
-    index of the given degree: packed[t, c] encodes -(c x^l T^j mod g) for
-    digit t = j*k + l and every g at once, each g in a slot of deg g base-q
-    digits of one packed encoding, const the same of T^degree, and slots
-    the (lowest digit, digits) of each g, in order."""
-    p, k = field.p, field.k
-    packed = const = width = 0
-    slots = []
-    for d, rows in enumerate(powers, 1):
-        steps, c = _basis_residues(field, rows[:, :degree + 1], d)
-        place = p ** (width + d * k * np.arange(len(rows)))
-        packed = packed + np.tensordot(place, steps, axes=1)
-        const += int(place @ c)
-        slots += [(width + d * k * i, d * k) for i in range(len(rows))]
-        width += len(rows) * d * k
-    return packed, const, slots
+def _wheel(field, D):
+    """(packed, alive, spread, sums): the degree-independent tables of the
+    dense pass over the degrees <= D (see _presieve_tables).  packed[t, c]
+    encodes -(c x^l T^j mod g) for digit t = j*k + l up to _top_degree and
+    every g at once, each g in its slot of _slots; alive over the spread
+    sums of packed encodings; sums None when p = 2."""
+    p = field.p
+    slots = list(_slots(field, D))
+    packed = 0
+    for d in range(1, D + 1):
+        rows = _irreducible_powers(field, d)
+        place = p ** np.array([start for start, w in slots if w == d * field.k])
+        packed = packed + np.tensordot(
+            place, _basis_residues(field, rows, d), axes=1)
+    spread, fold = _spread_fold(p, sum(w for _, w in slots))
+    sums = None if p == 2 else (spread, fold)
+    alive = np.ones(len(fold), dtype=bool)
+    for start, w in slots:
+        alive &= fold // p ** start % p ** w != 0
+    return packed, alive, spread, sums
 
 
-def _presieve_tables(field, powers, degree):
+def _presieve_tables(field, D, degree):
     """The tables of the dense pass that leaves True at the index of every
-    monic f of the given degree that no irreducible of degree <= D divides
-    (powers[d - 1]: the rows of _irreducible_powers of degree d).  The
-    wheel of a wheel sieve.
+    monic f of the given degree that no irreducible of degree <= D divides.
+    The wheel of a wheel sieve.
 
     -(f mod g) is F_p-linear in the base-p digits of f's index, plus
     -(T^degree mod g).  Each g owns a slot of deg g base-q digits in one
-    packed encoding (_wheel_slots), so the residues of every g add as one
+    packed encoding (_wheel), so the residues of every g add as one
     encoding, digit-wise mod p.  A block of p^L indices is a table over its
     L low digits plus one packed value over the high digits.  In spread
     form (base 2p - 1 digits, see _spread_fold) that sum carries nothing,
     so one boolean table over spread sums says whether no slot is zero, and
     a block is one gather from that table, offset by the block's high
-    value.  Returns (block, lo, hi, alive)."""
+    value.  The packed encodings of every digit, that table and spread
+    depend on D alone (_wheel) and are kept; the low table, as large as a
+    block, and the high values are built here.  Returns ((block, lo, hi,
+    alive), the kept tables)."""
     p, k = field.p, field.k
-    packed, const, slots = _wheel_slots(field, powers, degree)
-    # not cached: up to _BLOCK entries, read by this enumeration alone
-    spread, fold = sums = _spread_fold.__wrapped__(
-        p, sum(w for _, w in slots))
-    sums = None if p == 2 else sums
     low = _low_digits(p, 1, degree * k, _BLOCK)
+    wheel = packed, alive, spread, sums = _kept_tables(
+        ("dense", field, D), lambda: _wheel(field, D))
     lo = spread[_span([0], packed[None, :low], sums)[0]].astype(np.intp)
-    hi = spread[_span([const], packed[None, low:], sums)[0]].tolist()
-    alive = np.ones(len(fold), dtype=bool)
-    for start, w in slots:
-        alive &= fold // p ** start % p ** w != 0
-    return p ** low, lo, hi, alive
+    hi = spread[_span([packed[degree * k, 1]], packed[None, low:degree * k],
+                      sums)[0]].tolist()
+    return (p ** low, lo, hi, alive), wheel
 
 
 def _presieve(seg, base, tables):
@@ -405,15 +483,26 @@ def _presieve(seg, base, tables):
 
 def _passes(field, D, degree):
     """(fill, tables) of each pass over a segment, in order: the dense pass
-    over degrees 1..D if D, then one strike per degree up to degree/2, each
-    one's tables built as it is reached."""
+    over degrees 1..D if D, then one strike per degree up to degree/2,
+    each one's tables built as it is reached.  Their degree-independent
+    parts are kept (_kept) under keys of what they depend on; every kept
+    table this degree does not read is dropped before any is built."""
+    for d in range(1, degree // 2 + 1):
+        irreducible_indices(field, d)   # its sieve would drop this one's
+    reads = {key for d in range(D + 1, degree // 2 + 1)
+             for key in _strike_keys(field, D, d, degree)}
     if D:
-        yield _presieve, _presieve_tables(
-            field, [_irreducible_powers(field, d) for d in range(1, D + 1)],
-            degree)
+        reads.add(("dense", field, D))
+    for key in list(_kept):
+        if key not in reads:
+            _kept.pop(key, None)
+    wheel = None
+    if D:
+        tables, wheel = _presieve_tables(field, D, degree)
+        yield _presieve, tables
+        del tables
     for d in range(D + 1, degree // 2 + 1):
-        yield _strike, _strike_tables(field, _irreducible_powers(field, d), d,
-                                      degree)
+        yield _strike, _strike_tables(field, d, degree, wheel)
 
 
 @lru_cache(maxsize=64)
@@ -464,38 +553,76 @@ def irreducible_indices(field, degree):
     return out
 
 
+# The chunk tables of the modulus tallied last (_chunk_tables), by modulus:
+# a tuple, replaced whole when it grows, so threads never see it half built.
+_chunks = {}
+
+
+def _chunk_digits(p):
+    """Base-p digits per chunk of _tally_mod: a table of 2^_CHUNK_BITS
+    entries at most."""
+    return max(1, int(_CHUNK_BITS / math.log2(p)))
+
+
+def _chunk_tables(m, count):
+    """The first `count` chunk tables of _tally_mod for the modulus m and
+    the spread/fold pair (None when p = 2).  Chunk c holds the residues mod
+    m of every pattern of the digits [c w, (c + 1) w) of an encoding, up to
+    _top_degree: none depends on the degree tallied.  They are built as
+    first read and kept for m, and a tally mod another modulus drops them."""
+    field = m.field
+    p = field.p
+    kept = _chunks.get(m)
+    if kept:
+        steps, sums, tables = kept
+    else:
+        powers = _power_encodings(field, np.array([m.monic().encode()]),
+                                  m.degree, _top_degree(field))
+        steps = _basis_residues(field, powers, m.degree, sign=1)
+        sums = None if p == 2 else _spread_fold(p, m.degree * field.k)
+        tables = ()
+    width = _chunk_digits(p)
+    for c in range(len(tables), count):
+        table = _span([0], steps[:, c * width:(c + 1) * width], sums)[0]
+        if sums is not None and c:
+            table = sums[0][table]      # spread: below len(fold)
+            table = table.astype(np.min_scalar_type(len(sums[1]) - 1))
+        else:
+            table = table.astype(np.min_scalar_type(field.q ** m.degree - 1))
+        table.flags.writeable = False
+        tables += (table,)
+    _chunks.clear()                     # one modulus at a time
+    _chunks[m] = steps, sums, tables
+    return tables[:count], sums
+
+
 def _tally_mod(m, idx, degree):
     """tally[r]: how many of the encoded f in idx (deg f <= degree) reduce
     mod m to the residue encoded r.
 
     Digit t = i*k + j of the base-p encoding is the x^j-coordinate of the T^i
     coefficient.  A chunk's table holds the residues of all its digit
-    patterns; lookups are added digit-wise mod p (XOR when p = 2, spread/fold
-    otherwise), and the residues are tallied a block of idx at a time."""
-    field = m.field
-    p = field.p
-    sums = None if p == 2 else _spread_fold(p, m.degree * field.k)
-    width = max(1, int(_CHUNK_BITS / math.log2(p)))
-    n_digits = (degree + 1) * field.k
-    powers = _power_encodings(field, np.array([m.monic().encode()]),
-                              m.degree, degree + 1)
-    steps, _ = _basis_residues(field, powers, m.degree, sign=1)
-    tables = [_span([0], steps[:, lo:lo + width], sums)[0]
-              for lo in range(0, n_digits, width)]
+    patterns (_chunk_tables, built once per modulus); lookups are added
+    digit-wise mod p (XOR when p = 2, spread/fold otherwise), and the
+    residues are tallied a block of idx at a time."""
+    p = m.field.p
+    width = _chunk_digits(p)
+    tables, sums = _chunk_tables(m, -(-(degree + 1) * m.field.k // width))
     if sums is not None:
         spread, fold = sums
-        tables[1:] = [spread[table] for table in tables[1:]]
     chunk = p ** width
-    tally = np.zeros(field.q ** m.degree, dtype=np.int64)
+    tally = np.zeros(m.field.q ** m.degree, dtype=np.int64)
     for start in range(0, len(idx), _BLOCK):
+        # digits - high * chunk: numpy's % takes several times as long
         digits = idx[start:start + _BLOCK]
-        acc = tables[0][digits % chunk]
+        high = digits // chunk
+        acc = tables[0][digits - high * chunk]
         for table in tables[1:]:
-            digits = digits // chunk
+            digits, high = high, high // chunk
             if sums is None:
-                acc ^= table[digits % chunk]
+                acc ^= table[digits - high * chunk]
             else:
-                acc = fold[spread[acc] + table[digits % chunk]]
+                acc = fold[spread[acc] + table[digits - high * chunk]]
         tally += np.bincount(acc, minlength=len(tally))
     return tally
 

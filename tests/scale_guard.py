@@ -98,8 +98,14 @@ GUARDS = (
           "and degree"),
     Guard(("ties-gl2", "--field", "F256", "--modulus", "T+1"), 10, 1,
           "the stabilizer search scans all ~q^4 matrices of GL2(F_q), hours "
-          "at F256: refused past MAX_STABILIZER_Q",
+          "at F256: refused past MAX_STABILIZER_Q, after F256's tables "
+          "(0.25-0.34 s cold)",
           says=("q = 256", "the supported limit is q = 16")),
+    Guard(("count", "--field", "F256", "--modulus", "T+1", "--degree", "2"),
+          3, 0,
+          "MAX_Q's measurement, the largest field: 0.25-0.38 s and 34 MB "
+          "cold with its tables built digit-wise, 0.99 s with q^2/2 "
+          "polynomial products"),
     Guard(("count", "--field", "F3", "--modulus", "T^2+1",
            "--degree", "14"), 10, 0,
           "odd-q enumeration at the top of the sieve's range: about 0.55 s "

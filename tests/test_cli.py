@@ -115,10 +115,10 @@ def _refuse_work(monkeypatch):
 REFUSAL = re.compile(r"error: [^;\n]+: [^;\n]+; the supported limit is "
                      r"[^;\n]+(; the largest accepted [^;\n]+ is \d+)?\n")
 # the certificate limit is checked after the stabilizer search, ~2 s at
-# F13, and the stabilizer limit after F256's field tables are built, ~0.9 s
+# F13; the stabilizer limit after F256's field tables are built, 0.06-0.10
+# s in process, within the default second
 REFUSAL_SECONDS = {
-    ("ties-gl2", "--field", "F13", "--modulus", "T^2+T+2"): 5.0,
-    ("ties-gl2", "--field", "F256", "--modulus", "T+1"): 5.0}
+    ("ties-gl2", "--field", "F13", "--modulus", "T^2+T+2"): 5.0}
 
 
 def _row_id(guard):
@@ -236,6 +236,17 @@ def test_runs_past_work_limit_fail_fast(capsys, monkeypatch, argv):
     assert code == 1 and "the supported limit is %.1e cost units" \
         % MAX_EXPLICIT_WORK.value in err, err
     assert "the largest accepted top degree is" in err
+
+
+def test_run_refusal_states_a_cost_above_its_limit(capsys, monkeypatch):
+    # the run's cost to its first degree past the limit is 3.6e+09 in two
+    # digits, as the limit is: it takes as many more as read above it
+    _refuse_work(monkeypatch)
+    code, _, err = run(capsys, "cumulative", "--field", "F2", "--modulus",
+                       "T^3+T+1", "--max-degree", "100000")
+    assert code == 1 and "from degree 1 to 1834: 3.603e+09 cost units; the " \
+        "supported limit is %.1e cost units; the largest accepted top " \
+        "degree is 1833" % MAX_EXPLICIT_WORK.value in err, err
 
 
 def test_run_limit_names_the_largest_top_degree(capsys):

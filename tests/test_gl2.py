@@ -440,3 +440,50 @@ def test_class_map_off_the_units_raises(monkeypatch):
                         lambda m, B, n: [Poly.zero(m.field)] * m.degree)
     with pytest.raises(IntegrityError, match="left the unit classes at 1$"):
         certify_ties(m, Mat2(F2, 1, 1, 1, 0), 1, 1)
+
+
+def test_stabilizer_with_a_non_unit_denominator_raises():
+    # cT + d = T shares its factor T with T^2, so it has no order mod m
+    with pytest.raises(IntegrityError, match=r"cT\+d is not a unit mod m"):
+        stabilizer_period(P(F2, "T^2"), Mat2(F2, 0, 1, 1, 0))
+
+
+def test_class_map_that_is_not_a_permutation_raises(monkeypatch):
+    # the second class sent where the first goes: every image is a unit,
+    # but two classes share one.  The walk along its cycles would never
+    # close: it must not be reached
+    times = gl2._times
+
+    def merged(X, W, add, mul):
+        out = times(X, W, add, mul)
+        out[1] = out[0]
+        return out
+
+    monkeypatch.setattr(gl2, "_times", merged)
+    monkeypatch.setattr(gl2, "_cycles", lambda perm: pytest.fail("walked"))
+    with pytest.raises(IntegrityError, match="is not a permutation$"):
+        certify_ties(P(F2, "T^3+T+1"), Mat2(F2, 1, 1, 1, 0), 1, 1)
+
+
+@pytest.mark.parametrize("sieve_limit", [None, 0])
+def test_one_corrupt_degree_fails_its_certificate(monkeypatch, sieve_limit):
+    # a count raised by one in one class at one degree of the certificate's
+    # residue class, sieved (to 12) or explicit, is caught there
+    m = P(F2, "T^3+T+1")
+    certs = [certify_ties(m, B, lam, 1) for B, lam in stabilizer_search(m)]
+    cert = next(c for c in certs if any(x != y for x, y in
+                                        c.orbit_map.items()))
+    moved = next(x for x, y in cert.orbit_map.items() if x != y)
+    degrees = list(gl2.certificate_degrees(cert, 20))
+    assert first_failed_certificate(certs, 20, sieve_limit) is None
+    run = gl2.run_counts
+    for bad in (degrees[1], degrees[-1]):
+        def corrupt(m, degrees, **kw):
+            for n, (found, source) in run(m, degrees, **kw):
+                if n == bad:
+                    found = dict(found)
+                    found[moved] += 1
+                yield n, (found, source)
+
+        monkeypatch.setattr(gl2, "run_counts", corrupt)
+        assert first_failed_certificate(certs, 20, sieve_limit) is cert

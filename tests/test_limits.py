@@ -2,7 +2,8 @@ import pytest
 
 from ffrace.errors import UsageError
 from ffrace.field import field_make
-from ffrace.limits import MAX_ENUM, MAX_GROUP_ORDER, check, largest_within
+from ffrace.limits import (MAX_ENUM, MAX_GROUP_ORDER, Limit, check,
+                           largest_within)
 from ffrace.sieve import irreducible_indices
 
 
@@ -23,6 +24,13 @@ def test_check_accepts_the_limit_and_refuses_past_it():
         check(MAX_GROUP_ORDER, "unit group mod T", 4095, "top", top=7)
     assert str(refused.value) == "unit group mod T: order 4095; the " \
         "supported limit is order 1024; the largest accepted top is 7"
+    # a cost that rounds to the limit takes the digits that tell them apart
+    for cost, says in ((3600000001, "3.600000001e+09"),
+                       (3610000000, "3.61e+09"), (3700000000, "3.7e+09")):
+        with pytest.raises(UsageError) as refused:
+            check(Limit("work", 36 * 10 ** 8, "%s units", ""), "run", cost)
+        assert str(refused.value) == "run: %s units; the supported limit " \
+            "is 3.6e+09 units" % says
 
 
 def test_refusal_past_a_float_names_the_largest_degree():

@@ -1,5 +1,7 @@
 import random
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -218,6 +220,90 @@ def test_enumeration_across_segments_matches_product_oracle(monkeypatch):
         assert restricted == cut, (name, block)
 
 
+def _kept_fields():
+    return {key[1] for key in sieve._kept}
+
+
+def test_enumeration_in_any_degree_order_matches_ascending(fresh_tables):
+    # The kept tables serve the next enumeration whatever its degree and
+    # field: descending within a field, and interleaved across fields so
+    # that every step may switch field, past each field's dense pass (F2
+    # from 16, cut strikes at 17; F3 from 11; F4 from 8, cut at 9)
+    tops = {"F2": 17, "F3": 11, "F4": 9}
+    ref = {}
+    for name, top in tops.items():
+        field, found = parse_field(name), {}
+        for N in range(1, top + 1):
+            found[N] = irreducible_indices_by_products(field, N,
+                                                       found.__getitem__)
+            irreducible_indices(field, N)       # lower degrees, cached
+            ref[name, N] = found[N]
+    descending = [(name, N) for name, top in tops.items()
+                  for N in range(top, 0, -1)]
+    interleaved = sorted(ref, key=lambda job: (-job[1], job[0]))
+    shuffled = list(ref)
+    random.Random(3).shuffle(shuffled)
+    for order in (descending, interleaved, shuffled):
+        sieve._kept.clear()
+        for name, N in order:
+            field = parse_field(name)
+            assert np.array_equal(irreducible_indices.__wrapped__(field, N),
+                                  ref[name, N]), (name, N)
+            assert _kept_fields() <= {field}
+
+
+def test_kept_tables_are_read_only_and_dropped_when_unread(fresh_tables):
+    # F2 N = 20 keeps its dense pass and strikes (cut to the wheel), F5
+    # N = 9 odd-p ones with their spread/fold sums; every array is
+    # read-only, and each enumeration keeps only what its degree reads
+    F5_ = parse_field("F5")
+    irreducible_indices.__wrapped__(F2, 20)
+    assert {key[0] for key in sieve._kept} == {"dense", "residues", "strike"}
+    assert any(key[-1] is not None for key in sieve._kept
+               if key[0] == "strike")
+    assert _kept_fields() == {F2}
+    arrays = []
+    irreducible_indices.__wrapped__(F5_, 9)
+    assert _kept_fields() == {F5_}           # F2's are gone
+    for name, N in (("F5", 9), ("F2", 20)):
+        irreducible_indices.__wrapped__(parse_field(name), N)
+        for tables in sieve._kept.values():
+            for table in tables:
+                for array in (table if isinstance(table, tuple) else
+                              (table,)):
+                    if isinstance(array, np.ndarray):
+                        arrays.append(array)
+    assert len(arrays) > 20
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array.flat[0] = 0
+    # a degree reads the strikes of degrees up to half of it
+    irreducible_indices.__wrapped__(F2, 8)
+    assert {(key[0], key[2]) for key in sieve._kept} == {
+        (kind, d) for d in range(1, 5) for kind in ("residues", "strike")}
+
+
+def test_tally_tables_are_kept_for_one_modulus():
+    # the chunk tables of the last modulus tallied serve every degree of it
+    # (N = 20 reads 21 digits, two chunks; N = 9 the first), and go when
+    # another modulus is tallied
+    m, other = P(F2, "T^3+T+1"), P(F3, "T^2+1")
+
+    def by_divmod(N):
+        return np.bincount([(Poly.from_index(F2, int(f)) % m).encode()
+                            for f in irreducible_indices(F2, N)],
+                           minlength=8)
+    for N in (9, 20, 4, 9):
+        tally = sieve._class_tally.__wrapped__(m, N)
+        assert N == 20 or np.array_equal(tally, by_divmod(N)), N
+        assert list(sieve._chunks) == [m]
+    _steps, _sums, tables = sieve._chunks[m]
+    assert len(tables) == 2 and not tables[1].flags.writeable
+    sieve._class_tally.__wrapped__(other, 5)
+    assert list(sieve._chunks) == [other]
+
+
 def test_enumeration_peak_memory_stays_below_a_bitmap():
     # a bitmap of every f of degree N would hold q^N bytes by itself; the
     # segmented sieve holds the int32 output (2.8 and 5.6 MB here), one
@@ -237,39 +323,50 @@ def test_enumeration_peak_memory_stays_below_a_bitmap():
         assert peak < field.q ** N, (name, peak)
 
 
-def test_dropped_marks_fail_the_gauss_count(monkeypatch):
+@pytest.fixture
+def fresh_tables():
+    """No kept sieve table before the test, and none it built after it: a
+    test that corrupts what the tables are built from reaches its guard
+    whatever ran before it, and leaves nothing corrupt behind."""
+    sieve._kept.clear()
+    yield
+    sieve._kept.clear()
+
+
+def test_dropped_marks_fail_the_gauss_count(monkeypatch, fresh_tables):
+    # F3 N = 6 strikes degrees 1 to 3, the first without the rows of T
     field = F3
     for d in range(1, 4):
         irreducible_indices(field, d)      # cached before the patch
-    strike_tables = sieve._strike_tables
-
-    def drop_first(field, powers, d, degree):
-        return strike_tables(field, powers[1:] if d == 1 else powers, d,
-                             degree)
-
-    monkeypatch.setattr(sieve, "_strike_tables", drop_first)
+    powers = sieve._irreducible_powers
+    monkeypatch.setattr(sieve, "_irreducible_powers",
+                        lambda field, d: powers(field, d)[d == 1:])
     with pytest.raises(IntegrityError, match="degree 6 over F3"):
         irreducible_indices.__wrapped__(field, 6)
 
 
-def test_dropped_dense_slot_fails_the_gauss_count(monkeypatch):
-    # F3 N = 11 is past the dense pass's gate: it clears degree 1 alone
+def test_dropped_dense_slot_fails_the_gauss_count(monkeypatch, fresh_tables):
+    # F3 N = 11 is past the dense pass's gate: it clears degree 1 alone,
+    # and with T + 1's residues in the slot of T the multiples of T survive
     field = F3
     for d in range(1, 6):
         irreducible_indices(field, d)      # cached before the patch
-    presieve_tables, calls = sieve._presieve_tables, []
+    powers, calls = sieve._irreducible_powers, []
 
-    def drop_first(field, powers, degree):
-        calls.append(len(powers))
-        return presieve_tables(field, [powers[0][1:]] + powers[1:], degree)
+    def t_plus_1_for_t(field, d):
+        calls.append(d)
+        rows = powers(field, d)
+        return rows[[1, 1, 2]] if d == 1 else rows
 
-    monkeypatch.setattr(sieve, "_presieve_tables", drop_first)
-    with pytest.raises(IntegrityError, match="degree 11 over F3"):
+    monkeypatch.setattr(sieve, "_irreducible_powers", t_plus_1_for_t)
+    with pytest.raises(IntegrityError,
+                       match="degree 11 over F3 exceeds the Mobius"):
         irreducible_indices.__wrapped__(field, 11)
-    assert calls == [1]
+    assert calls == [1, 2, 3, 4, 5]
 
 
-def test_wheel_restriction_checks_every_row_spans_the_wheel(monkeypatch):
+def test_wheel_restriction_checks_every_row_spans_the_wheel(monkeypatch,
+                                                            fresh_tables):
     # F2 N = 20 strikes degree 4 in 4 writes, cut to the cofactors that
     # survive the wheel.  With the second irreducible's row replaced by the
     # residues of T^4 + T = T (T + 1) (T^2 + T + 1), every multiple of it
@@ -296,7 +393,8 @@ def test_wheel_restriction_checks_every_row_spans_the_wheel(monkeypatch):
         irreducible_indices.__wrapped__(field, 20)
 
 
-def test_dead_live_wheel_word_fails_the_gauss_count(monkeypatch):
+def test_dead_live_wheel_word_fails_the_gauss_count(monkeypatch,
+                                                    fresh_tables):
     # A wheel that marks one live cofactor word dead skips real multiples:
     # the composites of that word survive every strike of F2 N = 20 (all
     # of degrees 4..10 are cut), and the surplus must raise
@@ -305,15 +403,11 @@ def test_dead_live_wheel_word_fails_the_gauss_count(monkeypatch):
         irreducible_indices(field, d)      # cached before the patch
     cofactor_wheel, cut = sieve._cofactor_wheel, []
 
-    def one_word_dead(field, degree, low, digits):
-        wheel = cofactor_wheel(field, degree, low, digits)
-        if wheel is not None:
-            bits, const, alive = wheel
-            alive = alive.copy()
-            alive[np.flatnonzero(alive)[0]] = False
-            wheel = bits, const, alive
-            cut.append(len(alive))
-        return wheel
+    def one_word_dead(field, width):
+        alive = cofactor_wheel(field, width).copy()
+        alive[np.flatnonzero(alive)[0]] = False
+        cut.append(len(alive))
+        return alive
 
     monkeypatch.setattr(sieve, "_cofactor_wheel", one_word_dead)
     with pytest.raises(IntegrityError,
@@ -483,3 +577,31 @@ def test_usage_errors():
         sieve_count(P(F2, "1"), 3)
     with pytest.raises(UsageError):
         irreducible_indices(F3, 25)   # beyond enumeration scale
+
+
+def test_concurrent_enumerations_and_tallies_match_serial():
+    # threads that sieve several fields and degrees and tally several
+    # moduli at once share the kept tables and the chunk tables: each must
+    # read tables built for its own key, whoever else drops or grows them
+    jobs = [(name, N) for name, top in (("F2", 18), ("F3", 11), ("F4", 9))
+            for N in range(top // 2, top + 1)]
+    serial = {job: irreducible_indices(parse_field(job[0]), job[1])
+              for job in jobs}
+    moduli = [P(F2, "T^3+T+1"), P(F2, "T^2"), P(F3, "T^2+1")]
+    tallies = [(m, N) for m in moduli for N in range(4, 12)]
+    want = {job: sieve._class_tally(*job) for job in tallies}
+
+    def run(job):
+        if isinstance(job[0], str):
+            return np.array_equal(irreducible_indices.__wrapped__(
+                parse_field(job[0]), job[1]), serial[job])
+        return np.array_equal(sieve._class_tally.__wrapped__(*job),
+                              want[job])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            assert all(pool.map(run, 3 * (jobs + tallies + jobs[::-1]),
+                                timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
