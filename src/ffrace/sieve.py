@@ -433,7 +433,8 @@ def _wheel(field, D):
     packed = 0
     for d in range(1, D + 1):
         rows = _irreducible_powers(field, d)
-        place = p ** np.array([start for start, w in slots if w == d * field.k])
+        starts = [start for start, w in slots if w == d * field.k]
+        place = p ** np.array(starts)
         packed = packed + np.tensordot(
             place, _basis_residues(field, rows, d), axes=1)
     spread, fold = _spread_fold(p, sum(w for _, w in slots))
@@ -488,7 +489,7 @@ def _passes(field, D, degree):
     parts are kept (_kept) under keys of what they depend on; every kept
     table this degree does not read is dropped before any is built."""
     for d in range(1, degree // 2 + 1):
-        irreducible_indices(field, d)   # its sieve would drop this one's
+        irreducible_indices(field, d)   # first: its sieve drops our tables
     reads = {key for d in range(D + 1, degree // 2 + 1)
              for key in _strike_keys(field, D, d, degree)}
     if D:
