@@ -1,14 +1,11 @@
 """The unit group (F_q[T]/m)^x and its Dirichlet characters.
 
-Generators are found by subgroup peeling: repeatedly take the
-canonically-smallest residue of maximal order in the current quotient, correct
-it by an element of the subgroup built so far until its order equals its
-quotient order, and extend.  This yields invariant factors d_1 | d_2 | ... |
-d_r with d_r = exponent(group).  No element is stepped through its powers:
-the exponent is read off the factorization of m, an element's order is found
-by peeling the primes of the exponent (a^(t/p) = 1?) and its quotient order,
-which divides that order, by peeling the primes again (a^(t/p) in the
-subgroup?), each test one modular power.
+Generators are found by subgroup peeling: repeatedly take the first unit of
+maximal order in the current quotient, correct it by an element of the
+subgroup built so far until its order equals its quotient order, and extend,
+for invariant factors d_1 | ... | d_r = exponent(group).  It runs on arrays
+of digit rows (polyring.ResidueRing): the quotient orders of a block of units
+by peeling the primes of a bound at once, the subgroup grown by doubling.
 
 Units and characters are positions in one row-major grid over the invariant
 factors (the dual group has the same ones): units[i] sits at the position
@@ -23,10 +20,9 @@ from math import gcd, lcm
 import numpy as np
 
 from .errors import UsageError
-from .field import field_tables
 from .limits import MAX_GROUP_ORDER, check
 from .numth import prime_factors
-from .polyring import Poly, enumerate_monic, factorize, format_poly, powmod
+from .polyring import Poly, ResidueRing, factorize, format_poly
 
 
 def group_order(m):
@@ -62,132 +58,120 @@ class UnitGroup:
         check(MAX_GROUP_ORDER, "unit group mod %s" % format_poly(modulus),
               order)
         self.modulus = modulus
-        self.field = modulus.field
-        self.deg = modulus.degree
-        units = [Poly.from_index(self.field, i)
-                 for i in range(self.field.q ** self.deg)]
-        # a unit is a residue that no prime factor of m divides
-        primes = [P for P, _e in factorize(modulus).factors]
-        units = [u for u in units if all(u % P for P in primes)]
-        units.sort(key=lambda u: u.sort_key())
-        self.units = tuple(units)
-        self.order = len(units)
+        self.field = F = modulus.field
+        self.deg = M = modulus.degree
+        ring = self.ring = ResidueRing(modulus)
+        # a unit is a residue that no prime factor P of m divides: whose
+        # product with m / P is not 0
+        residues = ring.digits(np.arange(F.q ** M))
+        unit = np.ones(len(residues), dtype=bool)
+        for P, _e in factorize(modulus).factors:
+            unit &= ring.times(residues, ring.digits((modulus // P).encode())
+                               ).any(axis=1)
+        codes = np.flatnonzero(unit)
+        self.units = tuple(Poly(F, row) for row in (
+            codes[:, None] // F.q ** np.arange(M) % F.q).tolist())
+        self.order = len(codes)
         assert self.order == order, "unit count differs from Phi(m)"
-        self._build_generators()
-        self._build_monic_classes()
+        self._build_generators(residues[codes])
+        # unit_index: the unit index of every residue encoding, -1 off the
+        # units; monic_classes[n] = those of the monic f of degree n prime to
+        # m, n <= M, in encoding order; T^M + r mod m = (T^M mod m) + r
+        self.unit_index = np.where(unit, np.cumsum(unit) - 1, -1)
+        self.unit_index.setflags(write=False)
+        top = ring.digits((Poly.T(F) ** M % modulus).encode())
+        top = self.unit_index[ring.codes((residues + top) % ring.p)]
+        self.monic_classes = tuple(
+            ix[ix >= 0] for ix in [self.unit_index[F.q ** n:2 * F.q ** n]
+                                   for n in range(M)] + [top])
+        for ix in self.monic_classes:
+            ix.setflags(write=False)
 
     # --- construction -------------------------------------------------------
-    def _mul(self, a, b):
-        return (a * b) % self.modulus
-
-    def _peel(self, a, t, holds):
-        """Least s with holds(a^s), given holds(a^t), where the s with
-        holds(a^s) are the multiples of one number (a^s = 1, or a^s in a
-        subgroup), so that number divides t: divide t by each prime p while
-        holds(a^(t/p))."""
+    def _orders(self, X, t, inside):
+        """Least s with inside(x^s) for every row x of X, given s | t and a
+        subgroup inside(codes): for each p^v || t, p divides s once for each
+        i < v with x^(t p^i / p^v) outside."""
+        ring, X = self.ring, np.atleast_2d(X)
+        out = np.ones(len(X), dtype=np.int64)
         for p in prime_factors(t):
-            while t % p == 0 and holds(powmod(a, t // p, self.modulus)):
-                t //= p
-        return t
+            pv = gcd(t, p ** t.bit_length())  # the p-part of t
+            Y = ring.pow(X, t // pv)
+            while pv > 1:
+                out[~inside(ring.codes(Y))] *= p
+                pv //= p
+                Y = ring.pow(Y, p) if pv > 1 else Y
+        return out
 
-    def _has_order(self, x, t):
-        """x^t = 1 and x^(t/p) != 1 for every prime p | t."""
-        one = Poly.one(self.field)
-        return (powmod(x, t, self.modulus) == one
-                and all(powmod(x, t // p, self.modulus) != one
-                        for p in prime_factors(t)))
+    def _has_order(self, X, t):
+        """Whether each row of X has order t: its order peeled from the
+        exponent, a multiple of every order."""
+        return self._orders(X, group_exponent(self.modulus),
+                            lambda codes: codes == 1) == t
 
-    def _build_generators(self):
-        one = Poly.one(self.field)
-        exponent = group_exponent(self.modulus)
-        elt_orders = {}  # unit -> its order, found once across rounds
+    def _build_generators(self, units):
+        ring, exponent = self.ring, group_exponent(self.modulus)
         gens, orders = [], []
-        # subgroup generated so far: element -> exponent vector over gens
-        sub = {one: ()}
+        # the subgroup generated so far: digit rows, exponent vectors over
+        # gens, and the row of every residue encoding in it (-1 outside)
+        sub, vecs = ring.digits([1]), np.zeros((1, 0), dtype=np.int64)
+        where = np.where(np.arange(self.field.q ** self.deg) == 1, 0, -1)
         # every quotient order divides the quotient's exponent: the group's
         # in round one; after that it divides both the previous generator's
         # order (the invariant factors divide each other) and the quotient's
         # order
         bound = exponent
         while len(sub) < self.order:
-            # canonically-smallest residue of maximal order in the quotient;
-            # one whose quotient order cannot beat best_t is skipped, and one
-            # that reaches the bound has the maximal order
-            best_t, best_a = 0, None
-            for a in self.units:
-                n = elt_orders.get(a)
-                if n is None:
-                    n = elt_orders[a] = self._peel(a, exponent, one.__eq__)
-                n = gcd(n, bound)
-                if n <= best_t:
-                    continue
-                # quotient order; in round one it is the order itself
-                t = self._peel(a, n, sub.__contains__) if gens else n
-                if t > best_t:
-                    best_t, best_a = t, a
-                    if t == bound:
-                        break
-            t, a = best_t, best_a
-            # a^t = prod gens[i]^inside[i]
-            inside = sub[powmod(a, t, self.modulus)]
-            # correct a by a subgroup element so that its order becomes t:
+            # the first unit of maximal quotient order, over ever longer
+            # prefixes of the units until one reaches the bound
+            t, lo, hi = 0, 0, 64
+            while lo < self.order and t < bound:
+                found = self._orders(units[lo:hi], bound,
+                                     lambda codes: where[codes] >= 0)
+                if found.max() > t:
+                    t, x = int(found.max()), units[lo + found.argmax()]
+                lo, hi = hi, 4 * hi
+            # x^t = prod gens[i]^inside[i]
+            inside = vecs[where[ring.codes(ring.pow(x, t))[0]]]
+            # correct x by a subgroup element so that its order becomes t:
             # need s_i with t*s_i = -e_i (mod d_i); solvable since
             # e_i = u_i * t (mod d_i) for some u_i.
-            x = a
-            for i, (g, d) in enumerate(zip(gens, orders)):
-                e = inside[i]
+            for g, d, e in zip(gens, orders, inside.tolist()):
                 gg = gcd(t, d)
                 assert e % gg == 0, "peeling invariant violated"
                 s = (-(e // gg) * pow(t // gg, -1, d // gg)) % (d // gg)
                 if s:
-                    x = self._mul(x, powmod(g, s, self.modulus))
-            assert self._has_order(x, t), "adjusted generator has wrong order"
+                    x = ring.mul(x, ring.pow(g, s))[0]
+            assert self._has_order(x, t)[0], \
+                "adjusted generator has wrong order"
             gens.append(x)
             orders.append(t)
-            pows = [one]
-            for _ in range(t - 1):
-                pows.append(self._mul(pows[-1], x))
-            sub = {self._mul(h, xp): vec + (j,)
-                   for h, vec in sub.items() for j, xp in enumerate(pows)}
+            # row j*S + h is sub[h] x^j, j < t
+            sub = ring.power_rows(sub, x, t)
+            vecs = np.hstack([np.tile(vecs, (t, 1)),
+                              np.repeat(np.arange(t), len(vecs))[:, None]])
+            where[ring.codes(sub)] = np.arange(len(sub))
             bound = gcd(t, self.order // len(sub))
         # ascending invariant factors d_1 | ... | d_r = exponent
         gens.reverse()
         orders.reverse()
         for i in range(len(orders) - 1):
             assert orders[i + 1] % orders[i] == 0, "not invariant-factor form"
-        self.generators = tuple(gens)
+        self.generators = tuple(Poly.from_index(self.field, int(ring.codes(g)))
+                                for g in gens)
         self.gen_orders = tuple(orders)
         self.exponent = orders[-1] if orders else 1
         assert self.exponent == exponent, "top invariant factor != exponent"
         assert len(sub) == self.order
         # the logs, row i for units[i]; read-only, as unit_group hands one
         # group to every caller
-        self.dlog_array = np.array(
-            [sub[u][::-1] for u in self.units],
-            dtype=np.int64).reshape(self.order, len(gens))
+        self.dlog_array = vecs[where[ring.codes(units)], ::-1]
         self.dlog_array.setflags(write=False)
         # the unit index at every position of the row-major grid over
         # gen_orders, the inverse of the units' positions
         self.unit_at = np.empty(self.order, dtype=np.int64)
         self.unit_at[self._positions(1)] = np.arange(self.order)
         self.unit_at.setflags(write=False)
-
-    def _build_monic_classes(self):
-        """monic_classes[n] = the unit indices of f mod m over the monic f of
-        degree n prime to m, in encoding order, n = 0..deg m: the residues an
-        L-polynomial tallies.  Also unit_index: the unit index of every
-        residue encoding, -1 off the units (read-only)."""
-        q, M = self.field.q, self.deg
-        index = np.full(q ** M, -1, dtype=np.int64)
-        index[[u.encode() for u in self.units]] = np.arange(self.order)
-        index.setflags(write=False)
-        self.unit_index = index
-        top = [(f % self.modulus).encode()
-               for f in enumerate_monic(self.field, M)]
-        found = [index[q ** n:2 * q ** n] for n in range(M)] + [index[top]]
-        self.monic_classes = tuple(ix[ix >= 0] for ix in found)
-        for ix in self.monic_classes:
-            ix.setflags(write=False)
 
     # --- queries ------------------------------------------------------------
     def _positions(self, n):
@@ -211,13 +195,10 @@ class UnitGroup:
     def scalar_index(self):
         """scalar_index[c - 1, i] = the unit index of c units[i], for every c
         in F_q^x (read-only; built on first use, by the non-monic fold)."""
-        q, M = self.field.q, self.deg
-        place = q ** np.arange(M)
-        # units are sorted by encoding; deg c u < deg m, so the scaled
-        # coefficient rows need no reduction
-        digits = np.flatnonzero(self.unit_index >= 0)[:, None] // place % q
-        index = self.unit_index[field_tables(self.field)[1][1:, digits]
-                                @ place]
+        ring = self.ring
+        units = ring.digits(np.flatnonzero(self.unit_index >= 0))
+        index = np.array([self.unit_index[ring.codes(ring.times(units, c))]
+                          for c in ring.digits(np.arange(1, self.field.q))])
         index.setflags(write=False)
         return index
 

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import UsageError
 from .limits import MAX_Q, check
 from .numth import prime_factors
-from .polyring import enumerate_monic, is_irreducible
+from .polyring import Poly, ResidueRing, enumerate_monic, is_irreducible
 
 
 @lru_cache(maxsize=None)
@@ -50,26 +50,15 @@ class FieldSpec:
             self._mul = [[(a * b) % p for b in range(p)] for a in range(p)]
             self._neg = [(-a) % p for a in range(p)]
         else:
-            # element e <-> the polynomial over F_p whose coefficients are
-            # the base-p digits of e, reduced mod the canonical modulus:
-            # digit-wise, one row (every sum or product with one element)
-            # at a time
-            place = p ** np.arange(k)
-            digits = np.arange(q)[:, None] // place % p       # (q, k)
-            low = np.array(self.modulus_poly[:k])   # x^k = -low(x)
-            add = np.empty((q, q), dtype=np.int64)
-            mul = np.empty((q, q), dtype=np.int64)
-            for a in range(q):
-                add[a] = (digits[a] + digits) % p @ place
-                # schoolbook products, degree < 2k - 1, top ones folded
-                prod = np.zeros((q, 2 * k - 1), dtype=np.int64)
-                for i in range(k):
-                    prod[:, i:i + k] += digits[a, i] * digits
-                for t in range(2 * k - 2, k - 1, -1):
-                    prod[:, t - k:t] -= prod[:, t, None] % p * low
-                mul[a] = prod[:, :k] % p @ place
-            self._add, self._mul = add.tolist(), mul.tolist()
-            self._neg = (-digits % p @ place).tolist()
+            # element e <-> the polynomial over F_p with e's base-p digits,
+            # mod the canonical modulus: sums digit-wise, products in a ring
+            ring = ResidueRing(Poly(field_make(p), self.modulus_poly))
+            digits = ring.digits(np.arange(q))
+            self._add = [((a + digits) % p @ ring.place).tolist()
+                         for a in digits]
+            self._mul = [ring.codes(ring.times(digits, a)).tolist()
+                         for a in digits]
+            self._neg = (-digits % p @ ring.place).tolist()
         self._inv = [0] + [row.index(1) for row in self._mul[1:]]
 
     # --- element ops ------------------------------------------------------

@@ -8,9 +8,10 @@ irreducibles that moves class c to c|_N B, and the class map is periodic in N
 with period N0 = the order of cT+d mod m.
 
 Certificates use linearity: c|_n B = sum_i c_i W_i(n) mod m with
-W_i(n) = (aT+b)^i (cT+d)^(n-i) mod m, i < M = deg m.  The image of every
-class is one product over F_q, the coefficient rows of the units times the M
-basis images, and W(e + N0) == W(e) proves the period exactly.  Drawn classes
+W_i(n) = (aT+b)^i (cT+d)^(n-i) mod m, i < M = deg m.  The class map is
+F_p-linear, so the image of every class is one product mod p, the units'
+digit rows times its matrix, and W(e + N0) == W(e) proves the period exactly
+(ResidueRing of the unit group does the arithmetic).  Drawn classes
 are checked against the rational form of the definition, (cT+d)^n c(mu) mod m
 with mu = (aT+b)/(cT+d) = (aT+b)(cT+d)^(N0-1) mod m, computed apart from the
 basis images.
@@ -19,6 +20,7 @@ basis images.
 import heapq
 import random
 from dataclasses import dataclass
+from itertools import product
 from math import gcd
 
 import numpy as np
@@ -26,9 +28,8 @@ import numpy as np
 from .characters import unit_group
 from .errors import IntegrityError, UsageError
 from .explicit import check_run_work, run_counts
-from .field import field_tables
 from .limits import MAX_RESIDUE, MAX_STABILIZER_Q, check
-from .polyring import Poly, format_poly, powmod
+from .polyring import Poly, format_poly
 
 
 @dataclass(frozen=True)
@@ -60,15 +61,9 @@ class Mat2:
 
 def all_invertible(field):
     """GL2(F_q) in lexicographic entry order."""
-    q = field.q
-    out = []
-    for a in range(q):
-        for b in range(q):
-            for c in range(q):
-                for d in range(q):
-                    if field.sub(field.mul(a, d), field.mul(b, c)) != 0:
-                        out.append(Mat2(field, a, b, c, d))
-    return out
+    return [Mat2(field, a, b, c, d)
+            for a, b, c, d in product(range(field.q), repeat=4)
+            if field.sub(field.mul(a, d), field.mul(b, c)) != 0]
 
 
 def slash_action(f, n, B):
@@ -179,13 +174,14 @@ def certify_ties(m, B, lam, e, rng=None):
     if _basis_images(m, B, e_used + period) != basis:
         raise IntegrityError("period claim failed for %s at residue %d"
                              % (where, e_used))
-    # the image of every class at once: coefficient rows times basis images
-    q = m.field.q
-    add, mul = field_tables(m.field)
-    place = q ** np.arange(M)
+    # the image of every class at once: the class map is F_p-linear on
+    # digit rows, b_s = alpha^j T^i -> alpha^j W_i (s = k i + j)
+    ring, F = G.ring, m.field
+    i, j = np.divmod(np.arange(ring.n), F.k)
+    by_map = ring.mul(ring.digits(F.p ** j), ring.digits(basis)[i])
     # the units are sorted by encoding, so these rows are in unit order
-    coeffs = np.flatnonzero(G.unit_index >= 0)[:, None] // place % q
-    images = _times(coeffs, _coeff_rows(basis, M), add, mul) @ place
+    units = ring.digits(np.flatnonzero(G.unit_index >= 0))
+    images = ring.codes(units @ by_map % ring.p)
     perm = G.unit_index[images]
     off = np.flatnonzero(perm < 0)
     if len(off):
@@ -201,7 +197,7 @@ def certify_ties(m, B, lam, e, rng=None):
         drawn = rng.sample(drawn, 32)
     drawn = np.array(drawn)
     e0 = M - 1 + (e - (M - 1)) % period
-    wrong = np.flatnonzero(_rational_slash(coeffs[drawn], e0, B, m, period)
+    wrong = np.flatnonzero(_rational_slash(units[drawn], e0, B, m, period)
                            != images[drawn])
     if len(wrong):
         raise IntegrityError("linear class map of %s disagrees with the "
@@ -210,7 +206,7 @@ def certify_ties(m, B, lam, e, rng=None):
     perm = perm.tolist()
     orbit_map = {c: G.units[j] for c, j in zip(G.units, perm)}
     orbits = tuple(tuple(G.units[j] for j in cyc) for cyc in _cycles(perm))
-    if q == 2:
+    if F.q == 2:
         monic, why = True, "q=2"
     elif B.c == 0 and gcd(e_used, period) % m.field.mult_order(B.a) == 0:
         monic, why = True, "gamma=0,ord(alpha)|gcd(e,N0)"
@@ -222,86 +218,49 @@ def certify_ties(m, B, lam, e, rng=None):
                           monic_certified=monic, justification=why)
 
 
+def _linear_factors(m, B):
+    """The unit group's ring, and aT+b and cT+d mod m as its digit rows."""
+    ring = unit_group(m).ring
+    return [ring] + [ring.digits((Poly(m.field, f) % m).encode())
+                     for f in ((B.b, B.a), (B.d, B.c))]
+
+
 def _basis_images(m, B, n):
-    """W_i(n) = (aT+b)^i (cT+d)^(n-i) mod m for i < M = deg m; needs n >= M -
-    1.  One modular power, (cT+d)^(n-M+1) = the factor of W_(M-1); the lower
-    i step it up by cT+d."""
+    """Encodings of W_i(n) = (aT+b)^i (cT+d)^(n-i) mod m for i < M = deg m;
+    needs n >= M - 1."""
+    ring, top, bot = _linear_factors(m, B)
     M = m.degree
-    top = Poly(m.field, (B.b, B.a)) % m
-    bot = Poly(m.field, (B.d, B.c)) % m
-    top_pows = [Poly.one(m.field)]
-    for _ in range(M - 1):
-        top_pows.append(top_pows[-1] * top % m)
-    bot_pow = powmod(bot, n - M + 1, m)
-    out = []
-    for t in reversed(top_pows):
-        out.append(t * bot_pow % m)
-        bot_pow = bot_pow * bot % m
-    return out[::-1]
+    bots = ring.power_rows(ring.pow(bot, n - M + 1), bot, M)[::-1]
+    return ring.codes(ring.mul(ring.power_rows(ring.digits([1]), top, M),
+                               bots)).tolist()
 
 
-def _rational_slash(coeffs, n, B, m, period):
-    """Encodings of c|_n B mod m for the classes c with coefficient rows
-    coeffs, in the rational form of the definition: (cT+d)^n c(mu) mod m
-    with mu = (aT+b) (cT+d)^(N0-1), N0 = period: (cT+d)^N0 = 1 mod m, which
-    the period check W_0(e + N0) == W_0(e) proves.  c(mu) is Horner's rule on
-    every row at once."""
-    F, M = m.field, m.degree
-    add, mul = field_tables(F)
-    top = Poly(F, (B.b, B.a))
-    bot = Poly(F, (B.d, B.c))
-    by_mu = _mul_matrix(top * powmod(bot, period - 1, m) % m, m)
-    acc = np.zeros_like(coeffs)
-    acc[:, 0] = coeffs[:, M - 1]
-    for i in range(M - 2, -1, -1):
-        acc = _times(acc, by_mu, add, mul)
-        acc[:, 0] = add[acc[:, 0], coeffs[:, i]]
-    acc = _times(acc, _mul_matrix(powmod(bot, n, m), m), add, mul)
-    return acc @ F.q ** np.arange(M)
-
-
-def _coeff_rows(polys, M):
-    """The polynomials' coefficients (deg < M) as rows of an array."""
-    out = np.zeros((len(polys), M), dtype=np.int64)
-    for row, f in zip(out, polys):
-        row[:len(f.coeffs)] = f.coeffs
-    return out
-
-
-def _mul_matrix(f, m):
-    """Rows T^k f mod m, k < deg m: x -> x f mod m on coefficient rows."""
-    rows = [f]
-    T = Poly.T(m.field)
-    for _ in range(m.degree - 1):
-        rows.append(rows[-1] * T % m)
-    return _coeff_rows(rows, m.degree)
-
-
-def _times(X, W, add, mul):
-    """X W over F_q for coefficient rows X and a matrix W, one table pass
-    per row of W."""
-    out = np.zeros((len(X), W.shape[1]), dtype=np.int64)
-    for k, w in enumerate(W):
-        out = add[out, mul[X[:, k, None], w]]
-    return out
+def _rational_slash(X, n, B, m, period):
+    """Encodings of c|_n B mod m for the classes c with digit rows X in the
+    unit group's ring, in the rational form of the definition: (cT+d)^n
+    c(mu) mod m with mu = (aT+b) (cT+d)^(N0-1), N0 = period, as the period
+    check proves (cT+d)^N0 = 1 mod m.  c(mu) is Horner's rule on every row
+    at once, each step one matrix of multiplication by mu."""
+    ring, top, bot = _linear_factors(m, B)
+    k, mu = m.field.k, ring.mul(top, ring.pow(bot, period - 1))
+    acc = np.zeros_like(X)
+    for i in range(m.degree - 1, -1, -1):
+        acc = ring.times(acc, mu)
+        acc[:, :k] = (acc[:, :k] + X[:, k * i:k * i + k]) % ring.p
+    return ring.codes(ring.times(acc, ring.pow(bot, n)))
 
 
 def _cycles(perm):
     """Cycles of a permutation of range(len(perm)), each from its least
     element, in order of that element."""
-    seen = [False] * len(perm)
-    out = []
+    seen, out = set(), []
     for start in range(len(perm)):
-        if seen[start]:
-            continue
-        cyc = [start]
-        seen[start] = True
-        cur = perm[start]
-        while cur != start:
-            cyc.append(cur)
-            seen[cur] = True
-            cur = perm[cur]
-        out.append(cyc)
+        if start not in seen:
+            cyc = [start]
+            while perm[cyc[-1]] != start:
+                cyc.append(perm[cyc[-1]])
+            seen.update(cyc)
+            out.append(cyc)
     return out
 
 

@@ -23,8 +23,8 @@ class Limit:
 
 
 MAX_Q = Limit("field size q", 256, "q = %s",
-              "count at F256, N = 2: 0.25-0.38 s, 34 MB (q x q tables, "
-              "0.06-0.10 s of it in process)")
+              "count at F256, N = 2: 0.23-0.32 s, 33 MB (q x q tables, "
+              "0.02-0.03 s of it in process)")
 MAX_GROUP_ORDER = Limit("unit-group order Phi(m)", 1024, "order %s",
                         "count-explicit at order 1023, N = 80: 0.4 s, 46 MB")
 MAX_EXPLICIT_WORK = Limit(

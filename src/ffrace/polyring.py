@@ -10,6 +10,8 @@ choices and tie-breaking.
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import UsageError
 from .numth import prime_factors
 
@@ -89,7 +91,7 @@ class Poly:
                 and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash(self.coeffs)  # __eq__ tells fields apart
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -201,6 +203,75 @@ def powmod(base, e, mod):
         b = (b * b) % mod
         e >>= 1
     return out
+
+
+class ResidueRing:
+    """F_q[T]/m on encodings.  A residue is its n = k deg m base-p digits,
+    its F_p-coordinates in the basis b_s = alpha^j T^i, s = k i + j, where
+    alpha^j is encoded p^j.  The digits of x y are sum x_s y_t S[s, t] mod p
+    with S[s, t] = digits(b_s b_t mod m), so L products are one (L, n^2) @
+    (n^2, n) product and multiplying by a fixed x is one n x n matrix.  In
+    int64 the sums stay below n^2 p^3 < 2^24 n^2, far under 2^63."""
+
+    def __init__(self, m):
+        from .field import field_tables  # field imports this module
+        F, M = m.field, m.degree
+        self.p, self.n = F.p, F.k * M
+        self.place = F.p ** np.arange(self.n)
+        # b_s b_t = alpha^j alpha^j' T^(i+i'): F_q coefficients, then digits
+        i, j = np.divmod(np.arange(self.n), F.k)
+        T = [(Poly.T(F) ** e % m).coeffs for e in range(2 * M - 1)]
+        T = np.array([c + (0,) * (M - len(c)) for c in T])
+        mul = field_tables(F)[1]
+        coeffs = mul[mul[F.p ** j[:, None], F.p ** j][..., None],
+                     T[i[:, None] + i]]
+        self.tensor = (coeffs[..., None] // self.place[:F.k] % F.p).reshape(
+            self.n, self.n * self.n)
+        self._rows = max(1, 2 ** 16 // self.n ** 2)  # products per block
+
+    def digits(self, codes):
+        """Digit rows of the residues with these encodings."""
+        return np.asarray(codes)[..., None] // self.place % self.p
+
+    def codes(self, X):
+        return X @ self.place
+
+    def mul(self, X, Y):
+        """Rows x y for the rows x of X and y of Y, in blocks of rows."""
+        n, step = self.n, self._rows
+        X, Y = X.reshape(-1, n), Y.reshape(-1, n)
+        out = np.empty(X.shape, dtype=np.int64)
+        for lo in range(0, len(X), step):
+            outer = X[lo:lo + step, :, None] * Y[lo:lo + step, None, :]
+            out[lo:lo + step] = (outer.reshape(-1, n * n)
+                                 @ self.tensor.reshape(n * n, n) % self.p)
+        return out
+
+    def times(self, X, x):
+        """Rows x' x for rows x' of X and one residue x (S is symmetric)."""
+        by_x = x.reshape(-1) @ self.tensor % self.p
+        return X @ by_x.reshape(self.n, self.n) % self.p
+
+    def power_rows(self, Y, x, count):
+        """Rows y x^j for j < count and the rows y of Y, j-major, by
+        doubling: each step one matrix of multiplication by x^(2^i)."""
+        size = len(Y) * count
+        while len(Y) < size:
+            Y = np.vstack([Y, self.times(Y[:size - len(Y)], x)])
+            x = self.mul(x, x) if len(Y) < size else x
+        return Y
+
+    def pow(self, X, e):
+        """Rows x^e for rows x of X (e >= 0), by squaring."""
+        X, out = X.reshape(-1, self.n), None
+        while e:
+            if e & 1:
+                out = X if out is None else self.mul(out, X)
+            e >>= 1
+            X = self.mul(X, X) if e else X
+        if out is None:  # e = 0
+            return self.digits(np.ones(len(X), dtype=np.int64))
+        return out
 
 
 def is_irreducible(f):

@@ -45,12 +45,14 @@ GUARDS = (
           "products in Q(zeta_E)"),
     Guard(("count-explicit", "--field", "F2", "--modulus", "T^10+T^3+1",
            "--degree", "80", "--format", "csv"), 10, 0,
-          "order 1023, N = 80: about 0.4 s modulo split primes, 77 s with "
-          "products in Q(zeta_E)"),
+          "order 1023, N = 80: 0.22-0.24 s and 46.8 MB modulo split primes "
+          "(47.2 MB with the unit group built in Poly arithmetic), 77 s "
+          "with products in Q(zeta_E)", rss_mb=59),
     Guard(("lpoly", "--field", "F2", "--modulus", "T^10+T^3+1",
            "--char", "1", "--horizon", "3", "--format", "json"), 10, 0,
-          "the order-1023 unit group and one L-polynomial take about 0.4 s; "
-          "a generator search quadratic in the order 18 s"),
+          "the order-1023 unit group and one L-polynomial: 0.21 s and "
+          "35.3 MB (0.24 s with the group built in Poly arithmetic); a "
+          "generator search quadratic in the order 18 s", rss_mb=45),
     Guard(("count", "--field", "F2", "--modulus", "T^3+T+1",
            "--degree", "24"), 10, 0,
           "the largest default sieve over F2 (q^N = 2^24): 0.32-0.37 s and "
@@ -99,13 +101,13 @@ GUARDS = (
     Guard(("ties-gl2", "--field", "F256", "--modulus", "T+1"), 10, 1,
           "the stabilizer search scans all ~q^4 matrices of GL2(F_q), hours "
           "at F256: refused past MAX_STABILIZER_Q, after F256's tables "
-          "(0.25-0.34 s cold)",
+          "(0.19-0.20 s cold)",
           says=("q = 256", "the supported limit is q = 16")),
     Guard(("count", "--field", "F256", "--modulus", "T+1", "--degree", "2"),
           3, 0,
-          "MAX_Q's measurement, the largest field: 0.25-0.38 s and 34 MB "
-          "cold with its tables built digit-wise, 0.99 s with q^2/2 "
-          "polynomial products"),
+          "MAX_Q's measurement, the largest field: 0.23-0.32 s and 33 MB "
+          "cold with its tables built by residue-ring matrices, 0.99 s with "
+          "q^2/2 polynomial products"),
     Guard(("count", "--field", "F3", "--modulus", "T^2+1",
            "--degree", "14"), 10, 0,
           "odd-q enumeration at the top of the sieve's range: about 0.55 s "

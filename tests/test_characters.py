@@ -4,8 +4,8 @@ from math import lcm
 import pytest
 
 from cyclo_oracle import zeta
-from group_oracle import (char_order, char_pow, from_dlog, power_indices,
-                          unit_pow, value_exponent)
+from group_oracle import (char_order, char_pow, dlog, from_dlog,
+                          power_indices, unit_pow, value_exponent)
 from ffrace.characters import (UnitGroup, all_characters, group_exponent,
                                parse_character, unit_group)
 from ffrace.cyclo import CycloNum
@@ -253,6 +253,15 @@ def test_unit_group_census_is_pinned():
         assert h.hexdigest() == digest, "F%d" % q
 
 
+@pytest.mark.parametrize("mstr, factors", [("T^10+T^3+1", (1023,)),
+                                           ("T^8+T^4+1", (2, 2, 4, 12))])
+def test_dlog_array_matches_oracle(mstr, factors):
+    grp = G(F2, mstr)
+    assert grp.gen_orders == factors
+    assert [dlog(grp, u) for u in grp.units] == \
+        [tuple(vec) for vec in grp.dlog_array.tolist()]
+
+
 def test_has_order_is_exact():
     for grp in (G(F2, "T^4+T^2+1"), G(F2, "T^4"), G(F3, "T^2+1"),
                 G(F3, "T^2+2")):
@@ -263,4 +272,5 @@ def test_has_order_is_exact():
                 x = (x * u) % grp.modulus
                 n += 1
             for t in divisors(grp.exponent):
-                assert grp._has_order(u, t) == (t == n), (u, t)
+                x = grp.ring.digits(u.encode())
+                assert grp._has_order(x, t)[0] == (t == n), (u, t)

@@ -115,7 +115,7 @@ def _refuse_work(monkeypatch):
 REFUSAL = re.compile(r"error: [^;\n]+: [^;\n]+; the supported limit is "
                      r"[^;\n]+(; the largest accepted [^;\n]+ is \d+)?\n")
 # the certificate limit is checked after the stabilizer search, ~2 s at
-# F13; the stabilizer limit after F256's field tables are built, 0.06-0.10
+# F13; the stabilizer limit after F256's field tables are built, 0.02-0.03
 # s in process, within the default second
 REFUSAL_SECONDS = {
     ("ties-gl2", "--field", "F13", "--modulus", "T^2+T+2"): 5.0}

@@ -207,6 +207,23 @@ def test_breakdown_audit():
         assert total == 6 * res.counts[P(F2, cls)]
 
 
+def test_breakdown_with_one_corrupt_term_raises(monkeypatch):
+    # one raw sum beneath the audit, class 1 and the trivial character at
+    # d = 1, raised by one: that class's terms no longer re-sum to N pi
+    raw_zsum = ExplicitCounter.raw_zsum
+
+    def corrupted(self, d):
+        raw = [list(row) for row in raw_zsum(self, d)]
+        if d == 1:
+            raw[0][0] = raw[0][0] + 1
+        return raw
+
+    monkeypatch.setattr(ExplicitCounter, "raw_zsum", corrupted)
+    with pytest.raises(IntegrityError, match=r"breakdown of pi\(6; "
+                       r"T\^2\+T\+1, 1\) over F2 sums to"):
+        ExplicitCounter(P(F2, "T^2+T+1")).count(6, breakdown=True)
+
+
 def test_pi_g_coprime_degree_collapses_to_pi1():
     m = P(F2, "T^3+T+1")    # M' = 7
     for N in (4, 5, 6, 8):  # gcd(N, 7) = 1

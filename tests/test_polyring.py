@@ -5,8 +5,9 @@ import pytest
 from ffrace.errors import UsageError
 from ffrace.field import field_make, parse_field
 from ffrace.numth import gauss_irreducible_count
-from ffrace.polyring import (Poly, enumerate_monic, factorize, format_poly,
-                             is_irreducible, parse_poly, poly_gcd)
+from ffrace.polyring import (Poly, ResidueRing, enumerate_monic, factorize,
+                             format_poly, is_irreducible, parse_poly, poly_gcd,
+                             powmod)
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -178,3 +179,34 @@ def test_parse_format_roundtrip():
 def test_field_mismatch():
     with pytest.raises(UsageError):
         P(F2, "T") + P(F3, "T")
+
+
+# moduli over F2 to F27: nine with a repeated factor (such as T^5,
+# (T^2+T+1)^2 and (T+1)^2 (T+2) over F3), two irreducible, two split
+RING_MODULI = [("F2", "T^5"), ("F2", "T^4+T^2+1"), ("F2", "T^10+T^3+1"),
+               ("F3", "T^3+2*T+2"), ("F3", "T^3+T^2+2*T+2"), ("F4", "T^3"),
+               ("F4", "T^4+T^2"), ("F5", "T^3+3*T^2+3*T+1"), ("F8", "T^2+3"),
+               ("F9", "T^3+5*T+1"), ("F16", "T^2+T+7"), ("F25", "T^2"),
+               ("F27", "T^2+T+1")]
+
+
+@pytest.mark.parametrize("field, mstr", RING_MODULI)
+def test_residue_ring_matches_poly_products(field, mstr):
+    F = parse_field(field)
+    m = P(F, mstr)
+    ring = ResidueRing(m)
+    rng = random.Random(mstr)
+    size = F.q ** m.degree
+    a = [rng.randrange(size) for _ in range(200)]
+    b = [rng.randrange(size) for _ in range(200)]
+    polys = [Poly.from_index(F, x) for x in a]
+    assert ring.codes(ring.digits(a)).tolist() == a
+    want = [(f * Poly.from_index(F, y) % m).encode() for f, y in zip(polys, b)]
+    assert ring.codes(ring.mul(ring.digits(a), ring.digits(b))).tolist() == want
+    for y in b[:5]:
+        x = Poly.from_index(F, y)
+        assert ring.codes(ring.times(ring.digits(a), ring.digits(y))).tolist() \
+            == [(f * x % m).encode() for f in polys]
+    for e in (0, 1, 2, 7, F.q ** m.degree + 3):
+        assert ring.codes(ring.pow(ring.digits(a[:20]), e)).tolist() == \
+            [powmod(f, e, m).encode() for f in polys[:20]]
