@@ -22,15 +22,16 @@ import numpy as np
 from .errors import UsageError
 from .limits import MAX_GROUP_ORDER, check
 from .numth import prime_factors
-from .polyring import Poly, ResidueRing, factorize, format_poly
+from .polyring import Poly, ResidueRing, degree_layers, factorize, format_poly
 
 
 def group_order(m):
-    """Phi(m) = prod over P^e || m of q^(deg P (e-1)) (q^deg P - 1)."""
-    q = m.field.q
-    out = 1
-    for p, e in factorize(m).factors:
-        out *= q ** (p.degree * (e - 1)) * (q ** p.degree - 1)
+    """Phi(m) = prod over P^e || m of q^(deg P (e-1)) (q^deg P - 1), from the
+    degrees and multiplicities of the P: no factor search before the limit."""
+    q, out = m.field.q, 1
+    for d, layers in degree_layers(m.monic()):
+        out *= (q ** d - 1) ** (layers[0].degree // d) * q ** sum(
+            x.degree for x in layers[1:])
     return out
 
 

@@ -10,7 +10,7 @@ import random
 import sys
 from functools import lru_cache
 
-from .characters import parse_character, unit_group
+from .characters import group_order, parse_character, unit_group
 from .errors import IntegrityError, UsageError
 from .explicit import bias_report, counts, cumulative_counts, \
     explicit_counter
@@ -19,7 +19,7 @@ from .gl2 import certify_ties, first_failed_certificate, stabilizer_period, \
     stabilizer_search
 from .lfunc import find_conjugate_relations, l_polynomial, power_sum_work, \
     power_sums, weil_bound_violations
-from .limits import MAX_CERTIFICATES, MAX_EXACT_WORK, check
+from .limits import MAX_CERTIFICATES, MAX_EXACT_WORK, MAX_GROUP_ORDER, check
 from .polyring import format_poly, parse_poly
 from .report import TABLES, check_cumulative_ties, detect_tie_patterns, \
     emit_table, render_table
@@ -173,6 +173,8 @@ def _cmd_ties_gl2(args):
     if args.verify_to < 0:
         raise UsageError("--verify-to must be >= 0, got %d" % args.verify_to)
     _field, m = _need_modulus(args)
+    # the group order is refused before the search, the group built after it
+    check(MAX_GROUP_ORDER, "unit group mod " + format_poly(m), group_order(m))
     stabs = stabilizer_search(m)
     if args.residue is None:
         jobs = [(B, lam, e) for B, lam in stabs

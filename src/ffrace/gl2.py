@@ -1,26 +1,23 @@
 """GL2(F_q) slash action on polynomials, modulus stabilizers, and tie
 certificates transporting congruence classes by bijection.
 
-A matrix B = (a b; c d) acts by (f|_n B)(T) = (cT+d)^n f((aT+b)/(cT+d)),
-i.e. sum_i f_i (aT+b)^i (cT+d)^(n-i).  If B carries the modulus m to a
-nonzero scalar multiple of itself, f -> f|_N B is a bijection on degree-N
-irreducibles that moves class c to c|_N B, and the class map is periodic in N
-with period N0 = the order of cT+d mod m.
+B = (a b; c d) acts by (f|_n B)(T) = (cT+d)^n f((aT+b)/(cT+d)) = sum_i f_i
+(aT+b)^i (cT+d)^(n-i).  If m|_M B = lam m, M = deg m, lam != 0, then f ->
+f|_N B is a bijection on degree-N irreducibles moving class c to c|_N B,
+periodic in N with period N0 = the order of cT+d mod m.  The search finds
+every such B at once: GL2(F_q) is one entry array, and each Horner step
+multiplies every row by a linear polynomial in F_q table lookups.
 
-Certificates use linearity: c|_n B = sum_i c_i W_i(n) mod m with
-W_i(n) = (aT+b)^i (cT+d)^(n-i) mod m, i < M = deg m.  The class map is
-F_p-linear, so the image of every class is one product mod p, the units'
-digit rows times its matrix, and W(e + N0) == W(e) proves the period exactly
-(ResidueRing of the unit group does the arithmetic).  Drawn classes
-are checked against the rational form of the definition, (cT+d)^n c(mu) mod m
-with mu = (aT+b)/(cT+d) = (aT+b)(cT+d)^(N0-1) mod m, computed apart from the
-basis images.
+A certificate's class map c -> c|_n B = sum_i c_i W_i(n) mod m, W_i(n) =
+(aT+b)^i (cT+d)^(n-i) mod m, is F_p-linear: every class's image is one
+product mod p in the unit group's ResidueRing, and W(e + N0) == W(e) proves
+the period exactly.  Drawn classes are checked against the rational form,
+(cT+d)^n c(mu) mod m with mu = (aT+b)(cT+d)^(N0-1) mod m.
 """
 
 import heapq
 import random
 from dataclasses import dataclass
-from itertools import product
 from math import gcd
 
 import numpy as np
@@ -28,6 +25,7 @@ import numpy as np
 from .characters import unit_group
 from .errors import IntegrityError, UsageError
 from .explicit import check_run_work, run_counts
+from .field import field_tables
 from .limits import MAX_RESIDUE, MAX_STABILIZER_Q, check
 from .polyring import Poly, format_poly
 
@@ -59,51 +57,61 @@ class Mat2:
         return "[[%d,%d],[%d,%d]]" % self.entries()
 
 
+def _gl2_entries(field):
+    """GL2(F_q) as rows a, b, c, d in lexicographic order."""
+    abcd = np.indices((field.q,) * 4, dtype=np.uint8).reshape(4, -1)
+    ad, bc = field_tables(field)[1][abcd[[0, 1]], abcd[[3, 2]]]
+    return abcd[:, ad != bc].T
+
+
 def all_invertible(field):
     """GL2(F_q) in lexicographic entry order."""
-    return [Mat2(field, a, b, c, d)
-            for a, b, c, d in product(range(field.q), repeat=4)
-            if field.sub(field.mul(a, d), field.mul(b, c)) != 0]
+    return [Mat2(field, *B) for B in _gl2_entries(field).tolist()]
+
+
+def _slash_rows(field, f, abcd):
+    """Coefficient rows of f|_D B, D = len(f) - 1, for each row a, b, c, d of
+    abcd, by homogeneous Horner: acc = f_D, then for j = 1..D
+    acc <- acc (aT+b) + f_(D-j) (cT+d)^j."""
+    add, mul = field_tables(field)
+    a, b, c, d = np.asarray(abcd).T[..., None]
+    acc, bot = np.zeros((2, len(a), len(f)), dtype=np.int64)
+    acc[:, 0], bot[:, 0] = f[-1], 1
+
+    def times(x, u, v):  # x (uT + v), where x_D = 0 as deg x < D
+        out = mul[v, x]
+        out[:, 1:] = add[out[:, 1:], mul[u, x[:, :-1]]]
+        return out
+    for j in range(1, len(f)):
+        bot = times(bot, c, d)
+        acc = add[times(acc, a, b), mul[f[-1 - j], bot]]
+    return acc
 
 
 def slash_action(f, n, B):
-    """f|_n B = sum_i f_i (aT+b)^i (cT+d)^(n-i); requires n >= deg f.  Only
-    the top deg f + 1 powers of cT+d are used: the lowest, (cT+d)^(n - deg
-    f), comes by squaring."""
+    """f|_n B = sum_i f_i (aT+b)^i (cT+d)^(n-i); requires n >= deg f.  The
+    search's kernel at weight deg f, times (cT+d)^(n - deg f) by squaring."""
     if n < f.degree:
         raise UsageError("weight n=%d below deg f=%d" % (n, f.degree))
-    F = f.field
-    top = Poly(F, (B.b, B.a))     # aT + b
-    bot = Poly(F, (B.d, B.c))     # cT + d
-    D = max(f.degree, 0)
-    top_pows = [Poly.one(F)]
-    bot_pows = [bot ** (n - D)]   # bot_pows[j] = (cT+d)^(n-D+j)
-    for _ in range(D):
-        top_pows.append(top_pows[-1] * top)
-        bot_pows.append(bot_pows[-1] * bot)
-    out = Poly.zero(F)
-    for i, coeff in enumerate(f.coeffs):
-        if coeff:
-            out = out + (top_pows[i] * bot_pows[D - i]).scale(coeff)
-    return out
+    g = _slash_rows(f.field, f.coeffs or (0,), [B.entries()])[0].tolist()
+    return Poly(f.field, g) * Poly(f.field, (B.d, B.c)) ** (n + 1 - len(g))
 
 
 def stabilizer_search(m):
-    """All (B, lam) with m|_M B = lam * m, scanning the whole of GL2(F_q) in
-    deterministic order."""
+    """All (B, lam) with g = m|_M B = lam m (lam = g_M / m_M), scanning all of
+    GL2(F_q) in deterministic order, in blocks of about 2^14 coefficients."""
     if m.degree < 1:
         raise UsageError("modulus must have degree >= 1")
-    check(MAX_STABILIZER_Q, "stabilizer search over GL2(%r)" % m.field,
-          m.field.q)
-    out = []
-    M = m.degree
-    for B in all_invertible(m.field):
-        g = slash_action(m, M, B)
-        if g.degree != M:
-            continue
-        lam = g.lc if m.is_monic else m.field.div(g.lc, m.lc)
-        if g == m.scale(lam):
-            out.append((B, lam))
+    F = m.field
+    check(MAX_STABILIZER_Q, "stabilizer search over GL2(%r)" % F, F.q)
+    mul, mats, out = field_tables(F)[1], _gl2_entries(F), []
+    for block in np.array_split(mats, 1 + len(mats) * m.degree // 2 ** 14):
+        g = _slash_rows(F, m.coeffs, block)
+        # lam = 0 would need g = 0, which no invertible B gives
+        lam = mul[g[:, -1], F.inv(m.lc)]
+        ok = (g == mul[lam[:, None], m.coeffs]).all(1)
+        out += [(Mat2(F, *B), x) for B, x in
+                zip(block[ok].tolist(), lam[ok].tolist())]
     return out
 
 
@@ -170,8 +178,9 @@ def certify_ties(m, B, lam, e, rng=None):
     while e_used < M - 1:
         e_used += period
     # equal basis images at e and e + N0 prove the period for every class
-    basis = _basis_images(m, B, e_used)
-    if _basis_images(m, B, e_used + period) != basis:
+    factors = _linear_factors(m, B)
+    basis, later = _basis_images(factors, M, (e_used, e_used + period))
+    if not np.array_equal(basis, later):
         raise IntegrityError("period claim failed for %s at residue %d"
                              % (where, e_used))
     # the image of every class at once: the class map is F_p-linear on
@@ -197,8 +206,8 @@ def certify_ties(m, B, lam, e, rng=None):
         drawn = rng.sample(drawn, 32)
     drawn = np.array(drawn)
     e0 = M - 1 + (e - (M - 1)) % period
-    wrong = np.flatnonzero(_rational_slash(units[drawn], e0, B, m, period)
-                           != images[drawn])
+    wrong = np.flatnonzero(_rational_slash(units[drawn], e0, factors, m,
+                                           period) != images[drawn])
     if len(wrong):
         raise IntegrityError("linear class map of %s disagrees with the "
                              "slash action at %s"
@@ -225,23 +234,22 @@ def _linear_factors(m, B):
                      for f in ((B.b, B.a), (B.d, B.c))]
 
 
-def _basis_images(m, B, n):
-    """Encodings of W_i(n) = (aT+b)^i (cT+d)^(n-i) mod m for i < M = deg m;
-    needs n >= M - 1."""
-    ring, top, bot = _linear_factors(m, B)
-    M = m.degree
-    bots = ring.power_rows(ring.pow(bot, n - M + 1), bot, M)[::-1]
-    return ring.codes(ring.mul(ring.power_rows(ring.digits([1]), top, M),
-                               bots)).tolist()
+def _basis_images(factors, M, ns):
+    """Encodings of W_i(n) = (aT+b)^i (cT+d)^(n-i) mod m for i < M = deg m,
+    one row per n in ns (each n >= M - 1, each from its own power of cT+d)."""
+    ring, top, bot = factors
+    tops = ring.power_rows(ring.digits([1]), top, M)
+    return [ring.codes(ring.mul(tops, ring.power_rows(
+        ring.pow(bot, n - M + 1), bot, M)[::-1])) for n in ns]
 
 
-def _rational_slash(X, n, B, m, period):
+def _rational_slash(X, n, factors, m, period):
     """Encodings of c|_n B mod m for the classes c with digit rows X in the
     unit group's ring, in the rational form of the definition: (cT+d)^n
     c(mu) mod m with mu = (aT+b) (cT+d)^(N0-1), N0 = period, as the period
     check proves (cT+d)^N0 = 1 mod m.  c(mu) is Horner's rule on every row
     at once, each step one matrix of multiplication by mu."""
-    ring, top, bot = _linear_factors(m, B)
+    ring, top, bot = factors
     k, mu = m.field.k, ring.mul(top, ring.pow(bot, period - 1))
     acc = np.zeros_like(X)
     for i in range(m.degree - 1, -1, -1):

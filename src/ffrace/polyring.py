@@ -314,51 +314,49 @@ class Factorization:
         return out
 
 
+def degree_layers(f):
+    """(d, layers) for each degree d of the irreducible factors P of the monic
+    f, ascending: layers[k] is the product of those with P^(k+1) | f, by gcds
+    with T^(q^d) - T once lower degrees are divided out (no factor search)."""
+    rem, frob, d = f, Poly.T(f.field), 0  # frob = T^(q^d) mod rem
+    while rem.degree >= 1:
+        d += 1
+        if 2 * d > rem.degree:  # every factor has degree >= d: one is left
+            yield rem.degree, [rem]
+            return
+        frob = powmod(frob, f.field.q, rem)
+        layers = [poly_gcd(frob - Poly.T(f.field), rem)]
+        while layers[-1].degree > 0:
+            rem = rem // layers[-1]
+            layers.append(poly_gcd(rem, layers[-1]))
+        if len(layers) > 1:
+            yield d, layers[:-1]
+            frob = frob % rem
+
+
 @lru_cache(maxsize=256)
 def factorize(f):
     """Factor f (degree >= 1) into monic irreducibles with multiplicities.
 
-    Degrees are extracted ascending; within a degree, candidates dividing the
-    squarefree degree-d part gcd(T^(q^d) - T, rem) are scanned in encoding
-    order, so the output order is deterministic.
+    Degrees are extracted ascending (degree_layers); a degree with several
+    factors is split by scanning the candidates dividing its squarefree part
+    in encoding order, each with the multiplicity of the layers it divides.
     Memoized; a Factorization is frozen and its Polys are immutable.
     """
     if f.degree < 1:
         raise UsageError("cannot factor a constant")
-    F = f.field
-    q = F.q
-    unit = f.lc
-    rem = f.monic()
     out = []
-    t = Poly.T(F)
-    d = 0
-    frob = t  # T^(q^d) mod rem, recomputed when rem shrinks
-    while rem.degree >= 1:
-        d += 1
-        if 2 * d > rem.degree:
-            out.append((rem, 1))
-            break
-        frob = powmod(frob, q, rem)
-        part = poly_gcd(frob - t, rem)
-        if part.degree == 0:
-            continue
-        for cand in enumerate_monic(F, d):
+    for d, layers in degree_layers(f.monic()):
+        part = layers[0]
+        for cand in enumerate_monic(f.field, d) if part.degree > d else [part]:
             if part.degree == 0:
                 break
             if (part % cand).is_zero:
-                mult = 0
-                while True:
-                    quo, r = divmod(rem, cand)
-                    if not r.is_zero:
-                        break
-                    rem = quo
-                    mult += 1
-                out.append((cand, mult))
+                out.append((cand, sum((x % cand).is_zero for x in layers)))
                 part = part // cand
-        frob = frob % rem
     out.sort(key=lambda pe: pe[0].sort_key())
-    fact = Factorization(unit=unit, factors=tuple(out))
-    assert fact.reassemble(F) == f, "factorization does not reassemble"
+    fact = Factorization(unit=f.lc, factors=tuple(out))
+    assert fact.reassemble(f.field) == f, "factorization does not reassemble"
     return fact
 
 

@@ -76,6 +76,12 @@ GUARDS = (
           "order 4095, past MAX_GROUP_ORDER: refused before the unit group "
           "is enumerated, which ran past 20 s",
           says=("order 4095", "the supported limit is order 1024")),
+    Guard(("count", "--field", "F9", "--modulus", "T^20+T+1",
+           "--degree", "3"), 10, 1,
+          "order 1.1e19, from the degrees and multiplicities of the prime "
+          "factors of m by gcds: refused in about 0.3 s, where the scan of "
+          "the 9^9 candidates for its two degree-9 factors ran past 60 s",
+          says=("order 1.1e+19", "the supported limit is order 1024")),
     Guard(("relations", "--field", "F2", "--modulus", "T^8+T^4+T^3+T+1"),
           10, 1,
           "exponent 255, past MAX_RELATIONS_EXPONENT: 65,024 rows",
@@ -99,9 +105,10 @@ GUARDS = (
           "1 s in F_q table arithmetic, 28 s with a slash action per class "
           "and degree"),
     Guard(("ties-gl2", "--field", "F256", "--modulus", "T+1"), 10, 1,
-          "the stabilizer search scans all ~q^4 matrices of GL2(F_q), hours "
-          "at F256: refused past MAX_STABILIZER_Q, after F256's tables "
-          "(0.19-0.20 s cold)",
+          "the stabilizer search scans all ~q^4 matrices of GL2(F_q), 4.3e9 "
+          "at F256, whose entry array alone would take 137 GB: refused past "
+          "MAX_STABILIZER_Q after F256's tables and the group-order check "
+          "(0.16-0.19 s cold)",
           says=("q = 256", "the supported limit is q = 16")),
     Guard(("count", "--field", "F256", "--modulus", "T+1", "--degree", "2"),
           3, 0,
@@ -117,14 +124,20 @@ GUARDS = (
           "as above, F13 N = 6 (no benchmark workload sieves F13)"),
     Guard(("ties-gl2", "--field", "F13", "--modulus", "T^2+T+2"), 10, 1,
           "25,886 certificates, past MAX_CERTIFICATES: refused after the "
-          "~2 s stabilizer search, where building them ran past 300 s",
+          "stabilizer search (0.01 s in process) in about 0.3 s, where "
+          "building them ran past 300 s",
           says=("25886 certificates", "--residue",
                 "the supported limit is 1024 certificates")),
     Guard(("ties-gl2", "--field", "F13", "--modulus", "T^2+T+2",
            "--residue", "0", "--format", "csv"), 10, 0,
           "336 certificates, 32 drawn classes each checked at degrees up to "
-          "168: about 2 s in rational form, 16-22 s with an unreduced slash "
-          "action"),
+          "168: about 0.5 s in rational form, 16-22 s with an unreduced "
+          "slash action"),
+    Guard(("ties-gl2", "--field", "F16", "--modulus", "T+1",
+           "--residue", "0", "--format", "csv"), 10, 0,
+          "MAX_STABILIZER_Q's measurement: 3,600 stabilizers of 61,200 "
+          "matrices, one certificate each: 1.0-1.9 s and 39-40 MB (2.2-3.4 "
+          "s and 44.4-44.7 MB with a Poly slash action per matrix)", rss_mb=56),
     Guard(("count-explicit", "--field", "F2", "--modulus", "T^3+T+1",
            "--degree", "15000", "--format", "csv"), 20, 0,
           "counts of ~4,500 digits, past the interpreter's int-to-str cap: "

@@ -10,7 +10,7 @@ import time
 import pytest
 
 import ffrace
-from ffrace import cli as cli_mod, explicit, gl2, lfunc
+from ffrace import characters, cli as cli_mod, explicit, gl2, lfunc
 from ffrace.cli import main
 from ffrace.errors import IntegrityError, UsageError
 from ffrace.explicit import explicit_counter
@@ -114,11 +114,6 @@ def _refuse_work(monkeypatch):
 # a refusal in the one shape of limits.check
 REFUSAL = re.compile(r"error: [^;\n]+: [^;\n]+; the supported limit is "
                      r"[^;\n]+(; the largest accepted [^;\n]+ is \d+)?\n")
-# the certificate limit is checked after the stabilizer search, ~2 s at
-# F13; the stabilizer limit after F256's field tables are built, 0.02-0.03
-# s in process, within the default second
-REFUSAL_SECONDS = {
-    ("ties-gl2", "--field", "F13", "--modulus", "T^2+T+2"): 5.0}
 
 
 def _row_id(guard):
@@ -131,13 +126,14 @@ def _row_id(guard):
 @pytest.mark.parametrize("guard", [g for g in GUARDS if g.exit == 1],
                          ids=_row_id)
 def test_refusal_rows(capsys, monkeypatch, guard):
-    # every refusal row of tests/scale_guard.py, in process: exit 1 before
-    # any count, prime search, audit term or L-polynomial, in the one shape
+    # every refusal row of tests/scale_guard.py, in process: exit 1 within a
+    # second, before any count, prime search, audit term or L-polynomial, in
+    # the one shape (the certificate limit comes after the stabilizer
+    # search, 0.01 s at F13)
     _refuse_work(monkeypatch)
     start = time.perf_counter()
     code, out, err = run(capsys, *guard.argv)
-    assert time.perf_counter() - start \
-        < REFUSAL_SECONDS.get(guard.argv, 1.0)
+    assert time.perf_counter() - start < 1.0
     assert code == 1 and out == "" and REFUSAL.fullmatch(err), err
     for fragment in guard.says:
         assert fragment in err, (fragment, err)
@@ -462,6 +458,25 @@ def test_oversized_unit_group_fails_fast(capsys):
                        "--modulus", "T^12+T^3+1", "--degree", "30")
     assert time.perf_counter() - start < 1.0
     assert code == 1 and "4095" in err and "limit is order 1024" in err
+
+
+def test_unit_group_refused_before_any_factor_search(capsys, monkeypatch):
+    # orders 1.1e19 and 2.2e14 come from the degrees and multiplicities of
+    # the modulus's prime factors: refused before any search for the factors
+    # (minutes for T^20+T+1/F9) and, in ties-gl2, before the stabilizer search
+    def fail(*args):
+        raise AssertionError("a search started before the refusal")
+    monkeypatch.setattr(characters, "factorize", fail)
+    monkeypatch.setattr(cli_mod, "stabilizer_search", fail)
+    for argv, order in ((("count", "--field", "F9", "--modulus", "T^20+T+1",
+                          "--degree", "3"), "1.1e+19"),
+                        (("ties-gl2", "--field", "F16", "--modulus",
+                          "T^12+T+1"), "2.2e+14")):
+        start = time.perf_counter()
+        code, _, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and "order %s" % order in err, err
+        assert "limit is order 1024" in err
 
 
 def test_relations_past_exponent_limit_fails_fast(capsys):

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -54,6 +55,10 @@ def test_mat2_basics():
         Mat2(F2, 1, 1, 1, 1)    # singular
     assert len(all_invertible(F2)) == 6
     assert len(all_invertible(F3)) == 48
+    # lexicographic entry order, which the stabilizer search follows
+    assert [B.entries() for B in all_invertible(F3)] == [
+        (a, b, c, d) for a, b, c, d in product(range(3), repeat=4)
+        if (a * d - b * c) % 3]
 
 
 def test_slash_reciprocal():
@@ -104,6 +109,35 @@ def test_slash_action_matches_power_list_oracle():
             n = max(f.degree, 0) + rng.randrange(0, 40)
             assert slash_action(f, n, B) == \
                 slash_action_by_power_list(f, n, B), (field, f, n, B)
+
+
+def _stabilizers_by_oracle(m, mats):
+    """stabilizer_search by brute force: one power-list slash action per
+    matrix of mats = all_invertible(m.field)."""
+    out = []
+    for B in mats:
+        g = slash_action_by_power_list(m, m.degree, B)
+        lam = m.field.div(g.lc, m.lc)
+        if g == m.scale(lam):
+            out.append((B, lam))
+    return out
+
+
+def test_stabilizer_search_matches_brute_force_oracle():
+    # every modulus of degree <= 3 over F2, F3 and F4, monic or not, and a
+    # seeded one of degree <= 3 over each of F5, F7, F8 and F9: the same
+    # (B, lam) in the same order
+    rng = random.Random(53)
+    moduli = [Poly.from_index(F, i) for F in (F2, F3, parse_field("F4"))
+              for i in range(F.q, F.q ** 4)]
+    for q in (5, 7, 8, 9):
+        F = parse_field("F%d" % q)
+        moduli.append(Poly.from_index(F, rng.randrange(F.q, F.q ** 4)))
+    mats = {}
+    for m in moduli:
+        mats.setdefault(m.field, all_invertible(m.field))
+        assert stabilizer_search(m) == \
+            _stabilizers_by_oracle(m, mats[m.field]), m
 
 
 def test_stabilizers_T2T1_all_of_gl2():
@@ -295,6 +329,12 @@ def test_certificate_reverification_error():
     m = P(F2, "T^3+T+1")
     with pytest.raises(UsageError):
         certify_ties(m, Mat2(F2, 1, 0, 1, 1), 1, 1)   # not a stabilizer
+    # a true stabilizer, (T^2+1)|_2 B = T^2+1, with a wrong lambda: its
+    # image is proportional to m, but not 2 m
+    m, B = P(F3, "T^2+1"), Mat2(F3, 1, 0, 0, 2)
+    certify_ties(m, B, 1, 1)
+    with pytest.raises(UsageError, match="does not stabilize"):
+        certify_ties(m, B, 2, 1)
 
 
 def test_violation_reporting():
@@ -425,8 +465,8 @@ def test_definition_check_catches_basis_images_one_degree_off(q, mstr,
     B, lam = next((B, lam) for B, lam in stabilizer_search(m)
                   if stabilizer_period(m, B) > 1)
     true_images = gl2._basis_images
-    monkeypatch.setattr(gl2, "_basis_images",
-                        lambda m, B, n: true_images(m, B, n + 1))
+    monkeypatch.setattr(gl2, "_basis_images", lambda factors, M, ns:
+                        true_images(factors, M, [n + 1 for n in ns]))
     with pytest.raises(IntegrityError,
                        match="disagrees with the slash action"):
         certify_ties(m, B, lam, 5, rng=random.Random(11))
@@ -436,7 +476,8 @@ def test_class_map_off_the_units_raises(monkeypatch):
     # zero basis images pass the period check (equal at e and e + N0) and
     # send every class to 0, which is not a unit
     m = P(F2, "T^3+T+1")
-    monkeypatch.setattr(gl2, "_basis_images", lambda m, B, n: [0] * m.degree)
+    monkeypatch.setattr(gl2, "_basis_images",
+                        lambda factors, M, ns: [[0] * M] * len(ns))
     with pytest.raises(IntegrityError, match="left the unit classes at 1$"):
         certify_ties(m, Mat2(F2, 1, 1, 1, 0), 1, 1)
 
@@ -451,7 +492,8 @@ def test_class_map_that_is_not_a_permutation_raises(monkeypatch):
     # the second class sent where the first goes: mod T^2 the units are 1
     # and T+1, and basis images (1, 0) send both to 1, a unit.  The walk
     # along its cycles would never close: it must not be reached
-    monkeypatch.setattr(gl2, "_basis_images", lambda m, B, n: [1, 0])
+    monkeypatch.setattr(gl2, "_basis_images",
+                        lambda factors, M, ns: [[1, 0]] * len(ns))
     monkeypatch.setattr(gl2, "_cycles", lambda perm: pytest.fail("walked"))
     with pytest.raises(IntegrityError, match="is not a permutation$"):
         certify_ties(P(F2, "T^2"), Mat2(F2, 1, 0, 0, 1), 1, 1)

@@ -132,7 +132,7 @@ def test_rational_slash_matches_unreduced_slash_action(m, rnd):
         period = gl2.stabilizer_period(m, B)
         for n in range(M - 1, M + period + 3):
             c = rnd.choice(G.units)
-            got = gl2._rational_slash(G.ring.digits([c.encode()]), n, B, m,
-                                      period)
+            got = gl2._rational_slash(G.ring.digits([c.encode()]), n,
+                                      gl2._linear_factors(m, B), m, period)
             want = gl2.slash_action(c, n, B) % m
             assert got.tolist() == [want.encode()], (B, n, c)
