@@ -41,6 +41,19 @@ CASES = {
                                    "--max-degree", "13", "--period", "2"],
     "ties_gl2_F3_T21_verify14": ["ties-gl2", "--field", "F3",
                                  "--modulus", "T^2+1", "--verify-to", "14"],
+    "bias_F2_T6T21_a_T_b_1_8_30_2": ["bias", "--field", "F2",
+                                     "--modulus", "T^6+T^2+1",
+                                     "--class-a", "T", "--class-b", "1",
+                                     "--degrees", "8:30:2"],
+    "cumulative_F2_T4T21_16_ties": ["cumulative", "--field", "F2",
+                                    "--modulus", "T^4+T^2+1",
+                                    "--max-degree", "16", "--ties"],
+    "ties_empirical_F2_T6T21_8_20": ["ties-empirical", "--field", "F2",
+                                     "--modulus", "T^6+T^2+1",
+                                     "--min-degree", "8",
+                                     "--max-degree", "20"],
+    "count_F4_T2_d14_nonmonic": ["count", "--field", "F4", "--modulus", "T^2",
+                                 "--degree", "14", "--nonmonic"],
 }
 
 RELATIONS = {
