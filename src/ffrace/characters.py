@@ -70,8 +70,6 @@ class UnitGroup:
             unit &= ring.times(residues, ring.digits((modulus // P).encode())
                                ).any(axis=1)
         codes = np.flatnonzero(unit)
-        self.units = tuple(Poly(F, row) for row in (
-            codes[:, None] // F.q ** np.arange(M) % F.q).tolist())
         self.order = len(codes)
         assert self.order == order, "unit count differs from Phi(m)"
         self._build_generators(residues[codes])
@@ -175,6 +173,15 @@ class UnitGroup:
         self.unit_at.setflags(write=False)
 
     # --- queries ------------------------------------------------------------
+    @cached_property
+    def units(self):
+        """The units as Poly in canonical class order, ascending encoding,
+        the order of every count: built on first read, where a class is
+        named."""
+        F, codes = self.field, np.flatnonzero(self.unit_index >= 0)
+        return tuple(Poly(F, row) for row in (
+            codes[:, None] // F.q ** np.arange(self.deg) % F.q).tolist())
+
     def _positions(self, n):
         """The grid position of units[i]^n for every i."""
         if not self.gen_orders:  # the trivial group: one position

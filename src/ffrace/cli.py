@@ -67,16 +67,11 @@ def _emit(args, text):
         sys.stdout.write(text)
 
 
-def _class_columns(m):
-    return list(unit_group(m).units)
-
-
-def _cumulative_table(m, n, fmt, name, **kw):
-    per_class, sources = cumulative_counts(m, n, **kw)
-    cols = _class_columns(m)
-    header = ["N", "source"] + [format_poly(c) for c in cols]
-    rows = [[k, sources[k]] + [per_class[c][k - 1] for c in cols]
-            for k in range(1, n + 1)]
+def _class_table(m, run, fmt, name):
+    """One row per (N, (counts in canonical class order, source)) of run,
+    under a column for every unit class mod m."""
+    header = ["N", "source"] + [format_poly(u) for u in unit_group(m).units]
+    rows = [[n, source, *found] for n, (found, source) in run]
     return render_table(header, rows, fmt, name=name)
 
 
@@ -89,12 +84,10 @@ def _cmd_count(args):
     kw = dict(monic=not args.nonmonic, sieve_limit=default_cutoff(m.field.q))
     suffix = "-nonmonic" if args.nonmonic else ""
     if args.cumulative:
-        return _cumulative_table(m, n, args.fmt, "cumulative" + suffix, **kw)
-    found, source = counts(m, n, **kw)
-    cols = _class_columns(m)
-    header = ["N", "source"] + [format_poly(c) for c in cols]
-    rows = [[n, source] + [found[c] for c in cols]]
-    return render_table(header, rows, args.fmt, name="count" + suffix)
+        return _class_table(m, cumulative_counts(m, n, **kw), args.fmt,
+                            "cumulative" + suffix)
+    return _class_table(m, [(n, counts(m, n, **kw))], args.fmt,
+                        "count" + suffix)
 
 
 def _cmd_count_explicit(args):
@@ -103,17 +96,15 @@ def _cmd_count_explicit(args):
     if n < 1:
         raise UsageError("--degree must be >= 1")
     result = explicit_counter(m).count(n, breakdown=args.breakdown)
-    cols = _class_columns(m)
     if args.breakdown and args.fmt == "json":
         obj = {"modulus": format_poly(m), "degree": n,
-               "counts": {format_poly(c): result.counts[c] for c in cols},
+               "counts": {format_poly(c): v for c, v in result.counts.items()},
                "breakdown": [
                    {"class": cls, "divisor": d, "terms": terms}
                    for (cls, d), terms in sorted(result.breakdown.items())]}
         return json.dumps(obj, indent=2) + "\n"
-    header = ["N", "source"] + [format_poly(c) for c in cols]
-    rows = [[n, "explicit"] + [result.counts[c] for c in cols]]
-    text = render_table(header, rows, args.fmt, name="count-explicit")
+    text = _class_table(m, [(n, (result.counts.values(), "explicit"))],
+                        args.fmt, "count-explicit")
     if args.breakdown and args.fmt != "json":
         lines = [text, "\nper-divisor, per-character terms:\n"]
         for (cls, d), terms in sorted(result.breakdown.items()):
@@ -239,7 +230,7 @@ def _cmd_cumulative(args):
         rows = [[t[0], format_poly(t[1][0]), format_poly(t[1][1])]
                 for t in ties]
         return render_table(header, rows, args.fmt, name="cumulative-ties")
-    return _cumulative_table(m, n, args.fmt, "cumulative")
+    return _class_table(m, cumulative_counts(m, n), args.fmt, "cumulative")
 
 
 def _parse_degrees(spec):

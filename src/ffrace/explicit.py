@@ -34,7 +34,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import log2, prod
-from operator import mul
+from operator import add, mul
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from .limits import MAX_EXACT_WORK, MAX_EXPLICIT_WORK, check
 from .numth import (divisors, euler_phi, gauss_irreducible_count, is_prime,
                     mobius, prime_factors)
 from .polyring import Poly, factorize, format_poly
-from .sieve import default_cutoff, sieve_count
+from .sieve import class_counts, default_cutoff
 
 # Split primes lie below 2^PRIME_BITS: an entry times a weight is below
 # 2^50, a sum of 4096 of them below 2^62.
@@ -180,7 +180,8 @@ def check_run_work(m, degrees, sieve_limit=None):
 
 def run_counts(m, degrees, *, monic=True, sieve_limit=None):
     """(N, (counts, source)) for every N in degrees, in order: the count of
-    degree-N irreducibles in every unit class mod m and its engine, the
+    degree-N irreducibles in every unit class mod m, one list in canonical
+    class order (that of unit_group(m).units), and its engine, the
     sieve for N <= sieve_limit (default min(default_cutoff(q), 12)), else
     one run of the explicit counter, made on first read.  The one place that
     chooses the engine; check_run_work prices the run first, a range lazily.
@@ -206,13 +207,11 @@ def run_counts(m, degrees, *, monic=True, sieve_limit=None):
                 out = found[n] if reads[n] else found.pop(n)
                 source = "explicit"
             else:
-                out, source = sieve_count(m, n).counts, "sieve"
+                out, source = class_counts(m, n), "sieve"
             if not monic:
-                # out is in canonical class order, that of G.units; object
-                # entries keep counts past int64 exact
-                vals = np.array(list(out.values()), dtype=object)
-                out = dict(zip(G.units, vals[G.scalar_index].sum(
-                    axis=0).tolist()))
+                # object entries keep counts past int64 exact
+                out = np.array(out, dtype=object)[G.scalar_index].sum(
+                    axis=0).tolist()
             yield n, (out, source)
     return run()
 
@@ -331,11 +330,13 @@ class ExplicitCounter:
                                  degree))
         counts = self.run([degree])[degree]
         audit = self._audit(degree, counts) if breakdown else None
-        return ExplicitCount(self.modulus, degree, counts, audit)
+        return ExplicitCount(self.modulus, degree,
+                             dict(zip(G.units, counts)), audit)
 
     def run(self, degrees):
-        """{N: counts} for every N in degrees (N >= 1 within the work limit,
-        as count() and run_counts check), each on the rows its bound needs.
+        """{N: counts in canonical class order} for every N in degrees
+        (N >= 1 within the work limit, as count() and run_counts check), each
+        on the rows its bound needs.
         One Newton walk to the largest N adds each p_n to the Mobius sums of
         the N with N/n squarefree; one gather of omega^V serves every N."""
         G, q = self.group, self.field.q
@@ -367,27 +368,28 @@ class ExplicitCounter:
         return sums
 
     def _checked(self, degree, totals, ell):
-        """The counts of degree N by the CRT from N M' pi(N; a) mod ell."""
+        """The counts of degree N in canonical class order by the CRT from
+        N M' pi(N; a) mod ell."""
         G, scale = self.group, degree * self.group.order
         m = format_poly(self.modulus)
-        counts = {}
-        for u, (total, agrees) in zip(G.units, _crt(totals % ell, ell)):
+
+        def named(i):  # the count of class i, named where a check fails
+            return "explicit count pi(%d; %s, %s) over %r" % (
+                degree, m, format_poly(G.units[i]), self.field)
+        counts = []
+        for i, (total, agrees) in enumerate(_crt(totals % ell, ell)):
             if not agrees:
                 raise IntegrityError(
-                    "explicit count pi(%d; %s, %s) over %r: the redundant "
-                    "prime %d disagrees with the other %d"
-                    % (degree, m, format_poly(u), self.field, ell[-1, 0],
-                       len(ell) - 1))
-            counts[u], rest = divmod(total, scale)
+                    "%s: the redundant prime %d disagrees with the other %d"
+                    % (named(i), ell[-1, 0], len(ell) - 1))
+            count, rest = divmod(total, scale)
             if rest or total < 0:
-                raise IntegrityError(
-                    "explicit count pi(%d; %s, %s) over %r = %s is not a "
-                    "nonnegative integer" % (degree, m, format_poly(u),
-                                             self.field,
-                                             Fraction(total, scale)))
+                raise IntegrityError("%s = %s is not a nonnegative integer"
+                                     % (named(i), Fraction(total, scale)))
+            counts.append(count)
         primes = gauss_irreducible_count(self.field.q, degree) - sum(
             1 for p, _e in self.factorization.factors if p.degree == degree)
-        total = sum(counts.values())
+        total = sum(counts)
         if total != primes:
             raise IntegrityError(
                 "explicit counts of degree %d mod %s over %r sum to %d, not "
@@ -420,8 +422,8 @@ class ExplicitCounter:
                 audit[(format_poly(u), d)] = {
                     chi.label(): t.to_json()
                     for chi, t in zip(self.chars, terms)}
-        for u, total in zip(G.units, sums):
-            if total != degree * counts[u]:
+        for u, total, count in zip(G.units, sums, counts):
+            if total != degree * count:
                 raise IntegrityError(
                     "breakdown of pi(%d; %s, %s) over %r sums to %r, not to "
                     "N*pi" % (degree, format_poly(self.modulus),
@@ -446,18 +448,19 @@ def counts(m, degree, **kw):
 
 
 def cumulative_counts(m, max_degree, **kw):
-    """(per_class, sources): running sums sum_{n<=N} counts(m, n, **kw) for
-    N = 1..max_degree, per_class[c][N-1] for every unit class c, and the
-    engine of every degree, sources[N]."""
+    """(N, (sums, source)) for N = 1..max_degree, as run_counts gives
+    counts(m, N, **kw): sums the running sums sum_{n<=N} in canonical class
+    order, source the engine of degree N."""
     if max_degree < 1:
         raise UsageError("max degree must be >= 1")
-    per_class, sources = {}, {}
-    for n, (found, sources[n]) in run_counts(m, range(1, max_degree + 1),
-                                             **kw):
-        for c, v in found.items():
-            column = per_class.setdefault(c, [])
-            column.append(v + (column[-1] if column else 0))
-    return {c: tuple(v) for c, v in per_class.items()}, sources
+    counted = run_counts(m, range(1, max_degree + 1), **kw)
+
+    def run():
+        sums = None
+        for n, (found, source) in counted:
+            sums = found if sums is None else list(map(add, sums, found))
+            yield n, (sums, source)
+    return run()
 
 
 @dataclass
@@ -488,10 +491,11 @@ def bias_report(m, class_a, class_b, degrees, expected_sign=None):
     G = unit_group(m)
     if not (G.contains(a) and G.contains(b)):
         raise UsageError("classes must be units mod the modulus")
+    ia, ib = G.unit_index[[a.encode(), b.encode()]].tolist()
     rows, violations = [], []
     for N, (found, _source) in run:
-        diff = found[a] - found[b]
-        rows.append((N, found[a], found[b], diff))
+        diff = found[ia] - found[ib]
+        rows.append((N, found[ia], found[ib], diff))
         if expected_sign not in (None, (diff > 0) - (diff < 0)):
             violations.append(N)
     return BiasReport(modulus=m, class_a=a, class_b=b, rows=rows,

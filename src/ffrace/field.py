@@ -79,9 +79,6 @@ class FieldSpec:
             raise ZeroDivisionError("division by zero in %s" % self)
         return self._inv[a]
 
-    def div(self, a, b):
-        return self._mul[a][self.inv(b)]
-
     def mult_order(self, a):
         """Order of a in F_q^x."""
         if a == 0:
@@ -96,9 +93,6 @@ class FieldSpec:
         """Reduce an integer literal into the field (mod p for prime fields;
         encodings taken mod q for extensions)."""
         return c % self.q if self.k > 1 else c % self.p
-
-    def units(self):
-        return range(1, self.q)
 
     # --- identity ---------------------------------------------------------
     def __eq__(self, other):

@@ -301,7 +301,7 @@ def first_failed_certificate(certs, n_max, sieve_limit=None):
     for monic in {c.monic_certified for c in certs}:
         degrees = sorted({N for c in certs if c.monic_certified == monic
                           for N in certificate_degrees(c, n_max)})
-        found[monic] = {N: np.array(list(counts.values()))
+        found[monic] = {N: np.array(counts)
                         for N, (counts, _source) in run_counts(
                             m, degrees, monic=monic, sieve_limit=sieve_limit)}
     index = unit_group(m).unit_index

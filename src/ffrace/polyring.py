@@ -83,9 +83,6 @@ class Poly:
             out = out * q + c
         return out
 
-    def sort_key(self):
-        return self.encode()
-
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.field == other.field
                 and self.coeffs == other.coeffs)
@@ -354,7 +351,7 @@ def factorize(f):
             if (part % cand).is_zero:
                 out.append((cand, sum((x % cand).is_zero for x in layers)))
                 part = part // cand
-    out.sort(key=lambda pe: pe[0].sort_key())
+    out.sort(key=lambda pe: pe[0].encode())
     fact = Factorization(unit=f.lc, factors=tuple(out))
     assert fact.reassemble(f.field) == f, "factorization does not reassemble"
     return fact

@@ -3,6 +3,7 @@ tables (rendered md/csv/json, byte-stable)."""
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 from math import lcm
 
 from .characters import unit_group
@@ -67,7 +68,7 @@ def detect_tie_patterns(m, lo, hi, period=None):
     if period < 1:
         raise UsageError("period must be >= 1")
     check(MAX_PERIOD, "tie patterns mod %s" % format_poly(m), period)
-    G = unit_group(m)
+    units = unit_group(m).units
     found, sources = {}, {}
     for n, (counted, source) in run:
         found[n], sources[n] = counted, source
@@ -78,18 +79,11 @@ def detect_tie_patterns(m, lo, hi, period=None):
             per_residue[r] = ResiduePattern(groups=(), consistent=True,
                                             observed=())
             continue
-        profile = {u: tuple(found[n][u] for n in observed) for u in G.units}
-        blocks = {}
-        for u in G.units:
-            blocks.setdefault(profile[u], []).append(u)
-        groups = tuple(tuple(b) for b in
-                       sorted(blocks.values(), key=lambda b: b[0].sort_key()))
-        per_degree = []
-        for n in observed:
-            one = {}
-            for u in G.units:
-                one.setdefault(found[n][u], []).append(u)
-            per_degree.append(frozenset(tuple(v) for v in one.values()))
+        # each class's counts at the observed degrees
+        profile = zip(*(found[n] for n in observed))
+        groups = tuple(tuple(units[i] for i in group)
+                       for group in _tied(profile).values())
+        per_degree = [list(_tied(found[n]).values()) for n in observed]
         consistent = all(p == per_degree[0] for p in per_degree)
         per_residue[r] = ResiduePattern(groups=groups, consistent=consistent,
                                         observed=tuple(observed))
@@ -100,17 +94,23 @@ def detect_tie_patterns(m, lo, hi, period=None):
 def check_cumulative_ties(m, n_max):
     """Every (N, (a, b)) with equal cumulative counts sum_{n<=N} pi(n;m,.) of
     two distinct classes, N = 1..n_max."""
-    per_class, _sources = cumulative_counts(m, n_max)
+    run = cumulative_counts(m, n_max)
+    units = unit_group(m).units
     out = []
-    for n in range(1, n_max + 1):
-        by_val = {}
-        for c, column in per_class.items():
-            by_val.setdefault(column[n - 1], []).append(c)
-        for v, group in sorted(by_val.items()):
-            if len(group) > 1:
-                for i in range(len(group)):
-                    for j in range(i + 1, len(group)):
-                        out.append((n, (group[i], group[j])))
+    for n, (sums, _source) in run:
+        for _count, group in sorted(_tied(sums).items()):
+            out += [(n, (units[i], units[j]))
+                    for i, j in combinations(group, 2)]
+    return out
+
+
+def _tied(counts):
+    """{count: the indices of the classes with it} over counts in canonical
+    class order, keys in order of first occurrence, each list ascending: one
+    form for each partition of the classes into ties."""
+    out = {}
+    for i, c in enumerate(counts):
+        out.setdefault(c, []).append(i)
     return out
 
 
@@ -160,15 +160,13 @@ def emit_table(key, fmt="csv", lo=None, hi=None):
         raise UsageError("bad row range %d..%d" % (lo, hi))
     field = parse_field(spec.field)
     m = parse_poly(field, spec.modulus)
-    cols = generator_power_columns(m)
-    if spec.cumulative:
-        per_class, _sources = cumulative_counts(m, hi)
-        rows = [[n] + [per_class[c][n - 1] for c in cols]
-                for n in range(lo, hi + 1)]
-    else:
-        rows = [[n] + [found[c] for c in cols]
-                for n, (found, _source) in run_counts(m, range(lo, hi + 1))]
-    header = ["N"] + [format_poly(c) for c in cols]
+    header = ["N"] + [format_poly(c) for c in generator_power_columns(m)]
+    run = cumulative_counts(m, hi) if spec.cumulative else \
+        run_counts(m, range(lo, hi + 1))
+    # in a cyclic group the grid position of g^k is k
+    cols = unit_group(m).unit_at.tolist()
+    rows = [[n] + [found[i] for i in cols]
+            for n, (found, _source) in run if n >= lo]
     return render_table(header, rows, fmt, name=key)
 
 

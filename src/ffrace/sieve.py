@@ -646,15 +646,15 @@ def _class_tally(m, degree):
     return tally
 
 
-def sieve_count(m, degree):
-    """Exact CountTable by enumerating all monic degree-N polynomials."""
+def class_counts(m, degree):
+    """pi(N; m, c) for every unit class c, a list in canonical class order,
+    by enumerating all monic degree-N polynomials."""
     if degree < 1:
         raise UsageError("degree must be >= 1")
     G = unit_group(m)  # refuses a constant modulus
     tally = _class_tally(m, degree)
     # units are sorted by encoding: one gather reads every class
-    found = tally[np.flatnonzero(G.unit_index >= 0)]
-    counts = dict(zip(G.units, found.tolist()))
+    found = tally[G.unit_index >= 0]
     excluded = int(tally.sum() - found.sum())
     expected = sum(1 for p, _ in factorize(m).factors if p.degree == degree)
     if excluded != expected:
@@ -662,5 +662,12 @@ def sieve_count(m, degree):
             "class accounting failed at degree %d mod %s over %r: %d "
             "irreducibles landed outside the unit classes, expected %d"
             % (degree, format_poly(m), m.field, excluded, expected))
-    return CountTable(modulus=m, degree=degree, counts=counts,
-                      excluded=excluded)
+    return found.tolist()
+
+
+def sieve_count(m, degree):
+    """Exact CountTable by enumerating all monic degree-N polynomials."""
+    found = class_counts(m, degree)
+    # every monic irreducible of the degree is enumerated
+    return CountTable(m, degree, dict(zip(unit_group(m).units, found)),
+                      gauss_irreducible_count(m.field.q, degree) - sum(found))

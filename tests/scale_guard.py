@@ -138,6 +138,17 @@ GUARDS = (
           "MAX_STABILIZER_Q's measurement: 3,600 stabilizers of 61,200 "
           "matrices, one certificate each: 1.0-1.9 s and 39-40 MB (2.2-3.4 "
           "s and 44.4-44.7 MB with a Poly slash action per matrix)", rss_mb=56),
+    Guard(("cumulative", "--field", "F2", "--modulus", "T^10+T^3+1",
+           "--max-degree", "247", "--format", "csv"), 15, 0,
+          "the largest run accepted at order 1023, running sums in class "
+          "order: 2.3-2.9 s and 87.9-88.1 MB (2.5-3.4 s and 88.2 MB with a "
+          "dict per class)", rss_mb=111),
+    Guard(("ties-empirical", "--field", "F2", "--modulus", "T^10+T^3+1",
+           "--min-degree", "10", "--max-degree", "60", "--format", "json"),
+          10, 0,
+          "ties grouped by class index at order 1023 over 51 degrees: "
+          "0.7-1.0 s and 58.3 MB (0.8-0.9 s and 58.3-58.4 MB with a Poly "
+          "profile per residue)", rss_mb=73),
     Guard(("count-explicit", "--field", "F2", "--modulus", "T^3+T+1",
            "--degree", "15000", "--format", "csv"), 20, 0,
           "counts of ~4,500 digits, past the interpreter's int-to-str cap: "

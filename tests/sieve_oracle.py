@@ -110,7 +110,7 @@ def sieve_count_nonmonic_naive(m, degree):
     counts = {u: 0 for u in G.units}
     for f in enumerate_monic(field, degree):
         if is_irreducible(f):
-            for lam in field.units():
+            for lam in range(1, field.q):
                 r = f.scale(lam) % m
                 if G.contains(r):
                     counts[r] += 1

@@ -97,7 +97,8 @@ def test_criterion_03_tables_3_and_5_explicit():
 def test_criterion_04_table6_cumulative_and_tie_scan():
     start = time.time()
     m = P(F2, "T^3+T+1")
-    per_class, _sources = cumulative_counts(m, 40)
+    per_class = dict(zip(unit_group(m).units, zip(
+        *(sums for _n, (sums, _source) in cumulative_counts(m, 40)))))
     cols = generator_power_columns(m)
     for n in range(1, 41):
         got = tuple(per_class[c][n - 1] for c in cols)

@@ -179,7 +179,7 @@ def test_scalar_index_matches_poly_scaling():
                         ("F5", "T^2"), ("F9", "T^2+1"), ("F2", "T^3+T+1")):
         grp = G(parse_field(field), mstr)
         assert grp.scalar_index.shape == (grp.field.q - 1, grp.order)
-        for c in grp.field.units():
+        for c in range(1, grp.field.q):
             assert [grp.units[i] for i in grp.scalar_index[c - 1]] == \
                 [u.scale(c) for u in grp.units], (field, mstr, c)
 
@@ -237,6 +237,23 @@ def exponent_by_powers(grp):
             n += 1
         out = lcm(out, n)
     return out
+
+
+def test_unit_group_builds_on_encodings(monkeypatch):
+    # a cold build makes fewer Poly than there are units: the units tuple is
+    # built on first read, where a class is named
+    m = parse_poly(F2, "T^10+T^3+1")
+    made = []
+    init = Poly.__init__
+
+    def counted(self, field, coeffs):
+        made.append(1)
+        init(self, field, coeffs)
+    monkeypatch.setattr(Poly, "__init__", counted)
+    grp = UnitGroup(m)
+    assert grp.order == 1023 and len(made) < grp.order
+    assert len(grp.units) == grp.order
+    assert grp.units == tuple(sorted(grp.units, key=Poly.encode))
 
 
 def test_unit_group_census_is_pinned():

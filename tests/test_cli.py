@@ -103,7 +103,7 @@ def _refuse_work(monkeypatch):
     """Make every count, prime search, audit term and L-polynomial fail."""
     def fail(*args, **kwargs):
         raise AssertionError("work started before the refusal")
-    for module, name in ((explicit, "split_prime"), (explicit, "sieve_count"),
+    for module, name in ((explicit, "split_prime"), (explicit, "class_counts"),
                          (explicit, "l_polynomial"),
                          (explicit.ExplicitCounter, "raw_zsum"),
                          (cli_mod, "l_polynomial"),

@@ -61,7 +61,7 @@ def test_f4_canonical_modulus_and_unit_orders():
 
 def test_f4_lagrange_every_unit_cubed_is_one():
     F = field_make(2, 2)
-    for g in F.units():
+    for g in range(1, F.q):
         assert fpow(F, g, 3) == 1
 
 
@@ -94,10 +94,10 @@ def test_field_axioms_and_frobenius(p, k):
 def test_division():
     F = field_make(5)
     for a in range(F.q):
-        for b in F.units():
-            assert F.mul(F.div(a, b), b) == a
+        for b in range(1, F.q):
+            assert F.mul(F.mul(a, F.inv(b)), b) == a
     with pytest.raises(ZeroDivisionError):
-        F.div(1, 0)
+        F.mul(1, F.inv(0))
 
 
 def test_errors():

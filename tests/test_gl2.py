@@ -117,7 +117,7 @@ def _stabilizers_by_oracle(m, mats):
     out = []
     for B in mats:
         g = slash_action_by_power_list(m, m.degree, B)
-        lam = m.field.div(g.lc, m.lc)
+        lam = m.field.mul(g.lc, m.field.inv(m.lc))
         if g == m.scale(lam):
             out.append((B, lam))
     return out
@@ -511,12 +511,13 @@ def test_one_corrupt_degree_fails_its_certificate(monkeypatch, sieve_limit):
     degrees = list(gl2.certificate_degrees(cert, 20))
     assert first_failed_certificate(certs, 20, sieve_limit) is None
     run = gl2.run_counts
+    at = unit_group(m).unit_index[moved.encode()]
     for bad in (degrees[1], degrees[-1]):
         def corrupt(m, degrees, **kw):
             for n, (found, source) in run(m, degrees, **kw):
                 if n == bad:
-                    found = dict(found)
-                    found[moved] += 1
+                    found = list(found)
+                    found[at] += 1
                 yield n, (found, source)
 
         monkeypatch.setattr(gl2, "run_counts", corrupt)

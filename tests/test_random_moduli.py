@@ -8,7 +8,10 @@ that the class x character oracle stays within a few seconds.  For each:
   CRT, equals the cyclotomic orbit assembly in Q(zeta_E) and the matrix
   Mobius inversion assembled from zmatrix_inverse and directly built
   L-polynomials;
-- it equals the sieve at a degree N <= min(sieve cutoff, 10);
+- it equals the sieve at a degree N <= min(sieve cutoff, 10), and at that N
+  run_counts gives the same list in canonical class order from either
+  engine, its non-monic fold that of a literal enumeration where
+  q^N <= 2^12;
 - find_conjugate_relations, modulo one split prime, returns the rows of the
   search in Q(zeta_E) (every exponent here is at most 80, within
   MAX_RELATIONS_EXPONENT);
@@ -27,10 +30,11 @@ from cyclo_oracle import rational_value
 from explicit_oracle import cyclotomic_counts, zmatrix_inverse
 from group_oracle import power_indices
 from relations_oracle import conjugate_relations
+from sieve_oracle import sieve_count_nonmonic_naive
 from ffrace import gl2
 from ffrace.characters import unit_group
 from ffrace.cyclo import CycloNum
-from ffrace.explicit import ExplicitCounter
+from ffrace.explicit import ExplicitCounter, run_counts
 from ffrace.field import field_make
 from ffrace.lfunc import find_conjugate_relations, l_polynomial
 from ffrace.numth import divisors
@@ -89,6 +93,15 @@ def test_explicit_matches_oracle_sieve_and_direct_lpolys(m, n_sieve, n_oracle):
     counter = ExplicitCounter(m)
     n_sieve = min(n_sieve, default_cutoff(m.field.q))
     assert counter.count(n_sieve).counts == sieve_count(m, n_sieve).counts
+    units = counter.group.units
+    table = sieve_count(m, n_sieve).counts
+    for limit in (0, n_sieve):     # explicit, then sieve
+        (_n, (found, _source)), = run_counts(m, [n_sieve], sieve_limit=limit)
+        assert found == [table[u] for u in units], limit
+    if m.field.q ** n_sieve <= 2 ** 9:
+        (_n, (found, _source)), = run_counts(m, [n_sieve], monic=False)
+        naive = sieve_count_nonmonic_naive(m, n_sieve)
+        assert found == [naive[u] for u in units]
     modular = counter.count(n_oracle).counts
     assert modular == cyclotomic_counts(counter, n_oracle)
     assert modular == oracle_counts(counter, n_oracle)

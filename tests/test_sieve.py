@@ -491,7 +491,7 @@ def test_vectorized_residues_vs_divmod():
 def nonmonic_by_sieve(m, N):
     found, source = counts(m, N, monic=False, sieve_limit=N)
     assert source == "sieve"
-    return found
+    return dict(zip(unit_group(m).units, found))
 
 
 def test_nonmonic_f2_equals_monic():
@@ -544,9 +544,18 @@ def test_weighted_count_trivial_identity():
             assert weighted_count(m, chi0, d) == expect
 
 
+def by_class(m, max_degree):
+    """(per_class, sources): cumulative_counts as a column of running sums
+    per unit class and the engine of each degree."""
+    run = list(cumulative_counts(m, max_degree))
+    return (dict(zip(unit_group(m).units,
+                     zip(*(sums for _n, (sums, _source) in run)))),
+            {n: source for n, (_sums, source) in run})
+
+
 def test_cumulative_small():
     m = P(F2, "T^3+T+1")
-    per_class, sources = cumulative_counts(m, 12)
+    per_class, sources = by_class(m, 12)
     assert per_class[P(F2, "T")][4] == 3        # N=5, class T
     assert per_class[P(F2, "T^2")][11] == 108   # N=12, class T^2
     # N=1 equals the plain sieve
@@ -557,14 +566,15 @@ def test_cumulative_small():
 
 def test_cumulative_counts_switch_to_explicit_beyond_limit():
     m = P(F3, "T^2")
-    per_class, sources = cumulative_counts(m, 16)
+    per_class, sources = by_class(m, 16)
     assert sources == {n: "sieve" if n <= 12 else "explicit"
                        for n in range(1, 17)}
-    running = {c: 0 for c in unit_group(m).units}
+    units = unit_group(m).units
+    running = {c: 0 for c in units}
     for n in range(1, 17):
         found, _source = counts(m, n)
-        for c in running:
-            running[c] += found[c]
+        for c, v in zip(units, found):
+            running[c] += v
             assert per_class[c][n - 1] == running[c], (n, c)
     with pytest.raises(UsageError):
         cumulative_counts(m, 0)
