@@ -335,10 +335,10 @@ class ExplicitCounter:
 
     def run(self, degrees):
         """{N: counts in canonical class order} for every N in degrees
-        (N >= 1 within the work limit, as count() and run_counts check), each
-        on the rows its bound needs.
-        One Newton walk to the largest N adds each p_n to the Mobius sums of
-        the N with N/n squarefree; one gather of omega^V serves every N."""
+        (N >= 1 within the work limit, as count() and run_counts check),
+        each on the rows its bound needs.  One Newton walk to the largest N
+        adds each p_n to the Mobius sums of the N with N/n squarefree; one
+        gather of omega^V serves every N."""
         G, q = self.group, self.field.q
         bounds = {N: N * G.order * q ** N for N in degrees}
         ell, powers, _coeffs = rows = self._rows(max(bounds.values()))

@@ -141,14 +141,15 @@ GUARDS = (
     Guard(("cumulative", "--field", "F2", "--modulus", "T^10+T^3+1",
            "--max-degree", "247", "--format", "csv"), 15, 0,
           "the largest run accepted at order 1023, running sums in class "
-          "order: 2.3-2.9 s and 87.9-88.1 MB (2.5-3.4 s and 88.2 MB with a "
-          "dict per class)", rss_mb=111),
+          "order: 2.3-2.9 s and 87.9-96.0 MB (2.5-3.4 s and 88.2-96.2 MB "
+          "with a dict per class; the peak moved between sessions on both "
+          "sides alike)", rss_mb=111),
     Guard(("ties-empirical", "--field", "F2", "--modulus", "T^10+T^3+1",
            "--min-degree", "10", "--max-degree", "60", "--format", "json"),
           10, 0,
           "ties grouped by class index at order 1023 over 51 degrees: "
-          "0.7-1.0 s and 58.3 MB (0.8-0.9 s and 58.3-58.4 MB with a Poly "
-          "profile per residue)", rss_mb=73),
+          "0.6-1.0 s and 57.5-58.3 MB (0.8-1.2 s and 57.3-58.4 MB with a "
+          "Poly profile per residue)", rss_mb=73),
     Guard(("count-explicit", "--field", "F2", "--modulus", "T^3+T+1",
            "--degree", "15000", "--format", "csv"), 20, 0,
           "counts of ~4,500 digits, past the interpreter's int-to-str cap: "

@@ -11,7 +11,10 @@ The count, cumulative and ties files under tests/golden/cli/ were captured
 from `ffrace` before the routing was collapsed into `explicit.counts`, the
 relations files from the search in Q(zeta_E) (tests/relations_oracle.py),
 before `find_conjugate_relations` moved to one split prime, the breakdown
-files before the raw sums were tallied over the log grid.  Regenerate
+files before the raw sums were tallied over the log grid, and the bias,
+`cumulative --ties`, order-56 `ties-empirical` and F4 non-monic files
+before counts became lists in canonical class order; these pin class order
+on non-cyclic groups with repeated factors.  Regenerate
 one with `PYTHONPATH=src python -m ffrace.cli <argv> --format <fmt>`."""
 
 import pathlib
