@@ -230,13 +230,16 @@ class UnitGroup:
             self.modulus, self.order, list(self.gen_orders))
 
 
-@lru_cache(maxsize=None)
-def _group_cache(field, coeffs):
-    return UnitGroup(Poly(field, coeffs))
-
-
+# 16 groups, twice the counters explicit.explicit_counter keeps: every count
+# through a counter asks for its group first, so a counter outlives its
+# group only where other moduli's groups evict it, and then the two are
+# equal builds, read by index.  A group holds at most 0.6 MB at
+# MAX_GROUP_ORDER, its units and scalar_index included (F256 mod T+1, a
+# scalar_index of 255 x 255 entries; 0.2 MB at order 1023 over F2).
+@lru_cache(maxsize=16)
 def unit_group(m):
-    return _group_cache(m.field, m.coeffs)
+    """The UnitGroup of m, shared by every caller."""
+    return UnitGroup(m)
 
 
 class Character:

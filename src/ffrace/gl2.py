@@ -64,11 +64,6 @@ def _gl2_entries(field):
     return abcd[:, ad != bc].T
 
 
-def all_invertible(field):
-    """GL2(F_q) in lexicographic entry order."""
-    return [Mat2(field, *B) for B in _gl2_entries(field).tolist()]
-
-
 def _slash_rows(field, f, abcd):
     """Coefficient rows of f|_D B, D = len(f) - 1, for each row a, b, c, d of
     abcd, by homogeneous Horner: acc = f_D, then for j = 1..D

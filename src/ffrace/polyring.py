@@ -311,24 +311,31 @@ class Factorization:
         return out
 
 
+# degree_layers and factorize keep 256 moduli each: a few Poly of degree
+# <= deg m, at most 2.4 KB for a modulus in both at MAX_GROUP_ORDER.
+@lru_cache(maxsize=256)
 def degree_layers(f):
-    """(d, layers) for each degree d of the irreducible factors P of the monic
-    f, ascending: layers[k] is the product of those with P^(k+1) | f, by gcds
-    with T^(q^d) - T once lower degrees are divided out (no factor search)."""
+    """((d, layers), ...) for each degree d of the irreducible factors P of
+    the monic f, ascending: layers[k] is the product of those with
+    P^(k+1) | f, by gcds with T^(q^d) - T once lower degrees are divided out
+    (no factor search).  Memoized: the group order and factorize share one
+    pass per modulus."""
+    out = []
     rem, frob, d = f, Poly.T(f.field), 0  # frob = T^(q^d) mod rem
     while rem.degree >= 1:
         d += 1
         if 2 * d > rem.degree:  # every factor has degree >= d: one is left
-            yield rem.degree, [rem]
-            return
+            out.append((rem.degree, (rem,)))
+            break
         frob = powmod(frob, f.field.q, rem)
         layers = [poly_gcd(frob - Poly.T(f.field), rem)]
         while layers[-1].degree > 0:
             rem = rem // layers[-1]
             layers.append(poly_gcd(rem, layers[-1]))
         if len(layers) > 1:
-            yield d, layers[:-1]
+            out.append((d, tuple(layers[:-1])))
             frob = frob % rem
+    return tuple(out)
 
 
 @lru_cache(maxsize=256)

@@ -51,8 +51,8 @@ What is built how often:
   builds any, so another field's go at its first sieve;
 - once per degree: the dense pass's table over its low index digits and
   each pass's shifts hi, from T^degree and the high digits;
-- once per modulus: the chunk tables of the residues mod m (_chunk_tables),
-  kept until another modulus is tallied.
+- once per modulus, while it is among the last few tallied: the chunk
+  tables of the residues mod m (_chunk_tables).
 """
 
 import math
@@ -554,36 +554,30 @@ def irreducible_indices(field, degree):
     return out
 
 
-# The chunk tables of the modulus tallied last (_chunk_tables), by modulus:
-# a tuple, replaced whole when it grows, so threads never see it half built.
-_chunks = {}
-
-
 def _chunk_digits(p):
     """Base-p digits per chunk of _tally_mod: a table of 2^_CHUNK_BITS
     entries at most."""
     return max(1, int(_CHUNK_BITS / math.log2(p)))
 
 
-def _chunk_tables(m, count):
-    """The first `count` chunk tables of _tally_mod for the modulus m and
-    the spread/fold pair (None when p = 2).  Chunk c holds the residues mod
-    m of every pattern of the digits [c w, (c + 1) w) of an encoding, up to
-    _top_degree: none depends on the degree tallied.  They are built as
-    first read and kept for m, and a tally mod another modulus drops them."""
+# 8 moduli: at MAX_GROUP_ORDER one holds at most 0.45 MB of tables, fold
+# included (F3 at degree 7).
+@lru_cache(maxsize=8)
+def _chunk_tables(m):
+    """The chunk tables of _tally_mod for the modulus m (read-only) and the
+    spread/fold pair (None when p = 2).  Chunk c holds the residues mod m of
+    every pattern of the digits [c w, (c + 1) w) of an encoding, up to
+    _top_degree: none depends on the degree tallied.  All are built at once:
+    a chunk no tally reads costs 24 us over F2 (2-core Xeon)."""
     field = m.field
     p = field.p
-    kept = _chunks.get(m)
-    if kept:
-        steps, sums, tables = kept
-    else:
-        powers = _power_encodings(field, np.array([m.monic().encode()]),
-                                  m.degree, _top_degree(field))
-        steps = _basis_residues(field, powers, m.degree, sign=1)
-        sums = None if p == 2 else _spread_fold(p, m.degree * field.k)
-        tables = ()
+    powers = _power_encodings(field, np.array([m.monic().encode()]),
+                              m.degree, _top_degree(field))
+    steps = _basis_residues(field, powers, m.degree, sign=1)
+    sums = None if p == 2 else _spread_fold(p, m.degree * field.k)
     width = _chunk_digits(p)
-    for c in range(len(tables), count):
+    tables = []
+    for c in range(-(-steps.shape[1] // width)):
         table = _span([0], steps[:, c * width:(c + 1) * width], sums)[0]
         if sums is not None and c:
             table = sums[0][table]      # spread: below len(fold)
@@ -591,10 +585,8 @@ def _chunk_tables(m, count):
         else:
             table = table.astype(np.min_scalar_type(field.q ** m.degree - 1))
         table.flags.writeable = False
-        tables += (table,)
-    _chunks.clear()                     # one modulus at a time
-    _chunks[m] = steps, sums, tables
-    return tables[:count], sums
+        tables.append(table)
+    return tuple(tables), sums
 
 
 def _tally_mod(m, idx, degree):
@@ -608,7 +600,8 @@ def _tally_mod(m, idx, degree):
     residues are tallied a block of idx at a time."""
     p = m.field.p
     width = _chunk_digits(p)
-    tables, sums = _chunk_tables(m, -(-(degree + 1) * m.field.k // width))
+    tables, sums = _chunk_tables(m)
+    tables = tables[:-(-(degree + 1) * m.field.k // width)]
     if sums is not None:
         spread, fold = sums
     chunk = p ** width

@@ -4,10 +4,15 @@ irreducible_indices_by_products: composites marked as products g*h generated
 in index space, where adding a fixed polynomial to an encoding is a digit-wise
 mod-p update, independent of the division-form marking the sieve uses.
 
-sieve_count_naive, sieve_count_nonmonic_naive: a per-polynomial
-irreducibility test and divmod reduction, against which sieve_count and the
-non-monic fold are compared.  weighted_count: the sieve-side character sums
-A_chi(n) that the power-sum oracle checks Newton's identities against."""
+sieve_count_naive: a per-polynomial irreducibility test and divmod
+reduction, against which sieve_count is compared.
+
+sieve_count_nonmonic_naive: the irreducibles by products, every scaling of
+each reduced by long division on arrays, against which the non-monic fold is
+compared.
+
+weighted_count: the sieve-side character sums A_chi(n) that the power-sum
+oracle checks Newton's identities against."""
 
 import numpy as np
 
@@ -15,6 +20,7 @@ from group_oracle import value_exponent
 from ffrace.characters import unit_group
 from ffrace.cyclo import CycloNum
 from ffrace.errors import UsageError
+from ffrace.field import field_tables
 from ffrace.polyring import Poly, enumerate_monic, is_irreducible
 from ffrace.sieve import CountTable, sieve_count
 
@@ -104,17 +110,28 @@ def sieve_count_naive(m, degree):
 
 
 def sieve_count_nonmonic_naive(m, degree):
-    """Reference: literally enumerate every nonzero-lc polynomial."""
+    """Reference: every irreducible of the degree with a nonzero leading
+    coefficient, as lam f for each monic irreducible f (by products) and
+    each lam in F_q^x, scaled digit by digit and reduced mod m by schoolbook
+    long division, all rows at once."""
     G = unit_group(m)
-    field = m.field
-    counts = {u: 0 for u in G.units}
-    for f in enumerate_monic(field, degree):
-        if is_irreducible(f):
-            for lam in range(1, field.q):
-                r = f.scale(lam) % m
-                if G.contains(r):
-                    counts[r] += 1
-    return counts
+    field, M = m.field, m.degree
+    q = field.q
+    add, mul = field_tables(field)
+    neg = np.array([field.neg(c) for c in range(q)])
+    found = {}
+    for d in range(1, degree + 1):
+        found[d] = irreducible_indices_by_products(field, d, found.__getitem__)
+    digits = found[degree][:, None] // q ** np.arange(max(degree + 1, M)) % q
+    f = np.concatenate([mul[lam][digits] for lam in range(1, q)])
+    lead, divisor = field.inv(m.lc), np.array(m.coeffs)
+    for i in range(degree, M - 1, -1):
+        c = mul[f[:, i], lead]            # the quotient's T^(i - M) term
+        f[:, i - M:i + 1] = add[f[:, i - M:i + 1],
+                                neg[mul[c[:, None], divisor]]]
+    index = G.unit_index[f[:, :M] @ q ** np.arange(M)]
+    counts = np.bincount(index[index >= 0], minlength=G.order)
+    return dict(zip(G.units, counts.tolist()))
 
 
 def weighted_count(m, chi, n):

@@ -1,8 +1,16 @@
 """Reference oracle for gl2.slash_action: every power (cT+d)^0..(cT+d)^n
 built by successive products, against which the version that starts from
-(cT+d)^(n - deg f) is compared."""
+(cT+d)^(n - deg f) is compared; and all_invertible, the matrices of
+GL2(F_q) that the action is checked over."""
 
+from ffrace.gl2 import Mat2, _gl2_entries
 from ffrace.polyring import Poly
+
+
+def all_invertible(field):
+    """GL2(F_q) as Mat2 in the lexicographic entry order of the stabilizer
+    search."""
+    return [Mat2(field, *B) for B in _gl2_entries(field).tolist()]
 
 
 def slash_action_by_power_list(f, n, B):

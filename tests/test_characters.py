@@ -6,6 +6,7 @@ import pytest
 from cyclo_oracle import zeta
 from group_oracle import (char_order, char_pow, dlog, from_dlog,
                           power_indices, unit_pow, value_exponent)
+from ffrace import polyring
 from ffrace.characters import (UnitGroup, all_characters, group_exponent,
                                parse_character, unit_group)
 from ffrace.cyclo import CycloNum
@@ -254,6 +255,15 @@ def test_unit_group_builds_on_encodings(monkeypatch):
     assert grp.order == 1023 and len(made) < grp.order
     assert len(grp.units) == grp.order
     assert grp.units == tuple(sorted(grp.units, key=Poly.encode))
+
+
+def test_cold_unit_group_runs_one_distinct_degree_pass():
+    # the group order and the factorization share one cached degree_layers
+    m = parse_poly(F2, "T^8+T^4+1")
+    polyring.degree_layers.cache_clear()
+    polyring.factorize.cache_clear()
+    assert UnitGroup(m).gen_orders == (2, 2, 4, 12)
+    assert polyring.degree_layers.cache_info().misses == 1
 
 
 def test_unit_group_census_is_pinned():

@@ -274,7 +274,7 @@ def test_sieve_only_runs_build_no_explicit_counter(capsys, monkeypatch):
     def refuse(m):
         raise AssertionError("explicit counter built")
     monkeypatch.setattr(explicit, "ExplicitCounter", refuse)
-    monkeypatch.setattr(explicit, "_counters", {})
+    explicit.explicit_counter.cache_clear()
     code, out, err = run(capsys, "count", "--field", "F2", "--modulus",
                          "T^3+T+1", "--degree", "20")
     assert code == 0 and "sieve" in out and "explicit" not in out, err

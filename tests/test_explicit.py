@@ -1,6 +1,8 @@
+import gc
 import heapq
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -19,7 +21,7 @@ from ffrace.explicit import (ExplicitCounter, bias_report, explicit_counter,
 from ffrace.field import field_make
 from ffrace.lfunc import l_polynomial
 from ffrace.numth import divisors, mobius
-from ffrace.polyring import factorize, parse_poly
+from ffrace.polyring import Poly, factorize, parse_poly
 from ffrace.sieve import sieve_count
 
 F2 = field_make(2)
@@ -346,7 +348,7 @@ def test_run_matches_its_single_counts(monkeypatch):
     for m, degrees, kw in ((P(F2, "T^3+T+1"), [200, 13, 60, 13],
                             {"sieve_limit": 0}),
                            (m4, merged, {})):
-        monkeypatch.setattr(explicit, "_counters", {})
+        explicit_counter.cache_clear()
         walks.clear()
         run = list(run_counts(m, degrees, **kw))
         assert walks == [max(degrees)]
@@ -376,7 +378,7 @@ def test_run_frees_each_degree_at_its_last_read(monkeypatch):
         return held[-1]
 
     monkeypatch.setattr(ExplicitCounter, "run", keep)
-    monkeypatch.setattr(explicit, "_counters", {})
+    explicit_counter.cache_clear()
     for i, (n, (found, source)) in enumerate(
             run_counts(m, degrees, sieve_limit=0)):
         assert (n, source) == (degrees[i], "explicit")
@@ -388,6 +390,20 @@ def test_run_frees_each_degree_at_its_last_read(monkeypatch):
 def test_counts_cached_counter_reused():
     m = P(F2, "T^3+T+1")
     assert explicit_counter(m) is explicit_counter(P(F2, "T^3+T+1"))
+
+
+def test_counter_cache_is_bounded():
+    # a sweep of one modulus more than the bound frees the first counter;
+    # the group cache keeps at least as many moduli
+    bound = explicit_counter.cache_info().maxsize
+    assert unit_group.cache_info().maxsize >= bound
+    moduli = [Poly.from_index(F2, i) for i in range(16, 17 + bound)]
+    first = weakref.ref(explicit_counter(moduli[0]))
+    for m in moduli[1:]:
+        explicit_counter(m)
+    gc.collect()
+    assert first() is None
+    assert explicit_counter.cache_info().currsize == bound
 
 
 def test_degenerate_degree_one():

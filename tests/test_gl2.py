@@ -8,7 +8,7 @@ from ffrace.characters import unit_group
 from ffrace.errors import IntegrityError, UsageError
 from ffrace.explicit import ExplicitCounter
 from ffrace.field import field_make, parse_field
-from ffrace.gl2 import (Mat2, all_invertible, certify_ties,
+from ffrace.gl2 import (Mat2, certify_ties,
                         first_failed_certificate, slash_action,
                         stabilizer_period, stabilizer_search,
                         verify_certificate_empirically)
@@ -17,7 +17,7 @@ from ffrace.polyring import Poly, enumerate_monic, format_poly, is_irreducible, 
     parse_poly
 from ffrace.sieve import irreducible_indices
 
-from slash_oracle import slash_action_by_power_list
+from slash_oracle import all_invertible, slash_action_by_power_list
 
 F2 = field_make(2)
 F3 = field_make(3)

@@ -278,16 +278,25 @@ def test_relations_build_no_cyclotomic_number(monkeypatch):
         raise AssertionError("CycloNum built")
 
     monkeypatch.setattr(cyclo.CycloNum, "__init__", refuse)
-    monkeypatch.setattr(explicit, "_counters", {})
+    explicit.explicit_counter.cache_clear()
     assert relation_rows(find_conjugate_relations(m)) == want
 
 
-def test_relations_refuse_a_split_prime_below_the_bound(monkeypatch):
+@pytest.fixture
+def fresh_counters():
+    """No cached counter before the test, and none it built after it: the
+    counter built under a patch is not left for the tests that follow."""
+    explicit.explicit_counter.cache_clear()
+    yield
+    explicit.explicit_counter.cache_clear()
+
+
+def test_relations_refuse_a_split_prime_below_the_bound(monkeypatch,
+                                                      fresh_counters):
     # E = 63, d = 5: the tests are exact for ell^2 > 4^6 2^5, ell > 362; with
     # 7-bit split primes the counter's first is 127
     monkeypatch.setattr(explicit, "PRIME_BITS", 7)
     monkeypatch.setitem(explicit._split, 63, [])
-    monkeypatch.setattr(explicit, "_counters", {})
     m = P(F2, "T^6+T+1")
     assert explicit.explicit_counter(m)._rows(0)[0].tolist() == [[127]]
     with pytest.raises(IntegrityError, match="below the bound"):

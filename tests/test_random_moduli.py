@@ -98,7 +98,7 @@ def test_explicit_matches_oracle_sieve_and_direct_lpolys(m, n_sieve, n_oracle):
     for limit in (0, n_sieve):     # explicit, then sieve
         (_n, (found, _source)), = run_counts(m, [n_sieve], sieve_limit=limit)
         assert found == [table[u] for u in units], limit
-    if m.field.q ** n_sieve <= 2 ** 9:
+    if m.field.q ** n_sieve <= 2 ** 12:
         (_n, (found, _source)), = run_counts(m, [n_sieve], monic=False)
         naive = sieve_count_nonmonic_naive(m, n_sieve)
         assert found == [naive[u] for u in units]

@@ -284,24 +284,27 @@ def test_kept_tables_are_read_only_and_dropped_when_unread(fresh_tables):
         (kind, d) for d in range(1, 5) for kind in ("residues", "strike")}
 
 
-def test_tally_tables_are_kept_for_one_modulus():
-    # the chunk tables of the last modulus tallied serve every degree of it
-    # (N = 20 reads 21 digits, two chunks; N = 9 the first), and go when
-    # another modulus is tallied
+def test_tally_tables_are_kept_per_modulus():
+    # one build of a modulus's chunk tables serves every degree of it (N = 20
+    # reads 21 digits, two chunks; N = 9 the first); they are read-only, and
+    # a tally mod another modulus leaves them in place
     m, other = P(F2, "T^3+T+1"), P(F3, "T^2+1")
 
     def by_divmod(N):
         return np.bincount([(Poly.from_index(F2, int(f)) % m).encode()
                             for f in irreducible_indices(F2, N)],
                            minlength=8)
+    sieve._chunk_tables.cache_clear()
     for N in (9, 20, 4, 9):
         tally = sieve._class_tally.__wrapped__(m, N)
         assert N == 20 or np.array_equal(tally, by_divmod(N)), N
-        assert list(sieve._chunks) == [m]
-    _steps, _sums, tables = sieve._chunks[m]
-    assert len(tables) == 2 and not tables[1].flags.writeable
+    assert sieve._chunk_tables.cache_info().misses == 1
+    tables, _sums = sieve._chunk_tables(m)
+    assert len(tables) == 2
+    assert not any(table.flags.writeable for table in tables)
     sieve._class_tally.__wrapped__(other, 5)
-    assert list(sieve._chunks) == [other]
+    assert sieve._chunk_tables(m)[0] is tables
+    assert sieve._chunk_tables.cache_info().misses == 2
 
 
 def test_enumeration_peak_memory_stays_below_a_bitmap():
