@@ -630,6 +630,7 @@ class CountTable:
     excluded: int          # irreducibles of this degree dividing m
 
 
+# 128 tallies of q^deg m int64 entries: at most 32 KB at MAX_GROUP_ORDER.
 @lru_cache(maxsize=128)
 def _class_tally(m, degree):
     """Read-only count of the monic irreducibles of the given degree per
