@@ -81,8 +81,9 @@ def split_prime(E, i):
 
 
 def _gathered(powers, values):
-    """(rows, omega^values[rows] on every prime) over blocks of rows."""
-    step = max(1, _GATHER // max(1, powers.shape[0] * values.shape[1]))
+    """(rows, omega^values[rows] on every prime) over blocks of rows (of
+    at least one prime's worth: np.take copies its indices to intp)."""
+    step = max(1, _GATHER // (max(1, powers.shape[0]) * values.shape[1]))
     for lo in range(0, len(values), step):
         yield slice(lo, lo + step), np.take(powers, values[lo:lo + step], 1)
 
@@ -241,10 +242,15 @@ class ExplicitCounter:
         self.E = G.exponent
         self.factorization = factorize(m)
         self.chars = all_characters(G)
-        # chars[ci]'s exponents are the logs of units[unit_at[ci]]
+        # chars[ci]'s exponents are the logs of units[unit_at[ci]]; a block
+        # of rows at a time, so the int64 product is 64 rows, not the table
         weights = G.exponent // np.array(G.gen_orders, dtype=np.int64)
-        self._values = ((G.dlog_array[G.unit_at] * weights)
-                        @ G.dlog_array.T % self.E).astype(np.int32)
+        exponents = G.dlog_array[G.unit_at] * weights
+        self._values = np.empty((G.order, G.order), dtype=np.int32)
+        for start in range(0, G.order, 64):
+            block = exponents[start:start + 64] @ G.dlog_array.T
+            block %= self.E
+            self._values[start:start + 64] = block
         self._lock = threading.RLock()
         # (ell (P, 1), powers (P, E): omega^e mod l, coeffs (deg m - 1, P,
         # M'): a_1, a_2, .. of every L-polynomial)

@@ -33,8 +33,9 @@ MAX_EXPLICIT_WORK = Limit(
     "8.9 s mod T+1/F3 at N = 84233")
 MAX_EXACT_WORK = Limit(
     "exact Q(zeta_E) work of lpoly --horizon and --breakdown", 5 * 10 ** 7,
-    "%s cost units", "--horizon 3516 at order 80: 3.7 s, 265 MB; "
-    "--breakdown at order 80, N = 73: 3.5 s, 131 MB")
+    "%s cost units", "--horizon 3516 at order 80: 2.2-2.9 s, 134 MB (265 MB "
+    "as json); --breakdown at order 80, N = 73: 1.9-2.6 s, 86 MB (131 MB as "
+    "json)")
 MAX_RELATIONS_EXPONENT = Limit(
     "relations: the unit-group exponent", 128, "exponent %s",
     "by output: E = 255 searches in 1.1 s and prints 65,024 rows")

@@ -13,7 +13,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import UsageError
-from .numth import prime_factors
 
 
 class Poly:
@@ -272,29 +271,11 @@ class ResidueRing:
 
 
 def is_irreducible(f):
-    """Monic f of degree >= 1.  Standard criterion: T^(q^n) = T (mod f) and
-    gcd(T^(q^(n/l)) - T, f) = 1 for every prime l | n."""
+    """Monic f of degree >= 1: whether its one distinct-degree layer is f
+    itself (degree_layers)."""
     if not f.is_monic or f.degree < 1:
         raise UsageError("is_irreducible needs a monic polynomial of degree >= 1")
-    n = f.degree
-    if n == 1:
-        return True
-    F = f.field
-    q = F.q
-    t = Poly.T(F)
-    # frob[i] = T^(q^i) mod f, computed once up the tower
-    frob = [t % f]
-    x = frob[0]
-    for _ in range(n):
-        x = powmod(x, q, f)
-        frob.append(x)
-    if frob[n] != t % f:
-        return False
-    for l in prime_factors(n):
-        g = poly_gcd(frob[n // l] - t, f)
-        if g.degree != 0:
-            return False
-    return True
+    return degree_layers(f) == ((f.degree, (f,)),)
 
 
 @dataclass(frozen=True)

@@ -40,19 +40,22 @@ a time, by lookups in tables over the chunk's digit patterns, and tallied
 per residue a block at a time.
 
 What is built how often:
-- once per field and degree d of irreducibles: T^j mod g for every g of
-  degree d and every j up to the largest degree the sieve takes, walked by
-  r -> T r mod g (cached with the enumerations);
-- once per field, while the degrees sieved read them (_kept): the residues
-  of every digit of H mod each g (_residues), each strike's table over its
-  low digits of H with the wheel's cut (_strike_low_tables), and the dense
-  pass's packed words of every digit, alive table and spread (_wheel).  An
-  enumeration drops every kept table its degree does not read before it
-  builds any, so another field's go at its first sieve;
+- once per field and degree d of irreducibles, while among the last 12
+  read: the residues of every digit of H mod each g (_residues), from T^j
+  mod g for every g of degree d and every j up to the largest degree the
+  sieve takes, walked by r -> T r mod g (_irreducible_powers);
+- once per strike, while among the last 8 read: its table over its low
+  digits of H with the wheel's cut (_strike_low_tables), keyed by d, the
+  low digits, the cut and the wheel;
+- once per field and wheel, while it is the last read: the dense pass's
+  packed words of every digit, alive table and spread (_wheel);
 - once per degree: the dense pass's table over its low index digits and
   each pass's shifts hi, from T^degree and the high digits;
 - once per modulus, while it is among the last few tallied: the chunk
   tables of the residues mod m (_chunk_tables).
+Each bound is the smallest that builds no table twice in a pass of any
+benchmark workload.  Every cached array is read-only: threads that race on
+a key build equal tables, and each sieves with the ones it holds.
 """
 
 import math
@@ -136,15 +139,13 @@ def _top_degree(field):
     return _low_digits(field.q, 1, MAX_ENUM.value, MAX_ENUM.value)
 
 
-@lru_cache(maxsize=64)
 def _irreducible_powers(field, d):
-    """Read-only encodings of T^j mod g for every monic irreducible g of
-    degree d (rows, in order) and every j up to _top_degree.  uint16: the
-    sieve divides by degrees d with q^d <= 2^13."""
-    powers = _power_encodings(field, irreducible_indices(field, d), d,
-                              _top_degree(field)).astype(np.uint16)
-    powers.flags.writeable = False
-    return powers
+    """Encodings of T^j mod g for every monic irreducible g of degree d
+    (rows, in order) and every j up to _top_degree; read by the cached
+    _residues and _wheel alone.  uint16: the sieve divides by degrees d with
+    q^d <= 2^13."""
+    return _power_encodings(field, irreducible_indices(field, d), d,
+                            _top_degree(field)).astype(np.uint16)
 
 
 def _basis_residues(field, powers, d, sign=-1):
@@ -178,24 +179,11 @@ def _span(start, steps, sums):
     return table
 
 
-# The degree-independent tables of the sieve (see _passes), by key: those
-# of the degree sieved last.  Each enumeration drops every one its degree
-# does not read, another field's with them, and builds what it lacks.  No
-# lock: a key's tables are a function of the key alone and never change,
-# so threads that race on one build equal tables, and each sieves with
-# the ones it holds whoever drops them from here.
-_kept = {}
-
-
-def _kept_tables(key, build):
-    """_kept[key], built by build() if missing; every array read-only."""
-    tables = _kept.get(key)
-    if tables is None:
-        tables = build()
-        for table in tables:
-            if isinstance(table, np.ndarray):
-                table.flags.writeable = False
-        _kept[key] = tables
+def _read_only(*tables):
+    """tables, each array among them made read-only: they are cached."""
+    for table in tables:
+        if isinstance(table, np.ndarray):
+            table.flags.writeable = False
     return tables
 
 
@@ -207,10 +195,9 @@ def _strike_low(field, d, degree):
                        (degree - d) * field.k, _BLOCK)
 
 
-def _strike_tables(field, d, degree, wheel):
+def _strike_tables(field, d, degree):
     """The tables that strike every multiple of degree `degree` of the monic
-    irreducibles of degree d, all together (wheel: the dense pass's kept
-    tables, None without one).
+    irreducibles of degree d, all together.
 
     f = H T^d + r is a multiple of g exactly when r = -(H T^d mod g), for
     every monic H of degree e = degree - d; f's index is then
@@ -224,17 +211,15 @@ def _strike_tables(field, d, degree, wheel):
     hi, offsets, sums): offsets enc(H low) q^d per low value where p is odd
     (XOR adds it into lo when p = 2), sums the spread/fold pair or None.
 
-    All but hi depend on d and the low digits alone (_residues and
-    _strike_low_tables), and are kept; hi is built here from T^degree and
-    the high digits."""
+    All but hi depend on d, the low digits and the wheel alone, and are
+    cached (_residues and _strike_low_tables); hi is built here from
+    T^degree and the high digits."""
     q, p, digits = field.q, field.p, (degree - d) * field.k
-    residues, strike = _strike_keys(field, _dense_degree(field, degree), d,
-                                    degree)
-    *_, low, width = strike
-    steps, = _kept_tables(residues, lambda: _residues(field, d))
-    lo, offsets, sums, cut, wsteps = _kept_tables(
-        strike, lambda: _strike_low_tables(field, d, steps, low, width,
-                                           wheel, degree))
+    D = _dense_degree(field, degree)
+    low = _strike_low(field, d, degree)
+    steps = _residues(field, d)
+    lo, offsets, sums, cut, wsteps = _strike_low_tables(
+        field, d, low, _cut_width(field, D, low, digits), D)
     hi = _span(steps[:, digits, 1], steps[:, low:digits], sums)
     if cut is not None:
         # the shift of _restrict: the low value whose wheel word is the
@@ -246,46 +231,44 @@ def _strike_tables(field, d, degree, wheel):
     return p ** low * q ** d, lo, hi.T[:, :, None], offsets, sums
 
 
-def _strike_keys(field, D, d, degree):
-    """The keys of the kept tables of the strike of degree d at this
-    degree: its _residues, and its _strike_low_tables over the low digits
-    of H, cut to `width` digits of the wheel or not (None)."""
-    low = _strike_low(field, d, degree)
-    width = _cut_width(field, D, low, (degree - d) * field.k)
-    return ("residues", field, d), ("strike", field, d, low, width)
-
-
+# 12 degrees: at most 2.1 MB each (F89 at d = 2; 35 KB over F2).
+@lru_cache(maxsize=12)
 def _residues(field, d):
-    """(steps,): the residues of every digit of H up to _top_degree mod the
-    monic irreducibles of degree d, _basis_residues of their powers of T
-    from T^d on.  uint16: below q^d <= 2^13, as the powers."""
-    return (_basis_residues(field, _irreducible_powers(field, d)[:, d:],
-                            d).astype(np.uint16),)
+    """The residues of every digit of H up to _top_degree mod the monic
+    irreducibles of degree d, _basis_residues of their powers of T from T^d
+    on; read-only.  uint16: below q^d <= 2^13, as the powers."""
+    steps = _basis_residues(field, _irreducible_powers(field, d)[:, d:],
+                            d).astype(np.uint16)
+    steps.flags.writeable = False
+    return steps
 
 
-def _strike_low_tables(field, d, steps, low, width, wheel, degree):
-    """(lo, offsets, sums, cut, wsteps) of the strike of degree d over `low`
-    low digits of H (see _strike_tables; steps from _residues).  Where the
-    strike keeps the cofactors that survive `width` digits of the wheel,
-    cut is the shift's basis of _restrict and wsteps the steps of the wheel
-    word of f, A and B there; else both None."""
+# 8 strikes: at most 1.8 MB each, 1.6 MB of it the fold table (F9 at d = 4).
+@lru_cache(maxsize=8)
+def _strike_low_tables(field, d, low, width, D):
+    """(lo, offsets, sums, cut, wsteps), read-only, of the strike of degree
+    d over `low` low digits of H (see _strike_tables).  Where the strike
+    keeps the cofactors that survive `width` digits of the wheel of degrees
+    <= D, cut is the shift's basis of _restrict and wsteps the steps of the
+    wheel word of f, A and B there; else both None."""
     p, dk = field.p, d * field.k
+    steps = _residues(field, d)
     offsets = np.arange(p ** low, dtype=np.int32) * field.q ** d
     if width is not None:
-        bits = wheel[0][:, 1] & (1 << width) - 1
+        bits = _wheel(field, D)[0][:, 1] & (1 << width) - 1
         # each digit of H moves r by its step and f's index by its own digit
         wsteps = _words(bits[:dk], steps)
         wsteps[:, :, 1] ^= bits[dk:]
         lo, cut = _restrict(field, d, steps[:, :low], wsteps[:, :low],
-                            _cofactor_wheel(field, width), degree)
-        return lo, offsets, None, cut, wsteps.astype(np.uint16)
+                            _cofactor_wheel(field, width))
+        return _read_only(lo, offsets, None, cut, wsteps.astype(np.uint16))
     sums = None if p == 2 else _spread_fold(p, dk)
     lo = _span(np.zeros(len(steps)), steps[:, :low], sums)
     if sums is None:
-        return lo | offsets, offsets, None, None, None
+        return _read_only(lo | offsets, offsets, None, None, None)
     # spread values, below len(fold): often 16 bits
     lo = sums[0][lo].astype(np.min_scalar_type(len(sums[1]) - 1))
-    return lo, offsets, sums, None, None
+    return _read_only(lo, offsets, sums, None, None)
 
 
 def _slots(field, D):
@@ -337,7 +320,7 @@ def _words(bits, x):
     return out
 
 
-def _restrict(field, d, steps, wsteps, alive, degree):
+def _restrict(field, d, steps, wsteps, alive):
     """The p = 2 strike table lo of _strike_tables (steps: the residues of
     H's low digits mod each g; wsteps: what each moves the wheel word of f
     by) cut to the multiples f = g Q whose cofactor Q survives the wheel,
@@ -357,7 +340,7 @@ def _restrict(field, d, steps, wsteps, alive, degree):
     the shift's basis: w -> lo[g, s] of the s < 2^width with A[g, s] = w is
     XOR-linear, so cut[g, i] = its value at w = 2^i gives every degree's
     lo[g, s0] (_words).  Nothing checked depends on the degree being
-    sieved (it only names it), so once per table is every time."""
+    sieved, so once per table is every time."""
     n, low, place = len(steps), steps.shape[1], field.q ** d
     width = len(alive).bit_length() - 1
     zeros, g = np.zeros(n), np.arange(n)[:, None]
@@ -376,10 +359,11 @@ def _restrict(field, d, steps, wsteps, alive, degree):
     onto = words_low[g, preimage] == np.arange(len(alive))
     if not onto.all():
         raise IntegrityError(
-            "wheel restriction of the degree-%d strike at degree %d over F%d "
-            "is not rectangular: the low digits of irreducible %d reach %d of "
-            "%d wheel words" % (d, degree, field.q, onto.all(axis=1).argmin(),
-                                onto.sum(axis=1).min(), len(alive)))
+            "wheel restriction of the degree-%d strike over %d low digits, "
+            "cut to %d wheel digits, over F%d is not rectangular: the low "
+            "digits of irreducible %d reach %d of %d wheel words"
+            % (d, low, width, field.q, onto.all(axis=1).argmin(),
+               onto.sum(axis=1).min(), len(alive)))
     cut = lo_low[g, preimage]
     lo = lo_high[:, :, None] ^ cut[g[:, :, None], words_high[:, :, None]
                                    ^ np.flatnonzero(alive)]
@@ -422,12 +406,14 @@ def _dense_degree(field, degree):
     return D
 
 
+# 1 wheel: at most 0.32 MB (F5, D = 1).
+@lru_cache(maxsize=1)
 def _wheel(field, D):
-    """(packed, alive, spread, sums): the degree-independent tables of the
-    dense pass over the degrees <= D (see _presieve_tables).  packed[t, c]
-    encodes -(c x^l T^j mod g) for digit t = j*k + l up to _top_degree and
-    every g at once, each g in its slot of _slots; alive over the spread
-    sums of packed encodings; sums None when p = 2."""
+    """(packed, alive, spread, sums), read-only: the degree-independent
+    tables of the dense pass over the degrees <= D (see _presieve_tables).
+    packed[t, c] encodes -(c x^l T^j mod g) for digit t = j*k + l up to
+    _top_degree and every g at once, each g in its slot of _slots; alive
+    over the spread sums of packed encodings; sums None when p = 2."""
     p = field.p
     slots = list(_slots(field, D))
     packed = 0
@@ -442,7 +428,7 @@ def _wheel(field, D):
     alive = np.ones(len(fold), dtype=bool)
     for start, w in slots:
         alive &= fold // p ** start % p ** w != 0
-    return packed, alive, spread, sums
+    return _read_only(packed, alive, spread, sums)
 
 
 def _presieve_tables(field, D, degree):
@@ -459,17 +445,16 @@ def _presieve_tables(field, D, degree):
     so one boolean table over spread sums says whether no slot is zero, and
     a block is one gather from that table, offset by the block's high
     value.  The packed encodings of every digit, that table and spread
-    depend on D alone (_wheel) and are kept; the low table, as large as a
-    block, and the high values are built here.  Returns ((block, lo, hi,
-    alive), the kept tables)."""
+    depend on D alone and are cached (_wheel); the low table, as large as a
+    block, and the high values are built here.  Returns (block, lo, hi,
+    alive)."""
     p, k = field.p, field.k
     low = _low_digits(p, 1, degree * k, _BLOCK)
-    wheel = packed, alive, spread, sums = _kept_tables(
-        ("dense", field, D), lambda: _wheel(field, D))
+    packed, alive, spread, sums = _wheel(field, D)
     lo = spread[_span([0], packed[None, :low], sums)[0]].astype(np.intp)
     hi = spread[_span([packed[degree * k, 1]], packed[None, low:degree * k],
                       sums)[0]].tolist()
-    return (p ** low, lo, hi, alive), wheel
+    return p ** low, lo, hi, alive
 
 
 def _presieve(seg, base, tables):
@@ -485,25 +470,12 @@ def _presieve(seg, base, tables):
 def _passes(field, D, degree):
     """(fill, tables) of each pass over a segment, in order: the dense pass
     over degrees 1..D if D, then one strike per degree up to degree/2,
-    each one's tables built as it is reached.  Their degree-independent
-    parts are kept (_kept) under keys of what they depend on; every kept
-    table this degree does not read is dropped before any is built."""
-    for d in range(1, degree // 2 + 1):
-        irreducible_indices(field, d)   # first: its sieve drops our tables
-    reads = {key for d in range(D + 1, degree // 2 + 1)
-             for key in _strike_keys(field, D, d, degree)}
+    each one's tables built as it is reached (their degree-independent
+    parts are cached)."""
     if D:
-        reads.add(("dense", field, D))
-    for key in list(_kept):
-        if key not in reads:
-            _kept.pop(key, None)
-    wheel = None
-    if D:
-        tables, wheel = _presieve_tables(field, D, degree)
-        yield _presieve, tables
-        del tables
+        yield _presieve, _presieve_tables(field, D, degree)
     for d in range(D + 1, degree // 2 + 1):
-        yield _strike, _strike_tables(field, d, degree, wheel)
+        yield _strike, _strike_tables(field, d, degree)
 
 
 @lru_cache(maxsize=64)

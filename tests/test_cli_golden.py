@@ -5,7 +5,10 @@ degrees 13..24 where the two limits disagree; and the full, ordered output
 of `relations` (csv only) on a cyclic group with stripped rows, a
 non-cyclic group of order 56 and an extension field; and the
 `count-explicit --breakdown` audit, every per-divisor, per-character term,
-on a non-cyclic group (json) and a cyclic one (md).
+on a non-cyclic group (json) and a cyclic one (md); and `lpoly` on a cyclic
+group (order 80) and a non-cyclic one (order 56), as csv and as json with
+power sums to 40, whose floats (`inverse_roots_numeric`) are compared to
+within rounding, since two LAPACK builds may differ in the last bits.
 
 The count, cumulative and ties files under tests/golden/cli/ were captured
 from `ffrace` before the routing was collapsed into `explicit.counts`, the
@@ -14,9 +17,12 @@ before `find_conjugate_relations` moved to one split prime, the breakdown
 files before the raw sums were tallied over the log grid, and the bias,
 `cumulative --ties`, order-56 `ties-empirical` and F4 non-monic files
 before counts became lists in canonical class order; these pin class order
-on non-cyclic groups with repeated factors.  Regenerate
+on non-cyclic groups with repeated factors.  The lpoly files were captured
+while the L-polynomials were still built in Q(zeta_E).  Regenerate
 one with `PYTHONPATH=src python -m ffrace.cli <argv> --format <fmt>`."""
 
+import json
+import math
 import pathlib
 
 import pytest
@@ -78,6 +84,14 @@ BREAKDOWNS = {
 }
 
 
+LPOLYS = {
+    "lpoly_F3_T4T2_c1": ["lpoly", "--field", "F3", "--modulus", "T^4+T+2",
+                         "--char", "1"],
+    "lpoly_F2_T6T21_c111": ["lpoly", "--field", "F2",
+                            "--modulus", "T^6+T^2+1", "--char", "1,1,1"],
+}
+
+
 def replay(capsys, argv, path):
     code = main(argv)
     out = capsys.readouterr().out
@@ -101,3 +115,29 @@ def test_relations_output_matches_golden(capsys, name):
 @pytest.mark.parametrize("name", sorted(BREAKDOWNS))
 def test_breakdown_output_matches_golden(capsys, name):
     replay(capsys, BREAKDOWNS[name], GOLDEN / name)
+
+
+@pytest.mark.parametrize("name", sorted(LPOLYS))
+def test_lpoly_csv_matches_golden(capsys, name):
+    replay(capsys, LPOLYS[name] + ["--format", "csv"],
+           GOLDEN / ("%s.csv" % name))
+
+
+def _without_roots(text):
+    """(text without its inverse_roots_numeric entry, the roots)."""
+    head, rest = text.split('\n  "inverse_roots_numeric": ', 1)
+    _block, tail = rest.split("\n  ],\n", 1)
+    return head + "\n" + tail, json.loads(text)["inverse_roots_numeric"]
+
+
+@pytest.mark.parametrize("name", sorted(LPOLYS))
+def test_lpoly_json_matches_golden(capsys, name):
+    assert main(LPOLYS[name] + ["--format", "json", "--horizon", "40"]) == 0
+    text, roots = _without_roots(capsys.readouterr().out)
+    want_text, want_roots = _without_roots(
+        (GOLDEN / ("%s_h40.json" % name)).read_text())
+    assert text == want_text
+    assert len(roots) == len(want_roots)
+    for got, want in zip(roots, want_roots):
+        assert all(math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-9)
+                   for x, y in zip(got, want)), (got, want)

@@ -2,6 +2,7 @@ import gc
 import heapq
 import sys
 import threading
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -404,6 +405,21 @@ def test_counter_cache_is_bounded():
     gc.collect()
     assert first() is None
     assert explicit_counter.cache_info().currsize == bound
+
+
+def test_counter_build_peaks_near_its_value_table():
+    # order 1023: the int32 V table holds 4.0 MB; built a block of rows at a
+    # time it peaks at 5.7 MB (16 MB as one int64 product and its % E copy)
+    m = P(F2, "T^10+T^3+1")
+    ExplicitCounter(m)      # the group and its lazily built parts, cached
+    tracemalloc.start()
+    try:
+        counter = ExplicitCounter(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counter._values.nbytes == 1023 * 1023 * 4
+    assert peak < 8 << 20, peak
 
 
 def test_degenerate_degree_one():

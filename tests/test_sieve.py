@@ -220,12 +220,11 @@ def test_enumeration_across_segments_matches_product_oracle(monkeypatch):
         assert restricted == cut, (name, block)
 
 
-def _kept_fields():
-    return {key[1] for key in sieve._kept}
+TABLES = (sieve._residues, sieve._strike_low_tables, sieve._wheel)
 
 
 def test_enumeration_in_any_degree_order_matches_ascending(fresh_tables):
-    # The kept tables serve the next enumeration whatever its degree and
+    # The cached tables serve the next enumeration whatever its degree and
     # field: descending within a field, and interleaved across fields so
     # that every step may switch field, past each field's dense pass (F2
     # from 16, cut strikes at 17; F3 from 11; F4 from 8, cut at 9)
@@ -244,33 +243,50 @@ def test_enumeration_in_any_degree_order_matches_ascending(fresh_tables):
     shuffled = list(ref)
     random.Random(3).shuffle(shuffled)
     for order in (descending, interleaved, shuffled):
-        sieve._kept.clear()
+        _clear_tables()
         for name, N in order:
             field = parse_field(name)
             assert np.array_equal(irreducible_indices.__wrapped__(field, N),
                                   ref[name, N]), (name, N)
-            assert _kept_fields() <= {field}
+            for cached in TABLES:
+                info = cached.cache_info()
+                assert info.currsize <= info.maxsize, cached.__name__
 
 
-def test_kept_tables_are_read_only_and_dropped_when_unread(fresh_tables):
-    # F2 N = 20 keeps its dense pass and strikes (cut to the wheel), F5
-    # N = 9 odd-p ones with their spread/fold sums; every array is
-    # read-only, and each enumeration keeps only what its degree reads
-    F5_ = parse_field("F5")
-    irreducible_indices.__wrapped__(F2, 20)
-    assert {key[0] for key in sieve._kept} == {"dense", "residues", "strike"}
-    assert any(key[-1] is not None for key in sieve._kept
-               if key[0] == "strike")
-    assert _kept_fields() == {F2}
+def _table_keys(field, N):
+    """(builder, key) of every cached table a sieve of degree N reads."""
+    D = sieve._dense_degree(field, N)
+    keys = [(sieve._wheel, (field, D))] if D else []
+    for d in range(D + 1, N // 2 + 1):
+        low = sieve._strike_low(field, d, N)
+        width = sieve._cut_width(field, D, low, (N - d) * field.k)
+        keys += [(sieve._residues, (field, d)),
+                 (sieve._strike_low_tables, (field, d, low, width, D))]
+    return keys
+
+
+def test_cached_tables_are_read_only_and_bounded(fresh_tables):
+    # F2 N = 20 caches its dense pass and strikes (cut to the wheel), F5
+    # N = 9 odd-p ones with their spread/fold sums: read back by key, each
+    # is a cache hit, and every array is read-only
     arrays = []
-    irreducible_indices.__wrapped__(F5_, 9)
-    assert _kept_fields() == {F5_}           # F2's are gone
-    for name, N in (("F5", 9), ("F2", 20)):
-        irreducible_indices.__wrapped__(parse_field(name), N)
-        for tables in sieve._kept.values():
-            for table in tables:
-                for array in (table if isinstance(table, tuple) else
-                              (table,)):
+    for name, N in (("F2", 20), ("F5", 9)):
+        field = parse_field(name)
+        _sieved_below(field, N // 2)
+        irreducible_indices.__wrapped__(field, N)
+        misses = [cached.cache_info().misses for cached in TABLES]
+        tables = [build(*key) for build, key in _table_keys(field, N)]
+        assert [cached.cache_info().misses for cached in TABLES] == misses
+        strikes = [t for t in tables if isinstance(t, tuple)
+                   and len(t) == 5]
+        if name == "F2":
+            assert any(cut is not None for *_, cut, _ws in strikes)
+        else:
+            assert all(sums is not None for _, _, sums, *_ in strikes)
+        for table in tables:
+            for entry in (table if isinstance(table, tuple) else (table,)):
+                for array in (entry if isinstance(entry, tuple) else
+                              (entry,)):
                     if isinstance(array, np.ndarray):
                         arrays.append(array)
     assert len(arrays) > 20
@@ -278,10 +294,26 @@ def test_kept_tables_are_read_only_and_dropped_when_unread(fresh_tables):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array.flat[0] = 0
-    # a degree reads the strikes of degrees up to half of it
+    assert sieve._wheel.cache_info().currsize == 1     # F5's evicted F2's
+    # a degree reads the residues and strikes of degrees up to half of it,
+    # and no wheel below q^N = 2^16
+    _clear_tables()
     irreducible_indices.__wrapped__(F2, 8)
-    assert {(key[0], key[2]) for key in sieve._kept} == {
-        (kind, d) for d in range(1, 5) for kind in ("residues", "strike")}
+    assert [cached.cache_info().misses for cached in TABLES] == [4, 4, 0]
+
+
+def test_cold_enumerations_build_no_table_twice(fresh_tables):
+    # F3 degrees 10, 11 and 12, cold: each sieves its lower degrees as it
+    # first reads their tables, and no sieve evicts a table that a later
+    # one reads, so the 26 tables of degrees 1..6 and 10..12 are built once
+    # each (34 builds when each sieve kept only its own degree's tables)
+    irreducible_indices.cache_clear()
+    for N in (10, 11, 12):
+        irreducible_indices(F3, N)
+    keys = {(build, key) for N in (*range(1, 7), 10, 11, 12)
+            for build, key in _table_keys(F3, N)}
+    assert len(keys) == 26
+    assert sum(cached.cache_info().misses for cached in TABLES) == 26
 
 
 def test_tally_tables_are_kept_per_modulus():
@@ -315,7 +347,6 @@ def test_enumeration_peak_memory_stays_below_a_bitmap():
         field = parse_field(name)
         for d in range(1, N // 2 + 1):
             irreducible_indices(field, d)
-            sieve._irreducible_powers(field, d)
         tracemalloc.start()
         try:
             out = irreducible_indices.__wrapped__(field, N)
@@ -326,21 +357,33 @@ def test_enumeration_peak_memory_stays_below_a_bitmap():
         assert peak < field.q ** N, (name, peak)
 
 
+def _clear_tables():
+    for cached in TABLES:
+        cached.cache_clear()
+
+
 @pytest.fixture
 def fresh_tables():
-    """No kept sieve table before the test, and none it built after it: a
+    """No cached sieve table before the test, and none it built after it: a
     test that corrupts what the tables are built from reaches its guard
     whatever ran before it, and leaves nothing corrupt behind."""
-    sieve._kept.clear()
+    _clear_tables()
     yield
-    sieve._kept.clear()
+    _clear_tables()
+
+
+def _sieved_below(field, top):
+    """Degrees 1..top sieved and cached before a patch, without the tables
+    their sieves cached: the patched sieve builds its own."""
+    for d in range(1, top + 1):
+        irreducible_indices(field, d)
+    _clear_tables()
 
 
 def test_dropped_marks_fail_the_gauss_count(monkeypatch, fresh_tables):
     # F3 N = 6 strikes degrees 1 to 3, the first without the rows of T
     field = F3
-    for d in range(1, 4):
-        irreducible_indices(field, d)      # cached before the patch
+    _sieved_below(field, 3)
     powers = sieve._irreducible_powers
     monkeypatch.setattr(sieve, "_irreducible_powers",
                         lambda field, d: powers(field, d)[d == 1:])
@@ -352,8 +395,7 @@ def test_dropped_dense_slot_fails_the_gauss_count(monkeypatch, fresh_tables):
     # F3 N = 11 is past the dense pass's gate: it clears degree 1 alone,
     # and with T + 1's residues in the slot of T the multiples of T survive
     field = F3
-    for d in range(1, 6):
-        irreducible_indices(field, d)      # cached before the patch
+    _sieved_below(field, 5)
     powers, calls = sieve._irreducible_powers, []
 
     def t_plus_1_for_t(field, d):
@@ -376,8 +418,7 @@ def test_wheel_restriction_checks_every_row_spans_the_wheel(monkeypatch,
     # has those three slots zero, so its low digits reach 1/16 of the
     # 1024 wheel words, not all of them, and its row would keep no index
     field = F2
-    for d in range(1, 11):
-        irreducible_indices(field, d)      # cached before the patch
+    _sieved_below(field, 10)
     powers = sieve._irreducible_powers
 
     def reducible_row(field, d):
@@ -390,9 +431,10 @@ def test_wheel_restriction_checks_every_row_spans_the_wheel(monkeypatch,
 
     monkeypatch.setattr(sieve, "_irreducible_powers", reducible_row)
     with pytest.raises(IntegrityError,
-                       match="degree-4 strike at degree 20 over F2 is not "
-                             "rectangular: the low digits of irreducible 1 "
-                             "reach 64 of 1024"):
+                       match="degree-4 strike over 14 low digits, cut to "
+                             "10 wheel digits, over F2 is not rectangular: "
+                             "the low digits of irreducible 1 reach 64 of "
+                             "1024"):
         irreducible_indices.__wrapped__(field, 20)
 
 
@@ -402,8 +444,7 @@ def test_dead_live_wheel_word_fails_the_gauss_count(monkeypatch,
     # the composites of that word survive every strike of F2 N = 20 (all
     # of degrees 4..10 are cut), and the surplus must raise
     field = F2
-    for d in range(1, 11):
-        irreducible_indices(field, d)      # cached before the patch
+    _sieved_below(field, 10)
     cofactor_wheel, cut = sieve._cofactor_wheel, []
 
     def one_word_dead(field, width):
