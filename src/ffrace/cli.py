@@ -124,6 +124,9 @@ def _cmd_lpoly(args):
         check(MAX_EXACT_WORK, "power sums to n = %d mod %s"
               % (horizon, format_poly(m)), power_sum_work(q, E, d, horizon),
               "n", lambda n: power_sum_work(q, E, d, n))
+        if args.fmt != "json":
+            raise UsageError("--horizon prints its power sums with "
+                             "--format json only")
     chi = parse_character(G, args.char)
     if chi.is_trivial:
         raise UsageError("the trivial character has no L-polynomial")

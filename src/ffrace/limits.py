@@ -51,7 +51,7 @@ MAX_PERIOD = Limit("ties-empirical --period", MAX_GROUP_ORDER.value,
                    "period %s", "none: derived periods divide the exponent")
 MAX_ENUM = Limit("sieve size q^N, so encodings fit int32", 1 << 26,
                  "%s encodings",
-                 "in process: F2 N = 26 0.27 s, F3 N = 16 0.6 s")
+                 "in process: F2 N = 26 0.14 s, F3 N = 16 0.3 s")
 
 
 def largest_within(ok, cap=1 << 40):

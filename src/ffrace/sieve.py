@@ -6,38 +6,48 @@ vectors, each F_q digit a vector of base-p digits).  The monic f of degree
 N are sieved one segment of consecutive encodings at a time, a segmented
 sieve of Eratosthenes (Bays and Hudson, "The segmented sieve of
 Eratosthenes and primes in arithmetic progressions to 10^12", BIT 17,
-1977): one reused bool per f of the segment, cleared where f has a factor
-of degree <= N/2.  The survivors of each segment are appended to an int32
-array allocated once at the closed-form (Gauss) count of irreducibles,
-which is checked as the array fills and again at the end.  A segment holds
-about 2^20 encodings, so the working set is the output and tables of at
-most _BLOCK entries, not q^N bytes.
+1977): one reused bool per f of the segment, cleared where f is a multiple
+of an irreducible of degree <= N/2 outside the wheel (below), and read
+only at the f that no irreducible of the wheel divides.  The survivors of
+each segment are appended to an int32 array allocated once at the
+closed-form (Gauss) count of irreducibles, which is checked as the array
+fills and again at the end.  A segment holds about 2^20 encodings, so the
+working set is the output and tables of at most _BLOCK entries, not q^N
+bytes.
 
-From q^N = 2^16 on, each segment starts with one dense pass over the
-multiples of every irreducible of degree <= D (the wheel of a wheel sieve;
-D = 3 over F2, 1 over F3, F4 and F5, none from F7 up): f mod g is F_p-linear
-in the digits of f, the residues of all these g share one packed encoding,
-and a table over it says whether any is zero.  The higher degrees are
-struck in division form: for an irreducible g of degree d and a monic H of
-degree N - d, the one multiple of g with H above T^d is f = H T^d + r,
-r = -(H T^d mod g), and its index is enc(H - T^(N-d)) q^d + enc(r), plain
-integer arithmetic.  r is F_p-linear in the base-p digits of H, so it is a
-table over a low block of digits, shifted once per value of the high
-digits, for all irreducibles of one degree together.  When p = 2 (F2, F4)
-after a dense pass, a strike of several writes keeps only the multiples
-f = g Q whose cofactor Q survives the wheel, the rule of a wheel sieve
-(Pritchard, Acta Inf. 17, 1982): every other f has a factor of degree
-<= D, so the dense pass has cleared it.  The residues of f mod the wheel's
-irreducibles are F_2-linear in the digits of H too, and its low digits
-reach every residue, so each irreducible keeps the same share of low
-values: 0.14 over F2, 0.32 over F4, a little more where the low block
-spans only a prefix of the wheel's slots.  A segment is a whole number of
-the dense pass's blocks and of every degree's shifts.  Sums of encodings
-are digit-wise mod p: XOR when p = 2, otherwise fold[spread[a] +
-spread[b]] through two small tables.  f mod m is F_p-linear in the digits
-of f in the same way, so the irreducibles are reduced a chunk of digits at
-a time, by lookups in tables over the chunk's digit patterns, and tallied
-per residue a block at a time.
+The wheel of a wheel sieve (Pritchard, Acta Inf. 17, 1982) is the field's
+first irreducibles in order of degree, as many as keep its row table within
+_ROWS entries: the degrees <= 3 over F2, T, T + 1, T + 2 and T^2 + 1 over
+F3, the four linear ones over F4, four of the five over F5, one to three
+from F7 up (W digits in all).  A degree below twice the wheel's top degree,
+or of fewer than W digits, has no wheel and strikes every degree.  f mod g
+is F_p-linear in the digits of f, the residues of all of them share one
+packed word, and the W low digits of an index are the coefficients of f
+below the degree of their product M, so they map one to one onto the words
+(f mod M).  Each block of p^W indices therefore has one fixed sorted row of
+live low values (no residue zero) per word of its high digits, and the
+survivors are read from the segment at those positions alone: 0.14 of them
+over F2, 0.26 over F3, 0.32 over F4, 0.41 over F5.  No pass clears what the
+wheel divides.  The other irreducibles of degree <= N/2 are struck in
+division form: for g of degree d and a monic H of degree N - d, the one
+multiple of g with H above T^d is f = H T^d + r, r = -(H T^d mod g), and its
+index is enc(H - T^(N-d)) q^d + enc(r), plain integer arithmetic.  r is
+F_p-linear in the base-p digits of H, so it is a table over a low block of
+digits, shifted once per value of the high digits, for all irreducibles of
+one degree together.  In every characteristic a strike of several writes
+keeps only the multiples f = g Q whose cofactor Q survives the wheel, the
+rule of a wheel sieve: every other f has a factor in the wheel, which the
+scan never reads.  The wheel word of f is F_p-linear in the digits of H too,
+and its low digits reach every word, so each irreducible keeps the same
+share of low values, shifted per write by the low value that cancels the
+high digits' word (a little more where the low block spans only a prefix of
+the wheel's slots).  A segment is a whole number of the wheel's blocks and
+of every degree's writes.  Sums of encodings are digit-wise mod p: XOR when
+p = 2, otherwise fold[spread[a] + spread[b]] through two small tables; an
+odd-p write adds r and the shifted low value through one fold each.  f mod
+m is F_p-linear in the digits of f in the same way, so the irreducibles are
+reduced a chunk of digits at a time, by lookups in tables over the chunk's
+digit patterns, and tallied per residue a block at a time.
 
 What is built how often:
 - once per field and degree d of irreducibles, while among the last 12
@@ -46,11 +56,13 @@ What is built how often:
   sieve takes, walked by r -> T r mod g (_irreducible_powers);
 - once per strike, while among the last 8 read: its table over its low
   digits of H with the wheel's cut (_strike_low_tables), keyed by d, the
-  low digits, the cut and the wheel;
-- once per field and wheel, while it is the last read: the dense pass's
-  packed words of every digit, alive table and spread (_wheel);
-- once per degree: the dense pass's table over its low index digits and
-  each pass's shifts hi, from T^degree and the high digits;
+  first irreducible outside the wheel, the low digits, the cut and the
+  wheel;
+- once per field and wheel, while among the last 3 read: the wheel's
+  packed words of every digit, its rows of live low values and the
+  spread/fold pair of its words (_wheel);
+- once per degree: each strike's shifts hi and the word of every block of
+  the scan, from T^degree and the high digits;
 - once per modulus, while it is among the last few tallied: the chunk
   tables of the residues mod m (_chunk_tables).
 Each bound is the smallest that builds no table twice in a pass of any
@@ -61,6 +73,7 @@ a key build equal tables, and each sieves with the ones it holds.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count, takewhile
 
 import numpy as np
 
@@ -75,14 +88,18 @@ from .polyring import Poly, factorize, format_poly
 # every other caller of explicit.counts up to min(cutoff, 12).
 DEFAULT_CUTOFF = {2: 24, 3: 14, 5: 9}
 # log2 of the largest table over a block of base-p digits (a residue chunk);
-# encodings per tally of residues, indices per write of _strike, and the
-# largest block and table of the dense pass.
+# encodings per tally of residues and indices per write of _strike.
 _CHUNK_BITS = 16
 _BLOCK = 1 << 16
 # Encodings per sieve segment: the largest power of p up to this, raised to
-# a multiple of every strike write's stretch and of the dense block (all
+# a multiple of every strike write's stretch and of the wheel's block (all
 # powers of p), or q^N if that is smaller.
 _SEGMENT = 1 << 20
+# Entries of the largest wheel row table (rows of live low values), and
+# positions the scan reads per chunk (2^16 raised the peak RSS of a
+# wide-group pass by 0.3-0.6 MB, and took no less time).
+_ROWS = 1 << 18
+_SCAN = 1 << 14
 
 
 def default_cutoff(q):
@@ -102,7 +119,7 @@ def _spread_fold(p, width):
     spread[a] rewrites the digits of a in base 2p - 1, so spread[a] +
     spread[b] carries nothing, and fold[s] reduces every base-(2p - 1)
     digit of s mod p.  Hence fold[spread[a] + spread[b]] = a (+) b (XOR
-    when p = 2, where only the dense pass spreads)."""
+    when p = 2, where nothing spreads)."""
     spread = np.zeros(1, dtype=np.int32)
     fold = np.zeros(1, dtype=np.int32)
     for t in range(width):
@@ -162,21 +179,59 @@ def _basis_residues(field, powers, d, sign=-1):
     return steps.reshape(len(powers), -1, p).astype(np.int32)
 
 
+def _add(a, b, sums):
+    """a (+) b, digit-wise mod p: XOR where sums is None (p = 2), else
+    through the (spread, fold) pair of the encodings."""
+    if sums is None:
+        return a ^ b
+    spread, fold = sums
+    return fold[spread[a] + spread[b]]
+
+
 def _span(start, steps, sums):
     """table[i, h] = start[i] (+) the sum of steps[i, t, digit t of h] over
     every vector h of steps.shape[1] base-p digits (index h, digit 0 lowest),
-    for every row i; sums is None for p = 2 (XOR), else the (spread, fold)
-    pair of the encodings."""
+    for every row i (sums as in _add)."""
     table = np.asarray(start, dtype=np.int32)[:, None]
     for t in range(steps.shape[1]):
-        mults = steps[:, t, :, None]
-        if sums is None:
-            table = mults ^ table[:, None, :]
-        else:
-            spread, fold = sums
-            table = fold[spread[mults] + spread[table][:, None, :]]
+        table = _add(steps[:, t, :, None], table[:, None, :], sums)
         table = table.reshape(len(steps), -1)
     return table
+
+
+def _negation(p, width, sums):
+    """neg[w] = -w digit-wise mod p, for every w of `width` digits."""
+    if p == 2:
+        return np.arange(2 ** width)
+    steps = -np.arange(p) % p * p ** np.arange(width)[:, None]
+    return _span([0], steps[None], sums)[0]
+
+
+def _flat(at, width):
+    """at[i, ...] + i width: indices into row i of a table of rows of
+    `width` entries, into the table raveled (a 2-d fancy index takes
+    several times as long)."""
+    return at + (np.arange(len(at)) * width).reshape(
+        (-1,) + (1,) * (at.ndim - 1))
+
+
+def _inverse(table):
+    """(inverse, reached): inverse[i, w] (int32) an s with table[i, s] = w
+    for every row i and word w < table.shape[1], and how many words each
+    row reaches (all of them where it is one to one)."""
+    n, size = table.shape
+    at = _flat(table, size).ravel()
+    inverse = np.zeros(at.shape, dtype=np.int32)
+    inverse[at] = np.tile(np.arange(size, dtype=np.int32), n)
+    hit = np.zeros(at.shape, dtype=bool)
+    hit[at] = True
+    return inverse.reshape(n, size), hit.reshape(n, size).sum(axis=1)
+
+
+def _narrow(values, bound):
+    """values in the smallest integer type that holds every value below
+    bound."""
+    return values.astype(np.min_scalar_type(bound - 1))
 
 
 def _read_only(*tables):
@@ -187,48 +242,196 @@ def _read_only(*tables):
     return tables
 
 
-def _strike_low(field, d, degree):
-    """Low digits of H per row of a strike table of degree d: the most with
-    p^low times the irreducibles of degree d within _BLOCK indices (even
-    with none, gauss_irreducible_count(q, d) < q^d <= 2^13)."""
-    return _low_digits(field.p, gauss_irreducible_count(field.q, d),
+def _slots(field):
+    """(lowest digit, digits, degree) of the slot of each monic irreducible
+    in the wheel's packed word, in order of degree and encoding (lazily and
+    without end): a slot holds the residue mod its irreducible."""
+    start = 0
+    for d in count(1):
+        for _ in range(gauss_irreducible_count(field.q, d)):
+            yield start, d * field.k, d
+            start += d * field.k
+
+
+def _within(field, width):
+    """The slots of _slots that lie within the lowest `width` digits."""
+    return list(takewhile(lambda slot: slot[0] + slot[1] <= width,
+                          _slots(field)))
+
+
+def _wheel_width(field, degree):
+    """The digits W of the wheel of a sieve of the given degree: the
+    field's wheel, the longest prefix of the slots whose rows (p^W of
+    them, one entry per live word) hold at most _ROWS entries, where its
+    slots have degree <= degree/2 and lie within the degree's digits; else
+    0, no wheel."""
+    p, width, top, live = field.p, 0, 0, 1
+    for start, w, d in _slots(field):
+        live *= p ** w - 1
+        if p ** (start + w) * live > _ROWS:
+            break
+        width, top = start + w, d
+    return width if 2 * top <= degree and width <= degree * field.k else 0
+
+
+def _live(field, width):
+    """live[w]: whether no slot of the wheel word w of `width` digits is
+    zero (the slots within it)."""
+    words = np.arange(field.p ** width)
+    live = np.ones(len(words), dtype=bool)
+    for start, w, _ in _within(field, width):
+        live &= words // field.p ** start % field.p ** w != 0
+    return live
+
+
+def _packed(field, width):
+    """packed[t, c] (int32) encodes -(c x^l T^j mod g) for digit t = j*k +
+    l up to _top_degree and every g of the slots within `width` digits at
+    once, each g in its slot: the wheel word that digit t of an index moves
+    by when it is c."""
+    p = field.p
+    packed = np.zeros(((_top_degree(field) + 1) * field.k, p), dtype=np.int64)
+    slots = _within(field, width)
+    for d in sorted({d for *_, d in slots}):
+        starts = [start for start, _, e in slots if e == d]
+        rows = _irreducible_powers(field, d)[:len(starts)]
+        packed += np.tensordot(p ** np.array(starts),
+                               _basis_residues(field, rows, d), axes=1)
+    return packed.astype(np.int32)
+
+
+# 3 wheels: at most 0.35 MB each (F8 at W = 9: 512 rows of 343).
+@lru_cache(maxsize=3)
+def _wheel(field, width):
+    """(packed, rows, sums), read-only: the wheel of the slots within
+    `width` digits (_packed), rows[s] the sorted low values u < p^width
+    whose word plus s has no slot zero, and the spread/fold pair of the
+    words (None when p = 2).
+
+    The low W = `width` digits of an index are the coefficients of f below
+    the degree of the product M of the wheel's irreducibles, so their words
+    are f mod M, one to one (checked), and every row holds the same number
+    of live values."""
+    p = field.p
+    packed = _packed(field, width)
+    sums = None if p == 2 else _spread_fold(p, width)
+    words = _span([0], packed[None, :width], sums)[0]
+    inverse, reached = _inverse(words[None])
+    if reached[0] < len(words):
+        raise IntegrityError(
+            "wheel of the %d irreducibles within %d digits over F%d is not "
+            "one to one: the low digits reach %d of %d words"
+            % (len(_within(field, width)), width, field.q, reached[0],
+               len(words)))
+    # the word of u (+) t is the word of u plus the word of t: row s is the
+    # live values of row 0 (+) -inverse[s]
+    neg = _negation(field.p, width, sums)[inverse[0]]
+    rows = _add(_narrow(np.flatnonzero(_live(field, width)[words]),
+                        len(words)), _narrow(neg, len(words))[:, None], sums)
+    rows = _narrow(rows, len(words))
+    rows.sort(axis=1)
+    return _read_only(packed, rows, sums)
+
+
+def _scan_tables(field, width, degree, span):
+    """(block, rows, shifts, at, keep) of the scan of a sieve of the given
+    degree through its wheel of `width` digits, over segments of `span`
+    encodings: each block of p^width indices is one row of the wheel,
+    shifts[j] the word of block j's high digits and T^degree; at and keep
+    hold the positions of a chunk of blocks, at most _SCAN, and whether
+    each survives (reused: fresh ones per chunk raised the peak RSS)."""
+    packed, rows, sums = _wheel(field, width)
+    shifts = _span([packed[degree * field.k, 1]],
+                   packed[None, width:degree * field.k], sums)[0]
+    chunk = (min(max(1, _SCAN // rows.shape[1]), span // len(rows)),
+             rows.shape[1])
+    return (len(rows), rows, shifts.astype(rows.dtype),
+            np.empty(chunk, dtype=np.intp), np.empty(chunk, dtype=bool))
+
+
+def _scan(seg, base, tables):
+    """(at, keep) of each chunk of blocks of seg, the bool segment of the
+    encodings from base on, in order: at the live low values of each
+    block relative to base, ascending (its row of the wheel), keep whether
+    seg holds True there.  seg is read only at those positions."""
+    block, rows, shifts, at, keep = tables
+    step = len(at) * block
+    for start in range(0, len(seg), step):
+        starts = np.arange(start, min(start + step, len(seg)), block)
+        first = (base + start) // block
+        n = len(starts)
+        np.add(rows[shifts[first:first + n]], starts[:, None], out=at[:n])
+        np.take(seg, at[:n], out=keep[:n])
+        yield at[:n].ravel(), keep[:n].ravel()
+
+
+def _struck(field, degree):
+    """(d, first) of every strike of a sieve of the given degree: each
+    degree d <= degree/2 from its first irreducible outside the wheel."""
+    inside = [d for *_, d in _within(field, _wheel_width(field, degree))]
+    return [(d, inside.count(d)) for d in range(1, degree // 2 + 1)
+            if inside.count(d) < gauss_irreducible_count(field.q, d)]
+
+
+def _strike_low(field, d, first, degree):
+    """Low digits of H per row of a strike table of degree d from the
+    irreducible `first` on: the most with p^low times its irreducibles
+    within _BLOCK indices (even with all, gauss_irreducible_count(q, d) <
+    q^d <= 2^13)."""
+    return _low_digits(field.p, gauss_irreducible_count(field.q, d) - first,
                        (degree - d) * field.k, _BLOCK)
 
 
-def _strike_tables(field, d, degree):
+def _cut_width(field, wheel, low, digits):
+    """The digits of the wheel (`wheel` digits) whose surviving cofactors a
+    strike with `low` of the `digits` digits of H in its table keeps: its
+    longest prefix of slots within the low digits; 0 (every multiple)
+    where the marks that saves per irreducible, over all p^digits values
+    of H, are not more than the p^low entries of its table."""
+    p, width, live = field.p, 0, 1
+    for start, w, _ in _within(field, min(wheel, low)):
+        width, live = start + w, live * (p ** w - 1)
+    saved = (p ** width - live) * p ** (digits - width)
+    return width if p ** low < saved else 0
+
+
+def _strike_tables(field, d, first, degree):
     """The tables that strike every multiple of degree `degree` of the monic
-    irreducibles of degree d, all together.
+    irreducibles of degree d from the irreducible `first` on (those before
+    it are in the wheel), all together.
 
     f = H T^d + r is a multiple of g exactly when r = -(H T^d mod g), for
     every monic H of degree e = degree - d; f's index is then
     enc(H - T^e) q^d + enc(r).  r is F_p-linear in the base-p digits of H:
-    its values over a low block of digits are one table per g, lo (int32,
-    one row per g), shifted once per value b of the high digits by hi[b]
-    (one entry per g).  The write of b covers the indices [b stride,
-    (b + 1) stride) in g-major order.  When p = 2 after a dense pass, lo
-    holds only the multiples whose cofactor survives the wheel
-    (_restrict), fewer entries per row than offsets.  Returns (stride, lo,
-    hi, offsets, sums): offsets enc(H low) q^d per low value where p is odd
-    (XOR adds it into lo when p = 2), sums the spread/fold pair or None.
+    its values over a low block of digits are one table per g, lo (one row
+    per g), shifted once per value b of the high digits by hi[b] (one
+    entry per g).  The write of b covers the indices [b stride,
+    (b + 1) stride).  lo holds only the multiples whose cofactor survives
+    the wheel (_restrict).  Returns (stride, lo, hi, folds): when p = 2 lo
+    holds the whole low index and a write is lo ^ hi[b]; else lo is (r,
+    low value, high value), hi[b] (r, low value), each in spread form,
+    and folds the fold tables of both, the low value's scaled by q^d.
 
-    All but hi depend on d, the low digits and the wheel alone, and are
-    cached (_residues and _strike_low_tables); hi is built here from
-    T^degree and the high digits."""
-    q, p, digits = field.q, field.p, (degree - d) * field.k
-    D = _dense_degree(field, degree)
-    low = _strike_low(field, d, degree)
-    steps = _residues(field, d)
-    lo, offsets, sums, cut, wsteps = _strike_low_tables(
-        field, d, low, _cut_width(field, D, low, digits), D)
-    hi = _span(steps[:, digits, 1], steps[:, low:digits], sums)
-    if cut is not None:
-        # the shift of _restrict: the low value whose wheel word is the
-        # one of T^degree and the high digits
-        hi ^= _words(cut, _span(wsteps[:, digits, 1], wsteps[:, low:digits],
-                                None))
-    elif sums is not None:
-        hi = sums[0][hi]
-    return p ** low * q ** d, lo, hi.T[:, :, None], offsets, sums
+    All but hi depend on d, the first irreducible, the low digits and the
+    cut alone, and are cached (_residues and _strike_low_tables); hi is
+    built here from T^degree and the high digits."""
+    p, digits = field.p, (degree - d) * field.k
+    low = _strike_low(field, d, first, degree)
+    wheel = _wheel_width(field, degree)
+    width = _cut_width(field, wheel, low, digits)
+    lo, hsteps, s0steps, sums = _strike_low_tables(field, d, first, low,
+                                                   width, wheel)
+    stride = p ** low * field.q ** d
+
+    def shifts(steps, sums):
+        """One row per write: T^degree and its high digits' steps."""
+        table = _span(steps[:, digits, 1], steps[:, low:digits], sums)
+        return (table if sums is None else sums[0][table]).T[:, :, None]
+    if sums is None:
+        return stride, lo, shifts(hsteps, None), None
+    rsums, wsums, scaled = sums
+    return (stride, lo, (shifts(hsteps, rsums), shifts(s0steps, wsums)),
+            (rsums[1], scaled))
 
 
 # 12 degrees: at most 2.1 MB each (F89 at d = 2; 35 KB over F2).
@@ -243,239 +446,122 @@ def _residues(field, d):
     return steps
 
 
-# 8 strikes: at most 1.8 MB each, 1.6 MB of it the fold table (F9 at d = 4).
+# 8 strikes: at most 2.3 MB each, 1.6 MB of it the fold table of r (F81 at
+# d = 2).
 @lru_cache(maxsize=8)
-def _strike_low_tables(field, d, low, width, D):
-    """(lo, offsets, sums, cut, wsteps), read-only, of the strike of degree
-    d over `low` low digits of H (see _strike_tables).  Where the strike
-    keeps the cofactors that survive `width` digits of the wheel of degrees
-    <= D, cut is the shift's basis of _restrict and wsteps the steps of the
-    wheel word of f, A and B there; else both None."""
-    p, dk = field.p, d * field.k
-    steps = _residues(field, d)
-    offsets = np.arange(p ** low, dtype=np.int32) * field.q ** d
-    if width is not None:
-        bits = _wheel(field, D)[0][:, 1] & (1 << width) - 1
-        # each digit of H moves r by its step and f's index by its own digit
-        wsteps = _words(bits[:dk], steps)
-        wsteps[:, :, 1] ^= bits[dk:]
-        lo, cut = _restrict(field, d, steps[:, :low], wsteps[:, :low],
-                            _cofactor_wheel(field, width))
-        return _read_only(lo, offsets, None, cut, wsteps.astype(np.uint16))
-    sums = None if p == 2 else _spread_fold(p, dk)
-    lo = _span(np.zeros(len(steps)), steps[:, :low], sums)
-    if sums is None:
-        return _read_only(lo | offsets, offsets, None, None, None)
-    # spread values, below len(fold): often 16 bits
-    lo = sums[0][lo].astype(np.min_scalar_type(len(sums[1]) - 1))
-    return _read_only(lo, offsets, sums, None, None)
+def _strike_low_tables(field, d, first, low, width, wheel):
+    """(lo, hsteps, s0steps, sums), read-only, of the strike of degree d
+    from the irreducible `first` on over `low` low digits of H, cut to the
+    cofactors that survive the slots within `width` digits (see
+    _strike_tables and _restrict).  sums: the spread/fold pairs of r and of
+    the cut's words, then the scaled fold of the low value; None when
+    p = 2."""
+    p = field.p
+    steps = _residues(field, d)[first:]
+    rsums = wsums = None
+    if p != 2:
+        rsums, wsums = _spread_fold(p, d * field.k), _spread_fold(p, width)
+    lo, hsteps, s0steps = _restrict(field, d, steps, low, width, wheel,
+                                    rsums, wsums)
+    if p == 2:
+        return _read_only(lo, hsteps, None, None)
+    # the low value's fold, scaled to its place above r
+    scaled = wsums[1] * field.q ** d
+    _read_only(*lo, hsteps, s0steps, scaled)
+    return lo, hsteps, s0steps, (rsums, wsums, scaled)
 
 
-def _slots(field, D):
-    """(lowest digit, digits) of the slot of each monic irreducible of
-    degree <= D in the dense pass's packed encoding, in order (lazily)."""
-    width = 0
-    for d in range(1, D + 1):
-        for _ in range(gauss_irreducible_count(field.q, d)):
-            yield width, d * field.k
-            width += d * field.k
+def _restrict(field, d, steps, low, width, wheel, rsums, wsums):
+    """The strike table lo of _strike_tables over `low` low digits of H
+    (steps: the residues r that each digit of H moves by mod each g) cut
+    to the multiples f = g Q whose cofactor Q survives the slots of the
+    wheel (of `wheel` digits) within `width` digits, the rule of a wheel
+    sieve (Pritchard, Acta Inf. 17, 1982): g is not in the wheel, so f has
+    a factor in it exactly when Q does, and the scan never reads such f.
+    With width 0 every low value is kept.
 
-
-def _cut_width(field, D, low, digits):
-    """The digits of the wheel a strike with `low` of the `digits` digits
-    of H in its table keeps the surviving cofactors of, or None: p = 2
-    after a dense pass, the longest prefix of the dense pass's slots that
-    fits in the low digits (the low bits of the packed word).  None where
-    the marks the wheel saves per irreducible, over all p^digits values of
-    H, are not more than the p^low entries of its table."""
-    if field.p != 2 or not D:
-        return None
-    width, live = 0, 1
-    for start, w in _slots(field, D):
-        if start + w > low:
-            break
-        width, live = start + w, live * ((1 << w) - 1)
-    saved = ((1 << width) - live) << (digits - width)
-    return width if 1 << low < saved else None
-
-
-def _cofactor_wheel(field, width):
-    """alive[w]: whether no slot of the wheel word w of `width` digits is
-    zero (p = 2; the slots of _slots within it, all of degree <= width)."""
-    words = np.arange(1 << width)
-    alive = np.ones(1 << width, dtype=bool)
-    for start, w in _slots(field, width):
-        if start + w > width:
-            break
-        alive &= words >> start & (1 << w) - 1 != 0
-    return alive
-
-
-def _words(bits, x):
-    """The XOR of bits[..., t] over every set bit t of x (p = 2): one word
-    per bit, or one row of them per row of x."""
-    out = np.zeros(np.shape(x), dtype=np.int32)
-    for t in range(bits.shape[-1]):
-        out ^= (x >> t & 1) * bits[..., t, None]
-    return out
-
-
-def _restrict(field, d, steps, wsteps, alive):
-    """The p = 2 strike table lo of _strike_tables (steps: the residues of
-    H's low digits mod each g; wsteps: what each moves the wheel word of f
-    by) cut to the multiples f = g Q whose cofactor Q survives the wheel,
-    the rule of a wheel sieve (Pritchard, Acta Inf. 17, 1982): g has degree
-    d > D, so f has a factor in the wheel exactly when Q does, and the
-    dense pass has cleared every such f.
-
-    The wheel word of f is F_2-linear in the digits of f's index, so it is
-    A[g, s] ^ B[g, b] over the low value s and high value b of H.  The
-    first `width` digits of H already span the wheel's digits: Q's low part
+    The wheel word of f is F_p-linear in the digits of H, so it is
+    A[g, s] (+) B[g, b] over the low value s and high value b of H.  The
+    first `width` digits of H already span the cut's digits: Q's low part
     runs over every residue mod the wheel, and g is a unit mod it.  So
-    s -> A[g, s] is a bijection for s < 2^width, which is checked, and
-    every row keeps the same m low values S_g = {s : alive[A[g, s]]}, which
-    are read through its inverse.  With A[g, s0] = B[g, b], the survivors of
-    write b are S_g ^ s0; lo (offsets included) is XOR-linear in s, so the
-    write is lo[g, S_g] ^ hi[b, g] ^ lo[g, s0].  Returns lo[g, S_g] and
-    the shift's basis: w -> lo[g, s] of the s < 2^width with A[g, s] = w is
-    XOR-linear, so cut[g, i] = its value at w = 2^i gives every degree's
-    lo[g, s0] (_words).  Nothing checked depends on the degree being
-    sieved, so once per table is every time."""
-    n, low, place = len(steps), steps.shape[1], field.q ** d
-    width = len(alive).bit_length() - 1
-    zeros, g = np.zeros(n), np.arange(n)[:, None]
-
-    def tables(first, last):
-        """lo and A over the digits [first, last) of H."""
-        values = np.arange(1 << last - first, dtype=np.int32) << first
-        return (_span(zeros, steps[:, first:last], None) | values * place,
-                _span(zeros, wsteps[:, first:last], None))
-
-    lo_low, words_low = tables(0, width)
-    lo_high, words_high = tables(width, low)
-    preimage = np.zeros(words_low.shape,
-                        dtype=np.min_scalar_type(len(alive) - 1))
-    preimage[g, words_low] = np.arange(len(alive))
-    onto = words_low[g, preimage] == np.arange(len(alive))
-    if not onto.all():
+    s -> A[g, s] is a bijection for s < p^width, which is checked, and
+    every row keeps the same m low values S_g = {s : live[A[g, s]]}, which
+    are read through its inverse.  With A[g, s0] = -B[g, b] (s0 < p^width),
+    the survivors of write b are S_g (+) s0, and r is linear in s, so the
+    write is r[g, S_g] (+) r[g, s0] (+) hi[b, g].  s0 and r[g, s0] are
+    F_p-linear in the high digits as well: s0steps[g, t, c] is the s0 of
+    digit t with value c alone, and hsteps its step of r plus r[g, s0].
+    Returns (lo, hsteps, s0steps); when p = 2 lo and hsteps hold the
+    whole low index, s0 at its place q^d included.  Nothing checked
+    depends on the degree being sieved, so once per table is every time."""
+    p, n, place = field.p, len(steps), field.q ** d
+    zeros = np.zeros(n)
+    if not width:
+        r = _span(zeros, steps[:, :low], rsums)
+        values = np.arange(p ** low, dtype=np.int32) * place
+        if p == 2:
+            return r ^ values, steps, None
+        return ((_narrow(rsums[0][r], len(rsums[1])),
+                 np.zeros(r.shape, dtype=np.uint8), values), steps,
+                np.zeros(steps.shape, dtype=np.uint8))
+    # the word of f's slots within `width` digits that each digit of H
+    # moves: through r, and as f's own digit dk + t
+    packed = _wheel(field, wheel)[0] % p ** width
+    words = _span([0], packed[None, :d * field.k], wsums)[0]
+    wsteps = _add(words[steps], packed[d * field.k:], wsums)
+    r_low = _span(zeros, steps[:, :width], rsums)
+    r_high = _span(zeros, steps[:, width:low], rsums)
+    a_high = _span(zeros, wsteps[:, width:low], wsums)
+    back, reached = _inverse(_span(zeros, wsteps[:, :width], wsums))
+    if (reached < p ** width).any():
         raise IntegrityError(
             "wheel restriction of the degree-%d strike over %d low digits, "
             "cut to %d wheel digits, over F%d is not rectangular: the low "
             "digits of irreducible %d reach %d of %d wheel words"
-            % (d, low, width, field.q, onto.all(axis=1).argmin(),
-               onto.sum(axis=1).min(), len(alive)))
-    cut = lo_low[g, preimage]
-    lo = lo_high[:, :, None] ^ cut[g[:, :, None], words_high[:, :, None]
-                                   ^ np.flatnonzero(alive)]
-    return lo.reshape(n, -1), cut[:, 1 << np.arange(width)]
+            % (d, low, width, field.q, reached.argmin(), reached.min(),
+               p ** width))
+    # back[g, w]: the low value whose word is -w, and r_back its r
+    neg = _negation(p, width, wsums)
+    back = back[:, neg]
+    r_back = r_low.ravel()[_flat(back, p ** width)]
+    s0steps = back.ravel()[_flat(wsteps, p ** width)]
+    hsteps = _add(steps, r_back.ravel()[_flat(wsteps, p ** width)], rsums)
+    # the survivors of high value h: the live words a, at word a_high - a
+    live = np.flatnonzero(_live(field, width))
+    at = _flat(_add(a_high[:, :, None], neg[live], wsums), p ** width)
+    high = np.arange(a_high.shape[1], dtype=np.int32) * p ** width
+    if p == 2:
+        lo = (r_back ^ back * place).ravel()[at] ^ (r_high ^ high * place)[
+            :, :, None]
+        return lo.reshape(n, -1), hsteps ^ s0steps * place, None
+    r = _add(r_high[:, :, None], r_back.ravel()[at], rsums)
+    # spread values, below the lengths of the folds: often 16 bits
+    lo = (_narrow(rsums[0][r], len(rsums[1])).reshape(n, -1),
+          _narrow(wsums[0][back.ravel()[at]], len(wsums[1])).reshape(n, -1),
+          np.repeat(high * place, len(live)).astype(np.int32))
+    return lo, hsteps, _narrow(s0steps, p ** width)
 
 
 def _strike(seg, base, tables):
     """Clear in seg, the bool segment of the encodings from base on, the
     writes of one degree's _strike_tables that fall in it."""
-    stride, lo, hi, offsets, sums = tables
+    stride, lo, hi, folds = tables
     # intp: fancy indices of another dtype are converted on every write
-    buf = np.empty(lo.shape, dtype=np.intp)
-    if sums is not None:
-        fold = sums[1]
-        spread_buf = np.empty(lo.shape, dtype=np.int32)
-        res_buf = np.empty(lo.shape, dtype=np.int32)
+    buf = np.empty(np.shape(lo[0] if folds else lo), dtype=np.intp)
+    if folds is not None:
+        (r, low, high), (rfold, sfold) = lo, folds
+        t, u, v = (np.empty(buf.shape, dtype=np.int32) for _ in range(3))
     for b in range(base // stride, (base + len(seg)) // stride):
-        if sums is None:
+        if folds is None:
             np.bitwise_xor(lo, hi[b], out=buf)
         else:
-            np.add(lo, hi[b], out=spread_buf)
-            np.take(fold, spread_buf, out=res_buf)
-            np.add(res_buf, offsets, out=buf)
+            np.add(r, hi[0][b], out=t)
+            np.take(rfold, t, out=u)
+            np.add(low, hi[1][b], out=t)
+            np.take(sfold, t, out=v)
+            np.add(u, v, out=buf)
+            buf += high
         seg[b * stride - base:(b + 1) * stride - base][buf] = False
-
-
-def _dense_degree(field, degree):
-    """The largest D <= degree/2 whose slots fit the dense pass's table of at
-    most _BLOCK entries, (2p - 1)^W for W base-p digits of slots; 0 (strike
-    every degree) where q^degree < _BLOCK, too few indices to repay the
-    tables."""
-    q, p, k = field.q, field.p, field.k
-    D = width = 0
-    if q ** degree >= _BLOCK:
-        while D < degree // 2:
-            width += (D + 1) * k * gauss_irreducible_count(q, D + 1)
-            if (2 * p - 1) ** width > _BLOCK:
-                break
-            D += 1
-    return D
-
-
-# 1 wheel: at most 0.32 MB (F5, D = 1).
-@lru_cache(maxsize=1)
-def _wheel(field, D):
-    """(packed, alive, spread, sums), read-only: the degree-independent
-    tables of the dense pass over the degrees <= D (see _presieve_tables).
-    packed[t, c] encodes -(c x^l T^j mod g) for digit t = j*k + l up to
-    _top_degree and every g at once, each g in its slot of _slots; alive
-    over the spread sums of packed encodings; sums None when p = 2."""
-    p = field.p
-    slots = list(_slots(field, D))
-    packed = 0
-    for d in range(1, D + 1):
-        rows = _irreducible_powers(field, d)
-        starts = [start for start, w in slots if w == d * field.k]
-        place = p ** np.array(starts)
-        packed = packed + np.tensordot(
-            place, _basis_residues(field, rows, d), axes=1)
-    spread, fold = _spread_fold(p, sum(w for _, w in slots))
-    sums = None if p == 2 else (spread, fold)
-    alive = np.ones(len(fold), dtype=bool)
-    for start, w in slots:
-        alive &= fold // p ** start % p ** w != 0
-    return _read_only(packed, alive, spread, sums)
-
-
-def _presieve_tables(field, D, degree):
-    """The tables of the dense pass that leaves True at the index of every
-    monic f of the given degree that no irreducible of degree <= D divides.
-    The wheel of a wheel sieve.
-
-    -(f mod g) is F_p-linear in the base-p digits of f's index, plus
-    -(T^degree mod g).  Each g owns a slot of deg g base-q digits in one
-    packed encoding (_wheel), so the residues of every g add as one
-    encoding, digit-wise mod p.  A block of p^L indices is a table over its
-    L low digits plus one packed value over the high digits.  In spread
-    form (base 2p - 1 digits, see _spread_fold) that sum carries nothing,
-    so one boolean table over spread sums says whether no slot is zero, and
-    a block is one gather from that table, offset by the block's high
-    value.  The packed encodings of every digit, that table and spread
-    depend on D alone and are cached (_wheel); the low table, as large as a
-    block, and the high values are built here.  Returns (block, lo, hi,
-    alive)."""
-    p, k = field.p, field.k
-    low = _low_digits(p, 1, degree * k, _BLOCK)
-    packed, alive, spread, sums = _wheel(field, D)
-    lo = spread[_span([0], packed[None, :low], sums)[0]].astype(np.intp)
-    hi = spread[_span([packed[degree * k, 1]], packed[None, low:degree * k],
-                      sums)[0]].tolist()
-    return p ** low, lo, hi, alive
-
-
-def _presieve(seg, base, tables):
-    """Fill seg, the bool segment of the encodings from base on, with the
-    dense pass's blocks that fall in it."""
-    block, lo, hi, alive = tables
-    for b in range(base // block, (base + len(seg)) // block):
-        # every index of alive[hi[b]:] is in range; "raise" would buffer out
-        np.take(alive[hi[b]:], lo,
-                out=seg[b * block - base:(b + 1) * block - base], mode="wrap")
-
-
-def _passes(field, D, degree):
-    """(fill, tables) of each pass over a segment, in order: the dense pass
-    over degrees 1..D if D, then one strike per degree up to degree/2,
-    each one's tables built as it is reached (their degree-independent
-    parts are cached)."""
-    if D:
-        yield _presieve, _presieve_tables(field, D, degree)
-    for d in range(D + 1, degree // 2 + 1):
-        yield _strike, _strike_tables(field, d, degree)
 
 
 @lru_cache(maxsize=64)
@@ -489,35 +575,34 @@ def irreducible_indices(field, degree):
     check(MAX_ENUM, "sieve of degree %d over F%d (larger degrees are for "
           "the explicit formula)" % (degree, q), size, "degree",
           lambda n: q ** n)
-    D = _dense_degree(field, degree)
-    strides = [p ** _strike_low(field, d, degree) * q ** d
-               for d in range(D + 1, degree // 2 + 1)]
-    if D:
-        strides.append(p ** _low_digits(p, 1, degree * k, _BLOCK))
+    struck = _struck(field, degree)
+    width = _wheel_width(field, degree)
+    strides = [p ** _strike_low(field, d, first, degree) * q ** d
+               for d, first in struck] + [p ** width]
     span = min(size, max([p ** _low_digits(p, 1, degree * k, _SEGMENT)]
                          + strides))
-    passes = _passes(field, D, degree)
+    scan = _scan_tables(field, width, degree, span)
+    passes = (_strike_tables(field, d, first, degree) for d, first in struck)
     if span < size:
         passes = list(passes)           # every segment reads every pass
     out = np.empty(gauss_irreducible_count(q, degree), dtype=np.int32)
     seg = np.empty(span, dtype=bool)
     filled = 0
     for base in range(0, size, span):
-        if not D:
-            seg.fill(True)
-        for fill, tables in passes:
-            fill(seg, base, tables)
+        seg.fill(True)
+        for tables in passes:
+            _strike(seg, base, tables)
             del tables      # one segment: one pass's tables at a time
-        # a block at a time: the int64 indices of one block, not a segment
-        for start in range(0, span, _BLOCK):
-            found = np.flatnonzero(seg[start:start + _BLOCK])
-            if filled + len(found) > len(out):
+        for at, keep in _scan(seg, base, scan):
+            found = np.count_nonzero(keep)
+            if filled + found > len(out):
                 raise IntegrityError(
                     "irreducible count at degree %d over F%d exceeds the "
                     "Mobius closed form %d" % (degree, q, len(out)))
-            found += size + base + start
-            out[filled:filled + len(found)] = found
-            filled += len(found)
+            # compress: a boolean index takes four times as long
+            np.compress(keep, at, out=out[filled:filled + found])
+            out[filled:filled + found] += size + base
+            filled += found
     if filled < len(out):
         raise IntegrityError(
             "irreducible count at degree %d over F%d falls short of the "

@@ -32,12 +32,19 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
-    Mutant("src/ffrace/sieve.py", "if not onto.all():", "if False:",
+    Mutant("src/ffrace/sieve.py", "if (reached < p ** width).any():",
+           "if False:",
            ("tests/test_sieve.py::"
             "test_wheel_restriction_checks_every_row_spans_the_wheel",),
            "a cut strike whose low digits miss some wheel words keeps the "
            "wrong cofactors; the test's reducible row reaches 64 of 1024"),
-    Mutant("src/ffrace/sieve.py", "if filled + len(found) > len(out):",
+    Mutant("src/ffrace/sieve.py", "if reached[0] < len(words):", "if False:",
+           ("tests/test_sieve.py::"
+            "test_repeated_wheel_slot_fails_the_one_to_one_check",),
+           "a wheel whose low digits miss some words has rows of unequal "
+           "length, and its scan reads the wrong positions; the test's "
+           "repeated slot reaches 81 of 243"),
+    Mutant("src/ffrace/sieve.py", "if filled + found > len(out):",
            "if False:",
            ("tests/test_sieve.py::"
             "test_surplus_survivors_raise_before_the_output_overflows",),

@@ -55,18 +55,23 @@ GUARDS = (
           "generator search quadratic in the order 18 s", rss_mb=45),
     Guard(("count", "--field", "F2", "--modulus", "T^3+T+1",
            "--degree", "24"), 10, 0,
-          "the largest default sieve over F2 (q^N = 2^24): 0.32-0.37 s and "
-          "36.0-36.1 MB; 52.7-52.8 MB with a q^N-byte bitmap and int64 "
-          "output", rss_mb=48),
+          "the largest default sieve over F2 (q^N = 2^24): 0.36-0.40 s and "
+          "35.7-35.8 MB read through the wheel (0.39-0.42 s and 35.6 MB "
+          "with a dense pass); 52.7-52.8 MB with a q^N-byte bitmap and "
+          "int64 output", rss_mb=48),
     Guard(("count", "--field", "F4", "--modulus", "T+1",
            "--degree", "12"), 10, 0,
-          "the largest default sieve over F4 (q^N = 2^24): 0.37-0.47 s and "
-          "39.2-39.3 MB; 57.3-57.4 MB with a q^N-byte bitmap and int64 "
-          "output", rss_mb=48),
+          "the largest default sieve over F4 (q^N = 2^24): 0.27-0.40 s and "
+          "39.3 MB read through the wheel (0.43-0.47 s and 39.2-39.3 MB "
+          "with a dense pass); 57.3-57.4 MB with a q^N-byte bitmap and "
+          "int64 output", rss_mb=48),
     Guard(("count", "--field", "F5", "--modulus", "T^3+T+1",
            "--degree", "9"), 10, 0,
-          "the odd-p dense pass at the size wide-group sieves: 0.23-0.24 s; "
-          "10 s catches marking by a Python loop per multiple"),
+          "odd-p strikes cut to the wheel at the size wide-group sieves "
+          "(T + 4 struck, four linear slots in the wheel): 0.24-0.34 s and "
+          "34.5-34.6 MB (0.23-0.31 s and 34.1-34.2 MB striking every "
+          "multiple after a dense pass); 10 s catches marking by a Python "
+          "loop per multiple", rss_mb=42),
     Guard(("count", "--field", "F1000000007", "--modulus", "T",
            "--degree", "2"), 10, 1,
           "a field past MAX_Q is refused before q is factored",
@@ -117,8 +122,10 @@ GUARDS = (
           "q^2/2 polynomial products"),
     Guard(("count", "--field", "F3", "--modulus", "T^2+1",
            "--degree", "14"), 10, 0,
-          "odd-q enumeration at the top of the sieve's range: about 0.55 s "
-          "with division-form marking, minutes with a Python loop"),
+          "odd-q enumeration at the top of the sieve's range: 0.25-0.30 s "
+          "and 35.0-35.2 MB with the strikes cut to the wheel (0.29-0.32 s "
+          "and 35.4-35.5 MB striking every multiple), minutes with a "
+          "Python loop", rss_mb=42),
     Guard(("count", "--field", "F13", "--modulus", "T+1",
            "--degree", "6"), 10, 0,
           "as above, F13 N = 6 (no benchmark workload sieves F13)"),

@@ -353,6 +353,19 @@ def test_lpoly_json(capsys):
         obj["coeffs"][1]["E"] == 8
 
 
+def test_lpoly_horizon_needs_json(capsys, monkeypatch):
+    # md and csv print no power sums, so --horizon there would build them
+    # for nothing (2.2-2.9 s and 134 MB at --horizon 3516): refused
+    # before any power sum or L-polynomial is built
+    _refuse_work(monkeypatch)
+    for fmt in ("md", "csv"):
+        code, out, err = run(capsys, "lpoly", "--field", "F3", "--modulus",
+                             "T^4+T+2", "--char", "1", "--horizon", "200",
+                             "--format", fmt)
+        assert code == 1 and out == "", fmt
+        assert "--format json" in err, err
+
+
 def test_relations(capsys):
     code, out, _ = run(capsys, "relations", "--field", "F3", "--modulus",
                        "T^2", "--format", "json")

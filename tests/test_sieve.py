@@ -112,41 +112,48 @@ def test_gauss_row_sums_full_spec_bounds():
 
 
 def spy_strikes(monkeypatch, record):
-    """Patch sieve._strike to append (restricted, marks, unrestricted marks)
-    of every call to record: a restricted table (wheel-cut, p = 2) has
-    fewer entries per irreducible than low values (offsets), and each write
-    in the segment marks every entry once."""
-    strike = sieve._strike
+    """Patch sieve._strike_tables to append (restricted, marks, unrestricted
+    marks) of every strike built to record: a restricted table (cut to
+    the wheel) has fewer entries per irreducible than low values of H, and
+    over the whole enumeration each of its p^(digits - low) writes marks
+    every entry once."""
+    strike_tables = sieve._strike_tables
 
-    def spy(seg, base, tables):
-        stride, lo, _hi, offsets, _sums = tables
-        writes = (base + len(seg)) // stride - base // stride
-        record.append((lo.shape[1] < len(offsets), lo.size * writes,
-                       lo.shape[0] * len(offsets) * writes))
-        strike(seg, base, tables)
-    monkeypatch.setattr(sieve, "_strike", spy)
+    def spy(field, d, first, degree):
+        tables = strike_tables(field, d, first, degree)
+        _stride, lo, _hi, folds = tables
+        entries = lo if folds is None else lo[0]
+        low = sieve._strike_low(field, d, first, degree)
+        writes = field.p ** ((degree - d) * field.k - low)
+        record.append((entries.shape[1] < field.p ** low,
+                       entries.size * writes,
+                       len(entries) * field.p ** low * writes))
+        return tables
+    monkeypatch.setattr(sieve, "_strike_tables", spy)
 
 
 def test_enumeration_matches_product_oracle_across_blocks(monkeypatch):
-    # from q^N = sieve._BLOCK = 2^16 on, one dense pass clears the multiples
-    # of every irreducible of degree <= D: D = 3 over F2 from N = 16, D = 1
-    # over F3 from N = 11, F4 from N = 8 and F5 from N = 7, several blocks
-    # each at the top degree below.  From F7 up the degree-1 slots alone
-    # need a table past _BLOCK, so every degree is struck, F16 N = 4
-    # (q^N = 2^16) included.  The struck degrees' multiples have more H
-    # digits than one block holds at the top (3^11 H values at F3 N = 13
-    # for degree 2, 2^16 at F2 N = 20 for degree 4, 4^8 at F4 N = 10, 5^6 at
-    # F5 N = 8, 7^6 at F7 N = 7), and over the extension fields every
-    # degree d's H values times irreducibles pass _BLOCK, so its strike
-    # takes several writes (at N = 6, 8 * 8^5, 28 * 8^4 and 168 * 8^3 over
-    # F8; 9 * 9^5, 36 * 9^4 and 240 * 9^3 over F9).  Over F2 and F4 after
-    # the dense pass, the strikes of two writes or more keep only the
-    # multiples whose cofactor survives the wheel: 0.14 of them over F2
-    # (every slot of degree <= 3) and 0.32 over F4 (every linear slot)
-    assert [sieve._dense_degree(parse_field(name), N) for name, N in
-            (("F2", 15), ("F2", 16), ("F3", 10), ("F3", 11), ("F4", 7),
-             ("F4", 8), ("F5", 6), ("F5", 7), ("F7", 7), ("F16", 4))] == \
-        [0, 3, 0, 1, 0, 1, 0, 1, 0, 0]
+    # The wheel is the field's longest prefix of the slots (each
+    # irreducible, in order of degree, owns deg * k digits) whose rows hold
+    # at most _ROWS = 2^18 entries, read from the first degree N whose
+    # digits hold it and twice its slots' degree: the degrees <= 3 over F2
+    # (10 digits) from N = 10, T, T + 1, T + 2 and T^2 + 1 over F3 from
+    # N = 5, the four linear slots over F4 from N = 4, four of the five over
+    # F5 from N = 4 (T + 4 is struck), three over F7 and F8 and two over F9
+    # and F16.  The struck degrees' multiples have more H digits than one
+    # block holds at the top (3^11 H values at F3 N = 13 for degree 2, 2^16
+    # at F2 N = 20 for degree 4, 4^8 at F4 N = 10, 5^7 at F5 N = 8, 7^6 at
+    # F7 N = 7), and over the extension fields every degree d's H values
+    # times irreducibles pass _BLOCK, so its strike takes several writes
+    # (at N = 6, 5 * 8^5, 28 * 8^4 and 168 * 8^3 over F8; 7 * 9^5, 36 * 9^4
+    # and 240 * 9^3 over F9).  Strikes of several writes keep only the
+    # multiples whose cofactor survives the wheel, in every characteristic:
+    # 0.15 of them over F2, 0.32 over F4, 0.26 over F3 and 0.43 over F5 (a
+    # little more where the low block spans only a prefix of the slots)
+    assert [sieve._wheel_width(parse_field(name), N) for name, N in
+            (("F2", 9), ("F2", 10), ("F3", 4), ("F3", 5), ("F4", 3),
+             ("F4", 4), ("F5", 4), ("F7", 7), ("F8", 3), ("F9", 2),
+             ("F16", 2))] == [0, 10, 0, 5, 0, 8, 4, 3, 9, 4, 8]
     strikes, restricted = [], set()
     spy_strikes(monkeypatch, strikes)
     for name, top in (("F3", 13), ("F2", 20), ("F4", 10), ("F5", 8),
@@ -160,48 +167,56 @@ def test_enumeration_matches_product_oracle_across_blocks(monkeypatch):
                                   ref[N]), (name, N)
             if any(cut for cut, _, _ in strikes):
                 restricted.add(name)
+        cut = [(marks, full) for is_cut, marks, full in strikes if is_cut]
         if name == "F2":
             # N = 20: every degree 4..10 takes 2 or 4 writes, all cut
-            cut = [(marks, full) for is_cut, marks, full in strikes if is_cut]
             assert len(cut) == 7
             assert sum(m for m, _ in cut) <= 0.25 * sum(f for _, f in cut)
             assert sum(f for _, f in cut) == sum(
                 gauss_irreducible_count(2, d) * 2 ** (20 - d)
                 for d in range(4, 11))
-    assert restricted == {"F2", "F4"}
+        if name == "F3":
+            # N = 13: degrees 2 (but T^2 + 1) to 6, all cut
+            assert len(cut) == 5
+            assert sum(m for m, _ in cut) <= 0.30 * sum(f for _, f in cut)
+            assert sum(f for _, f in cut) == 2 * 3 ** 11 + sum(
+                gauss_irreducible_count(3, d) * 3 ** (13 - d)
+                for d in range(3, 7))
+        if name == "F5":
+            # N = 8: T + 4 and degrees 2 to 4, all cut
+            assert len(cut) == 4
+            assert sum(m for m, _ in cut) <= 0.45 * sum(f for _, f in cut)
+    assert restricted == {"F2", "F3", "F4", "F5", "F7", "F8", "F9"}
 
 
 def test_enumeration_across_segments_matches_product_oracle(monkeypatch):
-    # At the default _BLOCK a strike write or dense block spans 2^16 or
-    # more encodings, all of q^N at these sizes, so the segment and the
-    # block both go down: segments of p^6 raised to writes of 2^8 indices
-    # or fewer.  The top degrees below then take 5 (F5 N = 7) to 729
-    # (F9 N = 6) segments, F2 and F3 with a dense pass of 2^8 and 3^5.
-    # The F2 dense pass clears degrees 1 and 2 (4 bits of wheel word); the
-    # strikes of degrees 7 and 8 have 3 low digits of H, which span the
-    # slots of T and T + 1 alone, so they keep the multiples whose cofactor
-    # survives those two.  At 2^8 the F4 dense pass's table (3^8 entries)
-    # does not fit, so F4 runs again at a block of 2^13 (2 segments of
-    # 2^15): its degree-4 strike has 7 low digits, 3 coefficients and a
-    # half, which span three of its four linear slots
+    # At the default _BLOCK a strike write spans 2^16 or more encodings,
+    # all of q^N at these sizes, so the segment and the block both go
+    # down: segments of p^6 raised to writes of 2^8 indices or fewer and
+    # to the wheel's block (2^10 over F2, 3^5 over F3).  The top degrees
+    # below then take 5 (F5 N = 7) to 729 (F9 N = 6) segments, each struck
+    # and then scanned through the wheel, and at these small writes every
+    # field still cuts some strike to the cofactors that survive its
+    # wheel.  F4 runs again at a block of 2^13 (2 segments of 2^15)
     segments, strikes = [], []
+    strike, scan = sieve._strike, sieve._scan
 
-    def spy(name):
-        fill = getattr(sieve, name)
+    def spy_strike(seg, base, tables):
+        segments.append(("_strike", base))
+        strike(seg, base, tables)
 
-        def record(seg, base, tables):
-            segments.append((name, base))
-            fill(seg, base, tables)
-        monkeypatch.setattr(sieve, name, record)
+    def spy_scan(seg, base, tables):
+        segments.append(("_scan", base))
+        yield from scan(seg, base, tables)
 
     spy_strikes(monkeypatch, strikes)
-    spy("_presieve")
-    spy("_strike")
-    for name, top, block, spans, cut in (
-            ("F2", 16, 1 << 8, 32, True), ("F3", 10, 1 << 8, 81, False),
-            ("F4", 8, 1 << 8, 64, False), ("F4", 8, 1 << 13, 2, True),
-            ("F5", 7, 1 << 8, 5, False), ("F8", 6, 1 << 8, 512, False),
-            ("F9", 6, 1 << 8, 729, False)):
+    monkeypatch.setattr(sieve, "_strike", spy_strike)
+    monkeypatch.setattr(sieve, "_scan", spy_scan)
+    for name, top, block, spans in (
+            ("F2", 16, 1 << 8, 32), ("F3", 10, 1 << 8, 81),
+            ("F4", 8, 1 << 8, 64), ("F4", 8, 1 << 13, 2),
+            ("F5", 7, 1 << 8, 5), ("F8", 6, 1 << 8, 512),
+            ("F9", 6, 1 << 8, 729)):
         field = parse_field(name)
         monkeypatch.setattr(sieve, "_BLOCK", block)
         monkeypatch.setattr(sieve, "_SEGMENT", field.p ** 6)
@@ -215,9 +230,10 @@ def test_enumeration_across_segments_matches_product_oracle(monkeypatch):
             assert np.array_equal(irreducible_indices.__wrapped__(field, N),
                                   ref[N]), (name, N)
             restricted |= any(is_cut for is_cut, _, _ in strikes)
-        assert len({base for _, base in segments}) == spans, name
-        assert ("_presieve", 0) in segments or field.q > 3
-        assert restricted == cut, (name, block)
+        bases = {base for _, base in segments}
+        assert len(bases) == spans, name
+        assert {base for fill, base in segments if fill == "_scan"} == bases
+        assert restricted, (name, block)
 
 
 TABLES = (sieve._residues, sieve._strike_low_tables, sieve._wheel)
@@ -255,34 +271,39 @@ def test_enumeration_in_any_degree_order_matches_ascending(fresh_tables):
 
 def _table_keys(field, N):
     """(builder, key) of every cached table a sieve of degree N reads."""
-    D = sieve._dense_degree(field, N)
-    keys = [(sieve._wheel, (field, D))] if D else []
-    for d in range(D + 1, N // 2 + 1):
-        low = sieve._strike_low(field, d, N)
-        width = sieve._cut_width(field, D, low, (N - d) * field.k)
+    wheel = sieve._wheel_width(field, N)
+    keys = [(sieve._wheel, (field, wheel))]
+    for d, first in sieve._struck(field, N):
+        low = sieve._strike_low(field, d, first, N)
+        width = sieve._cut_width(field, wheel, low, (N - d) * field.k)
         keys += [(sieve._residues, (field, d)),
-                 (sieve._strike_low_tables, (field, d, low, width, D))]
+                 (sieve._strike_low_tables,
+                  (field, d, first, low, width, wheel))]
     return keys
 
 
 def test_cached_tables_are_read_only_and_bounded(fresh_tables):
-    # F2 N = 20 caches its dense pass and strikes (cut to the wheel), F5
-    # N = 9 odd-p ones with their spread/fold sums: read back by key, each
-    # is a cache hit, and every array is read-only
+    # F2 N = 20 caches its wheel and strikes (cut to the wheel), F5 N = 9
+    # odd-p ones with their spread/fold sums: read back by key, each is a
+    # cache hit, and every array is read-only
     arrays = []
     for name, N in (("F2", 20), ("F5", 9)):
         field = parse_field(name)
         _sieved_below(field, N // 2)
         irreducible_indices.__wrapped__(field, N)
         misses = [cached.cache_info().misses for cached in TABLES]
-        tables = [build(*key) for build, key in _table_keys(field, N)]
+        keys = _table_keys(field, N)
+        tables = [build(*key) for build, key in keys]
         assert [cached.cache_info().misses for cached in TABLES] == misses
-        strikes = [t for t in tables if isinstance(t, tuple)
-                   and len(t) == 5]
+        cuts = [key[4] for build, key in keys
+                if build is sieve._strike_low_tables]
+        assert all(cuts)
+        strikes = [t for (build, _), t in zip(keys, tables)
+                   if build is sieve._strike_low_tables]
         if name == "F2":
-            assert any(cut is not None for *_, cut, _ws in strikes)
+            assert all(sums is None for *_, sums in strikes)
         else:
-            assert all(sums is not None for _, _, sums, *_ in strikes)
+            assert all(sums is not None for *_, sums in strikes)
         for table in tables:
             for entry in (table if isinstance(table, tuple) else (table,)):
                 for array in (entry if isinstance(entry, tuple) else
@@ -294,26 +315,29 @@ def test_cached_tables_are_read_only_and_bounded(fresh_tables):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array.flat[0] = 0
-    assert sieve._wheel.cache_info().currsize == 1     # F5's evicted F2's
-    # a degree reads the residues and strikes of degrees up to half of it,
-    # and no wheel below q^N = 2^16
-    _clear_tables()
-    irreducible_indices.__wrapped__(F2, 8)
-    assert [cached.cache_info().misses for cached in TABLES] == [4, 4, 0]
+    # a degree reads its wheel and the residues and strikes of the degrees
+    # up to half of it outside the wheel: F2 N = 12 degrees 4 to 6, and
+    # N = 8, whose 8 digits do not hold the wheel's 10, degrees 1 to 4
+    for N, misses in ((12, [3, 3, 1]), (8, [4, 4, 1])):
+        _clear_tables()
+        irreducible_indices.__wrapped__(F2, N)
+        assert [cached.cache_info().misses for cached in TABLES] == misses
 
 
 def test_cold_enumerations_build_no_table_twice(fresh_tables):
     # F3 degrees 10, 11 and 12, cold: each sieves its lower degrees as it
     # first reads their tables, and no sieve evicts a table that a later
-    # one reads, so the 26 tables of degrees 1..6 and 10..12 are built once
-    # each (34 builds when each sieve kept only its own degree's tables)
+    # one reads, so the 28 tables of degrees 1..6 and 10..12 (two wheels
+    # among them: none below N = 5, whose digits first hold the wheel's 5)
+    # are built once each
     irreducible_indices.cache_clear()
     for N in (10, 11, 12):
         irreducible_indices(F3, N)
     keys = {(build, key) for N in (*range(1, 7), 10, 11, 12)
             for build, key in _table_keys(F3, N)}
-    assert len(keys) == 26
-    assert sum(cached.cache_info().misses for cached in TABLES) == 26
+    assert len(keys) == 28
+    assert len({key for build, key in keys if build is sieve._wheel}) == 2
+    assert sum(cached.cache_info().misses for cached in TABLES) == 28
 
 
 def test_tally_tables_are_kept_per_modulus():
@@ -381,19 +405,23 @@ def _sieved_below(field, top):
 
 
 def test_dropped_marks_fail_the_gauss_count(monkeypatch, fresh_tables):
-    # F3 N = 6 strikes degrees 1 to 3, the first without the rows of T
+    # F3 N = 6 strikes degree 2 but T^2 + 1 (in the wheel) and degree 3,
+    # the latter without the rows of its first irreducible
     field = F3
     _sieved_below(field, 3)
     powers = sieve._irreducible_powers
     monkeypatch.setattr(sieve, "_irreducible_powers",
-                        lambda field, d: powers(field, d)[d == 1:])
+                        lambda field, d: powers(field, d)[d == 3:])
     with pytest.raises(IntegrityError, match="degree 6 over F3"):
         irreducible_indices.__wrapped__(field, 6)
 
 
-def test_dropped_dense_slot_fails_the_gauss_count(monkeypatch, fresh_tables):
-    # F3 N = 11 is past the dense pass's gate: it clears degree 1 alone,
-    # and with T + 1's residues in the slot of T the multiples of T survive
+def test_repeated_wheel_slot_fails_the_one_to_one_check(monkeypatch,
+                                                        fresh_tables):
+    # F3 N = 11 reads its wheel of T, T + 1, T + 2 and T^2 + 1 before any
+    # strike.  With T + 1's residues in the slot of T, the low 5 digits of
+    # an index reach only the words whose first two slots agree, 81 of 243,
+    # and the rows of live values could not be read through the wheel
     field = F3
     _sieved_below(field, 5)
     powers, calls = sieve._irreducible_powers, []
@@ -405,9 +433,11 @@ def test_dropped_dense_slot_fails_the_gauss_count(monkeypatch, fresh_tables):
 
     monkeypatch.setattr(sieve, "_irreducible_powers", t_plus_1_for_t)
     with pytest.raises(IntegrityError,
-                       match="degree 11 over F3 exceeds the Mobius"):
+                       match="wheel of the 4 irreducibles within 5 digits "
+                             "over F3 is not one to one: the low digits "
+                             "reach 81 of 243 words"):
         irreducible_indices.__wrapped__(field, 11)
-    assert calls == [1, 2, 3, 4, 5]
+    assert calls == [1, 2]
 
 
 def test_wheel_restriction_checks_every_row_spans_the_wheel(monkeypatch,
@@ -416,66 +446,84 @@ def test_wheel_restriction_checks_every_row_spans_the_wheel(monkeypatch,
     # survive the wheel.  With the second irreducible's row replaced by the
     # residues of T^4 + T = T (T + 1) (T^2 + T + 1), every multiple of it
     # has those three slots zero, so its low digits reach 1/16 of the
-    # 1024 wheel words, not all of them, and its row would keep no index
-    field = F2
-    _sieved_below(field, 10)
-    powers = sieve._irreducible_powers
+    # 1024 wheel words, not all of them, and its row would keep no index.
+    # Over F3 N = 14 the same row of degree 3 as T^3 + T = T (T^2 + 1)
+    # zeroes the slots of T and T^2 + 1: 1/27 of the 243 words
+    for field, N, d, reducible, says in (
+            (F2, 20, 4, 0b10010,
+             "degree-4 strike over 14 low digits, cut to 10 wheel digits, "
+             "over F2 is not rectangular: the low digits of irreducible 1 "
+             "reach 64 of 1024"),
+            (F3, 14, 3, 3 + 27,
+             "degree-3 strike over 8 low digits, cut to 5 wheel digits, "
+             "over F3 is not rectangular: the low digits of irreducible 1 "
+             "reach 9 of 243")):
+        _sieved_below(field, N // 2)
+        powers = sieve._irreducible_powers
 
-    def reducible_row(field, d):
-        rows = powers(field, d)
-        if d == 4:
-            rows = rows.copy()
-            rows[1] = sieve._power_encodings(
-                field, np.array([0b10010]), 4, rows.shape[1] - 1)[0]
-        return rows
+        def reducible_row(field, e, d=d, reducible=reducible,
+                          powers=powers):
+            rows = powers(field, e)
+            if e == d:
+                rows = rows.copy()
+                rows[1] = sieve._power_encodings(
+                    field, np.array([reducible]), d, rows.shape[1] - 1)[0]
+            return rows
 
-    monkeypatch.setattr(sieve, "_irreducible_powers", reducible_row)
-    with pytest.raises(IntegrityError,
-                       match="degree-4 strike over 14 low digits, cut to "
-                             "10 wheel digits, over F2 is not rectangular: "
-                             "the low digits of irreducible 1 reach 64 of "
-                             "1024"):
-        irreducible_indices.__wrapped__(field, 20)
+        monkeypatch.setattr(sieve, "_irreducible_powers", reducible_row)
+        with pytest.raises(IntegrityError, match=says):
+            irreducible_indices.__wrapped__(field, N)
+        monkeypatch.undo()
+        _clear_tables()
 
 
 def test_dead_live_wheel_word_fails_the_gauss_count(monkeypatch,
                                                     fresh_tables):
-    # A wheel that marks one live cofactor word dead skips real multiples:
-    # the composites of that word survive every strike of F2 N = 20 (all
-    # of degrees 4..10 are cut), and the surplus must raise
-    field = F2
-    _sieved_below(field, 10)
-    cofactor_wheel, cut = sieve._cofactor_wheel, []
+    # A cut that marks one live cofactor word dead skips real multiples,
+    # which the scan still reads: the composites of that word survive every
+    # strike of F2 N = 20 (all of degrees 4..10 are cut) and of F3 N = 14
+    # (degrees 2..7), and the surplus must raise
+    for field, N, widths in ((F2, 20, [1024] * 6 + [128]),
+                             (F3, 14, [243] * 5 + [27])):
+        _sieved_below(field, N // 2)
+        sieve._wheel(field, sieve._wheel_width(field, N))  # read unpatched
+        live_words, cut = sieve._live, []
 
-    def one_word_dead(field, width):
-        alive = cofactor_wheel(field, width).copy()
-        alive[np.flatnonzero(alive)[0]] = False
-        cut.append(len(alive))
-        return alive
+        def one_word_dead(field, width, live_words=live_words, cut=cut):
+            live = live_words(field, width).copy()
+            live[np.flatnonzero(live)[0]] = False
+            cut.append(len(live))
+            return live
 
-    monkeypatch.setattr(sieve, "_cofactor_wheel", one_word_dead)
-    with pytest.raises(IntegrityError,
-                       match="degree 20 over F2 exceeds the Mobius"):
-        irreducible_indices.__wrapped__(field, 20)
-    assert cut == [1024] * 6 + [128]
+        monkeypatch.setattr(sieve, "_live", one_word_dead)
+        with pytest.raises(IntegrityError,
+                           match="degree %d over F%d exceeds the Mobius"
+                                 % (N, field.q)):
+            irreducible_indices.__wrapped__(field, N)
+        assert cut == widths
+        monkeypatch.undo()
+        _clear_tables()
 
 
 def test_surplus_survivors_raise_before_the_output_overflows(monkeypatch):
-    # F3 N = 13 (3^13 encodings) takes three segments of 3^12.  With the
-    # strikes of degrees 2 to 6 dropped, only the dense pass's degree 1 is
-    # cleared: the first segment alone holds more survivors than the
-    # preallocated array, and the check raises there, before the slice
-    # assignment would fail
-    field = F3
-    for d in range(1, 7):
-        irreducible_indices(field, d)      # cached before the patch
-    bases = []
-    monkeypatch.setattr(sieve, "_strike",
-                        lambda seg, base, tables: bases.append(base))
-    with pytest.raises(IntegrityError,
-                       match="degree 13 over F3 exceeds the Mobius"):
-        irreducible_indices.__wrapped__(field, 13)
-    assert bases == [0] * 5
+    # With every strike dropped, the scan still skips what the wheel
+    # clears, and a segment alone holds more survivors than the
+    # preallocated array: the check raises there, as the scan reads them,
+    # before a slice assignment would fail.  F3 N = 13 (3^13 encodings)
+    # takes three segments of 3^12 and raises in the first, after its five
+    # strikes; F2 N = 20 is one segment with seven
+    for field, N, struck in ((F3, 13, 5), (F2, 20, 7)):
+        for d in range(1, N // 2 + 1):
+            irreducible_indices(field, d)      # cached before the patch
+        bases = []
+        monkeypatch.setattr(sieve, "_strike",
+                            lambda seg, base, tables: bases.append(base))
+        with pytest.raises(IntegrityError,
+                           match="degree %d over F%d exceeds the Mobius"
+                                 % (N, field.q)):
+            irreducible_indices.__wrapped__(field, N)
+        assert bases == [0] * struck
+        monkeypatch.undo()
 
 
 def test_extra_mark_leaves_the_output_short(monkeypatch):
