@@ -73,7 +73,7 @@ a key build equal tables, and each sieves with the ones it holds.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count, takewhile
+from itertools import count
 
 import numpy as np
 
@@ -242,35 +242,35 @@ def _read_only(*tables):
     return tables
 
 
-def _slots(field):
-    """(lowest digit, digits, degree) of the slot of each monic irreducible
-    in the wheel's packed word, in order of degree and encoding (lazily and
-    without end): a slot holds the residue mod its irreducible."""
-    start = 0
+@lru_cache(maxsize=None)
+def _wheel_slots(field):
+    """(lowest digit, digits, degree) of the slot of each irreducible of
+    the field's wheel in its packed word, in order of degree and encoding
+    (a slot holds the residue mod its irreducible): the longest such
+    prefix whose rows, p^W of them for its W digits with one entry per
+    live word, hold at most _ROWS entries."""
+    slots, start, live = [], 0, 1
     for d in count(1):
         for _ in range(gauss_irreducible_count(field.q, d)):
-            yield start, d * field.k, d
-            start += d * field.k
+            w = d * field.k
+            live *= field.p ** w - 1
+            if field.p ** (start + w) * live > _ROWS:
+                return tuple(slots)
+            slots.append((start, w, d))
+            start += w
 
 
 def _within(field, width):
-    """The slots of _slots that lie within the lowest `width` digits."""
-    return list(takewhile(lambda slot: slot[0] + slot[1] <= width,
-                          _slots(field)))
+    """The slots of the wheel within the lowest `width` digits."""
+    return [slot for slot in _wheel_slots(field) if sum(slot[:2]) <= width]
 
 
 def _wheel_width(field, degree):
-    """The digits W of the wheel of a sieve of the given degree: the
-    field's wheel, the longest prefix of the slots whose rows (p^W of
-    them, one entry per live word) hold at most _ROWS entries, where its
-    slots have degree <= degree/2 and lie within the degree's digits; else
-    0, no wheel."""
-    p, width, top, live = field.p, 0, 0, 1
-    for start, w, d in _slots(field):
-        live *= p ** w - 1
-        if p ** (start + w) * live > _ROWS:
-            break
-        width, top = start + w, d
+    """The digits W of the wheel of a sieve of the given degree: all of
+    the field's wheel where its slots have degree <= degree/2 and lie
+    within the degree's digits; else 0, no wheel."""
+    start, w, top = _wheel_slots(field)[-1]
+    width = start + w
     return width if 2 * top <= degree and width <= degree * field.k else 0
 
 
