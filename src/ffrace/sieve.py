@@ -262,7 +262,8 @@ def _wheel_slots(field):
 
 def _within(field, width):
     """The slots of the wheel within the lowest `width` digits."""
-    return [slot for slot in _wheel_slots(field) if sum(slot[:2]) <= width]
+    return [slot for slot in _wheel_slots(field)
+            if slot[0] + slot[1] <= width]
 
 
 def _wheel_width(field, degree):
@@ -452,10 +453,10 @@ def _residues(field, d):
 def _strike_low_tables(field, d, first, low, width, wheel):
     """(lo, hsteps, s0steps, sums), read-only, of the strike of degree d
     from the irreducible `first` on over `low` low digits of H, cut to the
-    cofactors that survive the slots within `width` digits (see
-    _strike_tables and _restrict).  sums: the spread/fold pairs of r and of
-    the cut's words, then the scaled fold of the low value; None when
-    p = 2."""
+    cofactors that survive the slots within `width` digits of the wheel of
+    `wheel` digits (see _strike_tables and _restrict).  sums: the
+    spread/fold pairs of r and of the cut's words, then the scaled fold of
+    the low value; s0steps and sums None when p = 2."""
     p = field.p
     steps = _residues(field, d)[first:]
     rsums = wsums = None
@@ -492,8 +493,9 @@ def _restrict(field, d, steps, low, width, wheel, rsums, wsums):
     F_p-linear in the high digits as well: s0steps[g, t, c] is the s0 of
     digit t with value c alone, and hsteps its step of r plus r[g, s0].
     Returns (lo, hsteps, s0steps); when p = 2 lo and hsteps hold the
-    whole low index, s0 at its place q^d included.  Nothing checked
-    depends on the degree being sieved, so once per table is every time."""
+    whole low index, s0 at its place q^d included, and s0steps is None.
+    Nothing checked depends on the degree being sieved, so once per table
+    is every time."""
     p, n, place = field.p, len(steps), field.q ** d
     zeros = np.zeros(n)
     if not width:
